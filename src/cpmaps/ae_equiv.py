@@ -365,7 +365,7 @@ def counterexample_construct(phi: CpMap, witness,
     if np.linalg.norm(s @ h0) > 1e-8 * max(1.0, linalg.max_abs(s)):
         raise WitnessInvalid("the compression does not annihilate the witness")
 
-    w, u = linalg.eigh(s, tol)
+    w, u = linalg.eigh(s)
     cut = tol.eps_rank * max(np.abs(w)) if w.size else 0.0
     pos = w > cut
     rank_s = int(np.count_nonzero(pos))

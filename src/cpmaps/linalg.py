@@ -109,7 +109,7 @@ def require_hermitian(m, *, residual: float = HERMITIAN_RESIDUAL) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def eigh(m, tol: Tolerance = DEFAULT_TOL):
+def eigh(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, u)`` with eigenvalues ``w`` ascending and unitary ``u``
@@ -148,7 +148,7 @@ def pseudo_inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     as exact zeros, which keeps ``pseudo_inverse`` consistent with
     :func:`numerical_rank` and :func:`range_projection` on the same input.
     """
-    w, u = eigh(m, tol)
+    w, u = eigh(m)
     if w.size == 0:
         return np.zeros_like(np.asarray(m, dtype=complex))
     cut = tol.eps_rank * np.max(np.abs(w))
@@ -158,7 +158,7 @@ def pseudo_inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a PSD matrix; tiny negatives are clipped."""
-    w, u = eigh(m, tol)
+    w, u = eigh(m)
     scale = max(float(w[-1]) if w.size else 0.0, 1.0)
     if w.size and w[0] < -tol.eps_psd * scale:
         raise NotPSD(f"matrix has a negative eigenvalue {w[0]:.3e}")

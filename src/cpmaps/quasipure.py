@@ -18,12 +18,18 @@ Decision pipeline (:func:`is_quasipure`):
 3. Reduce modulo the common kernel ``N`` of the factors (replace ``K_j`` by
    ``K_j B`` for an orthonormal basis ``B`` of ``N``'s complement); after
    step 2 each reduced factor is injective.
-4. ``k == 2``: exact decision via the polynomial pencil ``z K_1 + K_2``
-   (:func:`exact_pencil_k2`).  If the reduction leaves a single column the
-   decision is a single rank check and exact for every ``k``.
+4. ``k == 2``: decision via the pencil ``z K_1 + K_2``
+   (:func:`exact_pencil_k2`).  Row reduction turns it into an ``m x m``
+   matrix ``M`` and a block ``B``; the pencil is singular exactly at the
+   eigenvalues of ``M`` with an eigenvector in ``ker B``, so ``QuasiPure``
+   is the observability rank test ``rank [B; BM; ...] == m``, exact over
+   the Gaussian rationals, and witness candidates are eigenvalues of
+   ``M``.  If the reduction leaves a single column the decision is a
+   single rank check and exact for every ``k``.
 5. Otherwise a seeded randomized search for witnesses; exhausting the
    budget yields ``Inconclusive`` unless the caller opts into trusting the
-   randomized evidence.
+   randomized evidence.  A witness it finds is tagged
+   ``RandomizedWitness``.
 
 Verdicts carry a method tag; ``QuasiPure`` with method ``Pure``,
 ``ExactPencil`` or ``GridOracle`` is proof-grade, randomized evidence is
@@ -60,6 +66,7 @@ __all__ = [
     "METHOD_EXACT_PENCIL",
     "METHOD_NECESSARY",
     "METHOD_RANDOMIZED",
+    "METHOD_SEARCH_WITNESS",
     "METHOD_GRID",
     "QuasiPurityVerdict",
     "is_quasipure",
@@ -76,6 +83,7 @@ METHOD_PURE = "Pure"
 METHOD_EXACT_PENCIL = "ExactPencil"
 METHOD_NECESSARY = "NecessaryConditionViolated"
 METHOD_RANDOMIZED = "RandomizedNoCounterexample"
+METHOD_SEARCH_WITNESS = "RandomizedWitness"
 METHOD_GRID = "GridOracle"
 
 _PROOF_METHODS = frozenset({METHOD_PURE, METHOD_EXACT_PENCIL, METHOD_GRID})
@@ -168,34 +176,25 @@ def _rationalize(x: float) -> Optional[Fraction]:
     return fr if float(fr) == x else None
 
 
-def _gaussian_rational_matrices(mats):
-    """Return sympy matrices over the Gaussian rationals, or None."""
-    import sympy as sp
+def _gaussian_rational_entries(mats):
+    """Entries of each matrix as ``(re, im)`` fraction pairs, or None.
 
+    Decided with ``fractions`` alone, so float input never loads sympy.
+    """
     out = []
-    for m in mats:
+    for mat in mats:
         rows = []
-        for row in np.asarray(m, dtype=complex):
+        for row in np.asarray(mat, dtype=complex):
             entries = []
             for z in row:
                 re = _rationalize(float(z.real))
                 im = _rationalize(float(z.imag))
                 if re is None or im is None:
                     return None
-                entries.append(
-                    sp.Rational(re.numerator, re.denominator)
-                    + sp.I * sp.Rational(im.numerator, im.denominator)
-                )
+                entries.append((re, im))
             rows.append(entries)
-        out.append(sp.Matrix(rows))
+        out.append(rows)
     return out
-
-
-def _pencil_kernel_vector(l1, l2, z, tol: Tolerance) -> np.ndarray:
-    """Unit vector minimizing ``||(z l1 + l2) v||`` (smallest singular pair)."""
-    pencil = z * l1 + l2
-    _, _, vh = np.linalg.svd(pencil)
-    return vh[-1, :].conj()
 
 
 def _polish_root(l1, l2, z0, iters: int = 60):
@@ -224,26 +223,49 @@ def _polish_root(l1, l2, z0, iters: int = 60):
     return z, v
 
 
-def _minor_polynomials_float(l1, l2, m):
-    """Coefficient arrays (ascending) of all m x m minors of ``z l1 + l2``.
+def _reduce_rows(a, b, r: int):
+    """Row-reduce ``[a | b]`` for ``a`` of full column rank ``r``.
 
-    Each minor is a polynomial of degree <= m in ``z``; the coefficients are
-    recovered by interpolation at roots of unity, which is exact for
-    polynomials up to the sample count minus one.
+    Some invertible ``Q`` gives ``Q a = [I_r; 0]``; returns the two blocks
+    of ``Q b`` (its first ``r`` rows, then the rest).
     """
-    d1 = l1.shape[0]
-    samples = max(2 * m + 2, 4)
-    zs = np.exp(2j * np.pi * np.arange(samples) / samples)
-    polys = []
-    for rows in itertools.combinations(range(d1), m):
-        vals = np.array([
-            np.linalg.det((z * l1 + l2)[list(rows), :]) for z in zs
-        ])
-        # least-squares Vandermonde fit, degree m
-        vander = np.vander(zs, m + 1, increasing=True)
-        coeffs, *_ = np.linalg.lstsq(vander, vals, rcond=None)
-        polys.append(coeffs)
-    return polys
+    red, pivots = a.hstack(b).rref()
+    if tuple(pivots[:r]) != tuple(range(r)):
+        raise InputNotReduced("internal error: row reduction lost a pivot")
+    return red[:r, r:], red[r:, r:]
+
+
+def _exact_singular_points(entries, m: int) -> list:
+    """Singular points of ``z K_1 + K_2``: exact over QQ_I, roots to 30 digits.
+
+    ``K_1`` must be injective.  With ``Q K_1 = [I_m; 0]`` and
+    ``Q K_2 = [-M; B]`` the points are the eigenvalues of ``M`` on its
+    unobservable subspace ``ker [B; BM; ...; BM^{m-1}]``; their
+    characteristic polynomial is the gcd of the maximal minors.
+    """
+    import sympy as sp
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def dm(rows):
+        return DomainMatrix([[QQ_I(re, im) for re, im in row] for row in rows],
+                            (len(rows), m), QQ_I)
+
+    k1, k2 = (dm(rows) for rows in entries)
+    top, b = _reduce_rows(k1, k2, m)
+    mat = -top
+    blocks = [b]
+    for _ in range(m - 1):
+        blocks.append(blocks[-1] * mat)
+    unobservable = DomainMatrix.vstack(*blocks).nullspace().transpose()
+    r = unobservable.shape[1]
+    if r == 0:
+        # rank [B; BM; ...; BM^{m-1}] == m: no eigenvector of M in ker B
+        return []
+    restricted, _ = _reduce_rows(unobservable, mat * unobservable, r)
+    poly = sp.Poly(restricted.charpoly(), sp.Symbol("z"), domain=QQ_I)
+    # nroots does not converge on repeated roots; each point is needed once
+    return [complex(root) for root in poly.sqf_part().nroots(n=30)]
 
 
 def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
@@ -254,14 +276,22 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     unit vector annihilated by some nonzero pencil member while not lying
     in both kernels) is present iff the decision is False.
 
-    The endpoints ``a = (1, 0)`` and ``(0, 1)`` are rank checks; interior
-    directions are parameterized as ``a = (z, 1)`` and the pencil is
-    singular at ``z`` exactly when all maximal minors of ``z K_1 + K_2``
-    vanish.  When every entry is a Gaussian rational the minor polynomials
-    and their gcd are computed exactly (sympy over QQ_I) and the decision
-    is a degree check; otherwise minors are interpolated in floating point
-    and each candidate root is polished and verified against the rank
-    window before it may produce a witness.
+    The endpoints ``a = (1, 0)`` and ``(0, 1)`` are rank checks.  Once
+    they pass, ``K_1`` is injective, and row reduction gives an invertible
+    ``Q`` with ``Q K_1 = [I_m; 0]`` and ``Q K_2 = [-M; B]`` (``M`` is
+    ``m x m``).  Then ``(z K_1 + K_2) v = 0`` reads ``M v = z v`` and
+    ``B v = 0``: the interior direction ``a = (z, 1)`` is singular exactly
+    when ``M`` has a ``z``-eigenvector in ``ker B``.  An ``M``-invariant
+    subspace of ``ker B`` contains an eigenvector, and the largest one is
+    ``ker [B; BM; ...; BM^{m-1}]``, so the pencil is injective everywhere
+    iff that matrix has rank ``m`` (the Hautus/Kalman observability test).
+
+    When every entry is a Gaussian rational the reduction and the rank are
+    computed exactly over QQ_I, so a True decision is a proof; the
+    candidate roots are then the eigenvalues of ``M`` on that kernel.
+    Otherwise the candidates are the eigenvalues of ``-K_1^+ K_2``.
+    Either way each candidate is polished and must pass the rank window
+    before it yields a witness.
     """
     l1 = linalg.as_matrix(l1)
     l2 = linalg.as_matrix(l2)
@@ -284,61 +314,20 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
                 return False, witness
 
     # both endpoints injective; in particular m <= rows
-    scale = max(linalg.max_abs(l1), linalg.max_abs(l2), 1.0)
-
-    exact = _gaussian_rational_matrices([l1, l2])
-    if exact is not None:
-        import sympy as sp
-
-        z = sp.Symbol("z")
-        pencil = z * exact[0] + exact[1]
-        d1 = l1.shape[0]
-        gcd_poly = None
-        for rows in itertools.combinations(range(d1), m):
-            minor = pencil[list(rows), :].det(method="berkowitz")
-            minor = sp.expand(minor)
-            if minor == 0:
-                continue
-            poly = sp.Poly(minor, z, domain="QQ_I")
-            gcd_poly = poly if gcd_poly is None else gcd_poly.gcd(poly)
-            if gcd_poly.degree() == 0:
-                return True, None
-        if gcd_poly is None:
-            # cannot happen: det at z=0 reduces to a minor of the injective l2
-            raise InputNotReduced("internal error: all pencil minors vanish")
-        if gcd_poly.degree() == 0:
-            return True, None
-        roots = sorted(
-            (complex(r) for r in gcd_poly.nroots(n=30)),
-            key=lambda c: (round(c.real, 12), round(c.imag, 12)),
-        )
-        for root in roots:
-            z_star, v = _polish_root(l1, l2, root)
-            if v is not None and _is_witness(factors, v, tol):
-                return False, _normalize(v)
-        raise InputNotReduced(
-            "internal error: exact pencil gcd has roots but no witness verified"
-        )
-
-    # floating-point path: candidates from a well-scaled nonzero minor,
-    # every claimed root re-verified through the rank window.
-    polys = _minor_polynomials_float(l1, l2, m)
-    sizes = [np.max(np.abs(c)) for c in polys]
-    threshold = 1e-12 * scale ** m
-    nonzero = [c for c, s in zip(polys, sizes) if s > threshold]
-    if not nonzero:
-        raise InputNotReduced("internal error: all pencil minors vanish")
-    ref = max(nonzero, key=lambda c: np.max(np.abs(c)))
-    coeffs = np.trim_zeros(ref, trim="b")
-    candidates = np.roots(coeffs[::-1]) if len(coeffs) > 1 else []
-    candidates = sorted(candidates,
-                        key=lambda c: (round(c.real, 12), round(c.imag, 12)))
-    for cand in candidates:
-        z_star, v = _polish_root(l1, l2, cand)
-        if v is None:
-            continue
-        if _is_witness(factors, v, tol):
+    exact = _gaussian_rational_entries(factors)
+    if exact is None:
+        candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
+    else:
+        candidates = _exact_singular_points(exact, m)
+    for root in sorted(candidates,
+                       key=lambda c: (round(c.real, 12), round(c.imag, 12))):
+        _, v = _polish_root(l1, l2, root)
+        if v is not None and _is_witness(factors, v, tol):
             return False, _normalize(v)
+    if exact is not None and len(candidates) > 0:
+        raise InputNotReduced(
+            "internal error: exact singular point failed the rank window"
+        )
     return True, None
 
 
@@ -346,7 +335,7 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
 # randomized search (k >= 3, multi-column reductions)
 
 
-def _structured_candidates(reduced, basis, rng):
+def _structured_candidates(reduced):
     """Deterministic candidate directions in the reduced space."""
     m = reduced[0].shape[1]
     cands = []
@@ -401,7 +390,7 @@ def _randomized_search(factors, reduced, basis, budget, rng, tol: Tolerance):
     k = len(factors)
     m = reduced[0].shape[1]
     samples = 0
-    for cand in _structured_candidates(reduced, basis, rng):
+    for cand in _structured_candidates(reduced):
         samples += 1
         h = basis @ _normalize(cand)
         if _is_witness(factors, h, tol):
@@ -490,7 +479,7 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     witness, samples = _randomized_search(factors, reduced, basis, budget,
                                           rng, tol)
     if witness is not None:
-        return _not_quasipure(factors, witness, METHOD_RANDOMIZED, tol,
+        return _not_quasipure(factors, witness, METHOD_SEARCH_WITNESS, tol,
                               samples=samples)
     status = INCONCLUSIVE if strict else QUASI_PURE
     return QuasiPurityVerdict(status=status, method=METHOD_RANDOMIZED,

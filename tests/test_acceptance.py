@@ -5,7 +5,6 @@ holds; the assertions carry the stated tolerances and runtime budgets.
 """
 
 import itertools
-import json
 import time
 
 import numpy as np

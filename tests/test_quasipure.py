@@ -1,5 +1,9 @@
 """Tests for the quasi-purity decision pipeline and its oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from cpmaps import (
     minimal_stinespring,
 )
 from cpmaps import linalg
+from cpmaps.quasipure import METHOD_SEARCH_WITNESS
 from cpmaps.gallery import (
     conjugation_map,
     diagonal_pair_map,
@@ -34,7 +39,7 @@ from cpmaps.gallery import (
     transpose_map,
 )
 
-from conftest import matrix_unit
+from conftest import SRC, matrix_unit
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -46,6 +51,32 @@ def witness_is_sound(phi, witness):
     cols = np.column_stack([k @ witness for k in ks])
     r = linalg.numerical_rank(cols)
     return 0 < r < len(ks)
+
+
+def gaussian_integers(rng, shape):
+    return (rng.integers(-2, 3, size=shape)
+            + 1j * rng.integers(-2, 3, size=shape)).astype(complex)
+
+
+def gaussian_integer_pair(rng, d_in, m, singular):
+    """Injective Gaussian-integer factors ``(K_1, K_2)`` of shape (d_in, m).
+
+    With ``singular`` the pair is ``A [I; 0]`` and ``A [D; b]`` for an
+    upper triangular ``D`` and ``b e_1 = 0``, so ``-D_11 K_1 + K_2`` kills
+    ``e_1``; otherwise both factors are drawn at random.
+    """
+    while True:
+        if singular:
+            a = gaussian_integers(rng, (d_in, d_in))
+            lower = gaussian_integers(rng, (d_in, m))
+            lower[:m] = np.triu(lower[:m])
+            lower[m:, 0] = 0.0
+            pair = (a[:, :m], a @ lower)
+        else:
+            pair = (gaussian_integers(rng, (d_in, m)),
+                    gaussian_integers(rng, (d_in, m)))
+        if all(np.linalg.matrix_rank(f) == m for f in pair):
+            return pair
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +155,7 @@ def test_planted_witness_found_by_randomized_search():
     phi, _ = planted_witness_map(3, 3, 3, seed=2)
     v = is_quasipure(phi, seed=0)
     assert v.status == "NotQuasiPure"
+    assert v.method == METHOD_SEARCH_WITNESS == "RandomizedWitness"
     assert witness_is_sound(phi, v.witness)
     # determinism at a fixed seed
     again = is_quasipure(phi, seed=0)
@@ -177,6 +209,13 @@ def test_pencil_diagonal_pair():
     assert decision is False
     # singular directions are exactly e1 and e2
     assert np.sort(np.abs(witness)).tolist() == pytest.approx([0.0, 1.0])
+    # a repeated singular point, (z + 1)^2 (z + 2), on the exact and the
+    # floating-point route
+    for scale in (1.0, np.sqrt(2.0)):
+        decision, witness = exact_pencil_k2(
+            scale * np.eye(3), scale * np.diag([1.0, 1.0, 2.0]))
+        assert decision is False
+        assert np.sort(np.abs(witness)).tolist() == pytest.approx([0, 0, 1])
 
 
 def test_pencil_never_vanishing_columns():
@@ -187,7 +226,7 @@ def test_pencil_never_vanishing_columns():
 
 
 def test_pencil_float_path_singular():
-    # irrational entries force the interpolated floating-point path
+    # irrational entries force the floating-point route
     decision, witness = exact_pencil_k2(
         np.eye(2), np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
     assert decision is False
@@ -200,6 +239,59 @@ def test_pencil_float_path_injective():
     decision, witness = exact_pencil_k2(l1, l2)
     assert decision is True
     assert witness is None
+
+
+def test_pencil_exact_and_float_routes_agree():
+    # a Gaussian-integer pair is decided over QQ_I; scaled by sqrt(2) it is
+    # decided by the floating-point route, and the pencils are singular at
+    # the same points
+    rng = np.random.default_rng(41)
+    decisions = set()
+    for d_in, m in [(2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (6, 3)]:
+        for singular in (False, True):
+            l1, l2 = gaussian_integer_pair(rng, d_in, m, singular)
+            exact, w_exact = exact_pencil_k2(l1, l2)
+            floated, w_float = exact_pencil_k2(np.sqrt(2.0) * l1,
+                                               np.sqrt(2.0) * l2)
+            assert exact == floated, f"routes disagree at {(d_in, m)}"
+            for w in (w_exact, w_float):
+                if w is not None:
+                    cols = np.column_stack([l1 @ w, l2 @ w])
+                    assert linalg.numerical_rank(cols) == 1
+            decisions.add(exact)
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("phi", [random_cp_map(5, 3, 2),
+                                 planted_witness_map(5, 3, 2)[0]],
+                         ids=["random", "planted"])
+def test_pencil_verdict_survives_rescaling(phi):
+    # Kraus factors scaled by 1e-4 scale the map by 1e-8
+    scaled = CpMap.from_kraus([1e-4 * k for k in minimal_kraus(phi)])
+    v = is_quasipure(phi)
+    w = is_quasipure(scaled)
+    assert w.status == v.status
+    assert w.method == v.method == "ExactPencil"
+    if w.witness is not None:
+        assert witness_is_sound(scaled, w.witness)
+
+
+def test_only_gaussian_rational_pencils_load_sympy():
+    code = (
+        "import sys\n"
+        "from cpmaps import gallery, is_quasipure\n"
+        "is_quasipure(gallery.random_cp_map(4, 2, 2, seed=1))\n"
+        "print('sympy' in sys.modules)\n"
+        "is_quasipure(gallery.diagonal_pair_map())\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_pencil_rejects_common_kernel():
@@ -246,6 +338,14 @@ def test_pencil_agrees_with_grid_on_small_maps():
         assert fast.status != "Inconclusive"
         assert slow.status != "Inconclusive"
         assert fast.status == slow.status, f"disagreement on trial {trial}"
+    # Gaussian-integer maps with d_out = 2 take the exact QQ_I route
+    for trial in range(8):
+        pair = gaussian_integer_pair(rng, 2 + trial % 3, 2, trial % 2 == 1)
+        phi = CpMap.from_kraus(list(pair))
+        fast = is_quasipure(phi)
+        assert fast.method == "ExactPencil"
+        assert fast.status == grid_oracle(phi).status, \
+            f"disagreement on Gaussian-integer trial {trial}"
     # and on the curated boundary case
     assert is_quasipure(flip_twirl_map()).status == \
         grid_oracle(flip_twirl_map()).status
