@@ -28,14 +28,17 @@ from .ae_equiv import (
 )
 from .completion import (
     PartialCpMap,
-    _split_blocks,
-    cp_completable,
     minimal_cp_completion_choi,
     minimal_cp_completion_stinespring,
     necessary_conditions_report,
 )
 from .cp_map import CpMap, choi_rank, classify, is_cp, maps_close
-from .errors import HypothesisFailed, MalformedDocument, ToolkitError
+from .errors import (
+    HypothesisFailed,
+    MalformedDocument,
+    NotCompletable,
+    ToolkitError,
+)
 from .gallery import diagonal_pair_map, flip_twirl_map, trace_state_map
 from .linalg import Tolerance
 from .quasipure import NOT_QUASI_PURE, QUASI_PURE, is_quasipure
@@ -207,8 +210,17 @@ def _cmd_complete(args) -> int:
         "seed": args.seed,
         "route": args.route,
     }
-    feasible = cp_completable(beta, tol)
-    report["completable"] = bool(feasible)
+    completion_choi: Optional[CpMap] = None
+    try:
+        completion_choi = minimal_cp_completion_choi(beta, tol)
+    except NotCompletable as exc:
+        # localize the violation: smallest eigenvalue of the known
+        # compression, and how badly ker A leaks through C
+        violation = {
+            "compression_min_eigenvalue": exc.compression_min_eigenvalue,
+            "kernel_leak": exc.kernel_leak,
+        }
+    report["completable"] = completion_choi is not None
     try:
         diagnostics = necessary_conditions_report(beta, trials=25,
                                                   seed=args.seed, tol=tol)
@@ -223,38 +235,18 @@ def _cmd_complete(args) -> int:
         # the sampled diagnostics require R to be a projection; the exact
         # decision above does not
         report["feasibility"] = None
-    if not feasible:
-        # localize the violation: smallest eigenvalue of the known
-        # compression, and how badly ker A leaks through C
-        _, a, c = _split_blocks(beta, tol)
-        a = (a + a.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(a)
-        null = linalg.kernel_basis(
-            a + np.kron(np.eye(beta.d_in, dtype=complex),
-                        np.eye(beta.d_out, dtype=complex)
-                        - beta.range_projection(tol)), tol)
-        leak = float(np.linalg.norm(c @ null, ord=2)) if null.size else 0.0
-        report["violation"] = {
-            "compression_min_eigenvalue": float(eigs[0]) if eigs.size else 0.0,
-            "kernel_leak": leak,
-        }
+    if completion_choi is None:
+        report["violation"] = violation
         _emit(report)
         return EXIT_NEGATIVE
 
-    completion_choi: Optional[CpMap] = None
-    completion_stine: Optional[CpMap] = None
-    if args.route in ("choi", "both"):
-        completion_choi = minimal_cp_completion_choi(beta, tol)
-    if args.route in ("stinespring", "both"):
-        seed_map = (completion_choi if completion_choi is not None
-                    else minimal_cp_completion_choi(beta, tol))
-        completion_stine = minimal_cp_completion_stinespring(beta, seed_map,
-                                                             tol)
-    primary = completion_choi if args.route == "choi" else completion_stine
+    primary = completion_choi
+    if args.route != "choi":
+        # the Choi route's completion seeds the Stinespring route
+        primary = minimal_cp_completion_stinespring(beta, completion_choi, tol)
     report["completion"] = encode_map(primary)
     if args.route == "both":
-        discrepancy = linalg.max_abs(completion_choi.choi
-                                     - completion_stine.choi)
+        discrepancy = linalg.max_abs(completion_choi.choi - primary.choi)
         report["route_discrepancy"] = float(discrepancy)
     _emit(report)
     return EXIT_OK

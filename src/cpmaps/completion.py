@@ -33,17 +33,22 @@ Blocks here are carried in *operator form*: ``A`` and ``C`` are ``n x n``
 matrices satisfying ``A = P A P`` and ``C = (I-P) C P``, which avoids any
 choice of basis for ``ran P``.  ``BlockCompletionProblem.from_blocks``
 accepts the familiar compact ``[[A, C*], [C, *]]`` corner layout.
+
+Column form.  ``PartialCpMap`` stacks its blocks once into the known Choi
+column ``[beta(E_ij)]``; each route splits it into ``(P, A, C)`` once and
+decides once, from the smallest eigenvalue of ``A`` and the leak
+``||C|_{ker A}||`` -- the two numbers a ``NotCompletable`` carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .cp_map import CpMap, apply, is_cp
+from .cp_map import CpMap, is_cp
 from .errors import (
     DimensionMismatch,
     MalformedPartialMap,
@@ -67,7 +72,7 @@ __all__ = [
 ]
 
 
-def _check_projection(p: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
+def _check_projection(p: np.ndarray, what: str) -> np.ndarray:
     p = linalg.require_hermitian(p)
     if linalg.max_abs(p @ p - p) > 1e-9 * max(1.0, linalg.max_abs(p)):
         raise RNotProjection(f"{what} is not an orthogonal projection")
@@ -88,7 +93,7 @@ class BlockCompletionProblem:
     c: np.ndarray
 
     def __post_init__(self):
-        p = _check_projection(self.p, DEFAULT_TOL, "the splitting")
+        p = _check_projection(self.p, "the splitting")
         a = linalg.require_hermitian(self.a)
         c = linalg.as_matrix(self.c)
         n = p.shape[0]
@@ -135,6 +140,22 @@ class BlockCompletionProblem:
         return cls(p=p, a=a_op, c=c_op)
 
 
+def _decide(p: np.ndarray, a: np.ndarray, c: np.ndarray, tol: Tolerance):
+    """``(completable, min eigenvalue of A, ||C|_{ker A}||)`` for Hermitian data.
+
+    ``A >= 0`` and ``ker A <= ker C`` read as: the eigenvalue is at least
+    ``-eps_psd`` and the leak at most ``eps_rank`` times the size of ``C``.
+    """
+    eigs = np.linalg.eigvalsh(a)
+    min_eig = float(eigs[0]) if eigs.size else 0.0
+    # kernel of A inside ran P = kernel of (A + (1 - P)), which is PSD when A is
+    null = linalg.kernel_basis(a + (np.eye(p.shape[0], dtype=complex) - p), tol)
+    leak = float(np.linalg.norm(c @ null, ord=2)) if null.size else 0.0
+    completable = (min_eig >= -tol.eps_psd
+                   and leak <= tol.eps_rank * max(1.0, linalg.max_abs(c)))
+    return completable, min_eig, leak
+
+
 def block_completable(problem: BlockCompletionProblem,
                       tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the block data extends to some PSD matrix.
@@ -143,20 +164,7 @@ def block_completable(problem: BlockCompletionProblem,
     inside ``ran P``); see the module docstring for why this matches the
     quadratic criterion ``C* C <= q A``.
     """
-    if not linalg.psd_check(problem.a, tol):
-        return False
-    comp = np.eye(problem.dim, dtype=complex) - problem.p
-    # kernel of A inside ran P = kernel of (A + (1 - P)), which is PSD
-    null = linalg.kernel_basis(problem.a + comp, tol)
-    if null.shape[1] == 0:
-        return True
-    image = problem.c @ null
-    c_scale = linalg.max_abs(problem.c)
-    if c_scale == 0.0:
-        return True
-    s = np.linalg.svd(image, compute_uv=False)
-    top = float(s[0]) if s.size else 0.0
-    return top <= tol.eps_rank * max(1.0, c_scale)
+    return _decide(problem.p, problem.a, problem.c, tol)[0]
 
 
 def minimal_block_completion(problem: BlockCompletionProblem,
@@ -165,10 +173,11 @@ def minimal_block_completion(problem: BlockCompletionProblem,
 
     Every completion differs from this one only in the free corner, and by
     a larger-or-equal PSD corner; NotCompletable is raised when no
-    completion exists at all.
+    completion exists at all, carrying the two numbers that decided it.
     """
-    if not block_completable(problem, tol):
-        raise NotCompletable("the block data admits no PSD completion")
+    completable, min_eig, leak = _decide(problem.p, problem.a, problem.c, tol)
+    if not completable:
+        raise NotCompletable(min_eig, leak)
     a_pinv = linalg.pseudo_inverse(problem.a, tol)
     corner = problem.c @ a_pinv @ problem.c.conj().T
     m = problem.a + problem.c + problem.c.conj().T + corner
@@ -185,56 +194,51 @@ class PartialCpMap:
 
     ``blocks[i][j]`` holds ``beta(E_ij)``; every block must lie in the
     right ideal ``M_{d_out} . R`` (i.e. vanish against the orthocomplement
-    of ``ran R``), otherwise MalformedPartialMap is raised.
+    of ``ran R``), otherwise MalformedPartialMap is raised.  The blocks are
+    also kept stacked as the known Choi column ``[beta(E_ij)]``, which
+    equals ``Choi(phi) (I (x) R)``.
     """
 
     d_in: int
     d_out: int
     r: np.ndarray
     blocks: tuple
+    _column: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        d = self.d_out
         r = linalg.as_matrix(self.r)
-        if r.shape != (self.d_out, self.d_out):
-            raise DimensionMismatch(
-                f"R has shape {r.shape}, expected {(self.d_out, self.d_out)}"
-            )
+        if r.shape != (d, d):
+            raise DimensionMismatch(f"R has shape {r.shape}, expected {(d, d)}")
         object.__setattr__(self, "r", r)
-        p_r = linalg.range_projection(r)
-        comp = np.eye(self.d_out, dtype=complex) - p_r
-        rows = []
-        scale = max(1.0, linalg.max_abs(r))
+        column = np.zeros((self.d_in * d, self.d_in * d), dtype=complex)
         for i in range(self.d_in):
-            row = []
             for j in range(self.d_in):
                 b = linalg.as_matrix(self.blocks[i][j])
-                if b.shape != (self.d_out, self.d_out):
+                if b.shape != (d, d):
                     raise DimensionMismatch(
                         f"block ({i},{j}) has shape {b.shape}"
                     )
-                scale = max(scale, linalg.max_abs(b))
-                row.append(b)
-            rows.append(tuple(row))
-        for i in range(self.d_in):
-            for j in range(self.d_in):
-                if linalg.max_abs(rows[i][j] @ comp) > 1e-9 * scale:
-                    raise MalformedPartialMap(
-                        f"block ({i},{j}) does not lie in M_d . R"
-                    )
-        object.__setattr__(self, "blocks", tuple(rows))
+                column[i * d:(i + 1) * d, j * d:(j + 1) * d] = b
+        blocks = column.reshape(self.d_in, d, self.d_in, d).swapaxes(1, 2)
+        comp = np.eye(d, dtype=complex) - linalg.range_projection(r)
+        scale = max(1.0, linalg.max_abs(r), linalg.max_abs(column))
+        leaks = np.abs(blocks @ comp).max(axis=(2, 3), initial=0.0)
+        bad = np.argwhere(leaks > 1e-9 * scale)
+        if bad.size:
+            i, j = bad[0]
+            raise MalformedPartialMap(f"block ({i},{j}) does not lie in M_d . R")
+        # the blocks are views into the column
+        object.__setattr__(self, "blocks", tuple(tuple(row) for row in blocks))
+        object.__setattr__(self, "_column", column)
 
     @classmethod
     def from_map(cls, phi: CpMap, r) -> "PartialCpMap":
         r = linalg.as_matrix(r)
-        blocks = []
-        for i in range(phi.d_in):
-            row = []
-            for j in range(phi.d_in):
-                unit = np.zeros((phi.d_in, phi.d_in), dtype=complex)
-                unit[i, j] = 1.0
-                row.append(apply(phi, unit) @ r)
-            blocks.append(tuple(row))
-        return cls(d_in=phi.d_in, d_out=phi.d_out, r=r, blocks=tuple(blocks))
+        d1, d2 = phi.d_in, phi.d_out
+        column = _times_blocks(phi.choi, r, d1)
+        blocks = column.reshape(d1, d2, d1, d2).swapaxes(1, 2)
+        return cls(d_in=d1, d_out=d2, r=r, blocks=blocks)
 
     def range_projection(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return linalg.range_projection(self.r, tol)
@@ -242,35 +246,45 @@ class PartialCpMap:
     def evaluate(self, x) -> np.ndarray:
         """beta(X) by linearity from the unit blocks."""
         x = linalg.as_matrix(x)
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for i in range(self.d_in):
-            for j in range(self.d_in):
-                out += x[i, j] * self.blocks[i][j]
-        return out
+        d1, d2 = self.d_in, self.d_out
+        return np.einsum("ij,iajb->ab", x, self._column.reshape(d1, d2, d1, d2))
 
 
-def _split_blocks(beta: PartialCpMap, tol: Tolerance):
+def _times_blocks(column: np.ndarray, m: np.ndarray, d_in: int) -> np.ndarray:
+    """``column (I_{d_in} (x) m)``: every block of ``column`` times ``m``."""
+    n = column.shape[0]
+    return (column.reshape(n, d_in, m.shape[0]) @ m).reshape(n, n)
+
+
+def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> BlockCompletionProblem:
     """The block problem induced by a partial CP map.
 
     Knowing ``phi(X) R`` is the same as knowing ``phi(X) P_R`` (multiply by
     the pseudo-inverse of ``R`` or by ``R`` itself), so the known Choi
     column is ``N = [beta(E_ij) R^+]`` and the splitting is
-    ``P = I (x) P_R``.
+    ``P = I (x) P_R``.  The known compression must be Hermitian
+    (equivalently ``beta(E_ij)* ~ beta(E_ji)`` against ``R``); when it is
+    not, NotCompletable is raised with the numbers of its Hermitian part.
     """
-    d1, d2 = beta.d_in, beta.d_out
-    n = d1 * d2
+    n = beta.d_in * beta.d_out
     r_pinv = np.linalg.pinv(beta.r, rcond=tol.eps_rank)
-    p_r = beta.range_projection(tol)
-    column = np.zeros((n, n), dtype=complex)
-    for i in range(d1):
-        for j in range(d1):
-            column[i * d2:(i + 1) * d2, j * d2:(j + 1) * d2] = (
-                beta.blocks[i][j] @ r_pinv
-            )
-    p_split = np.kron(np.eye(d1, dtype=complex), p_r)
+    p_split = np.kron(np.eye(beta.d_in, dtype=complex),
+                      beta.range_projection(tol))
+    column = _times_blocks(beta._column, r_pinv, beta.d_in)
     a = p_split @ column
     c = (np.eye(n, dtype=complex) - p_split) @ column
-    return p_split, a, c
+    hermitian = (linalg.max_abs(a - a.conj().T)
+                 <= 1e-9 * max(1.0, linalg.max_abs(a)))
+    a = (a + a.conj().T) / 2.0
+    if hermitian:
+        try:
+            return BlockCompletionProblem(p=p_split, a=a, c=c)
+        except DimensionMismatch:
+            pass
+    _, min_eig, leak = _decide(p_split, a, c, tol)
+    raise NotCompletable(min_eig, leak,
+                         "the known compression is not Hermitian or not "
+                         "supported on ran P")
 
 
 def cp_completable(beta: PartialCpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -280,14 +294,9 @@ def cp_completable(beta: PartialCpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     additional self-consistency requirement that the known compression be
     Hermitian (equivalently ``beta(E_ij)* ~ beta(E_ji)`` against ``R``).
     """
-    p_split, a, c = _split_blocks(beta, tol)
-    scale = max(1.0, linalg.max_abs(a))
-    if linalg.max_abs(a - a.conj().T) > 1e-9 * scale:
-        return False
-    a = (a + a.conj().T) / 2.0
     try:
-        problem = BlockCompletionProblem(p=p_split, a=a, c=c)
-    except DimensionMismatch:
+        problem = _split_blocks(beta, tol)
+    except NotCompletable:
         return False
     return block_completable(problem, tol)
 
@@ -300,12 +309,7 @@ def minimal_cp_completion_choi(beta: PartialCpMap,
     completions share everything but the free corner, so the least block
     completion is the Choi matrix of the least CP completion.
     """
-    if not cp_completable(beta, tol):
-        raise NotCompletable("the partial map admits no CP completion")
-    p_split, a, c = _split_blocks(beta, tol)
-    a = (a + a.conj().T) / 2.0
-    problem = BlockCompletionProblem(p=p_split, a=a, c=c)
-    choi = minimal_block_completion(problem, tol)
+    choi = minimal_block_completion(_split_blocks(beta, tol), tol)
     return CpMap.from_choi(choi, beta.d_in, beta.d_out)
 
 
@@ -315,14 +319,8 @@ def _seed_completes(beta: PartialCpMap, seed: CpMap, tol: Tolerance) -> bool:
     if not is_cp(seed, tol):
         return False
     scale = max(1.0, linalg.max_abs(seed.choi), linalg.max_abs(beta.r))
-    for i in range(beta.d_in):
-        for j in range(beta.d_in):
-            unit = np.zeros((beta.d_in, beta.d_in), dtype=complex)
-            unit[i, j] = 1.0
-            got = apply(seed, unit) @ beta.r
-            if linalg.max_abs(got - beta.blocks[i][j]) > 1e-7 * scale:
-                return False
-    return True
+    got = _times_blocks(seed.choi, beta.r, beta.d_in)
+    return linalg.max_abs(got - beta._column) <= 1e-7 * scale
 
 
 def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,
@@ -380,15 +378,12 @@ def necessary_conditions_report(beta: PartialCpMap, *, trials: int = 25,
     otherwise), since the compressed-map condition reads against ``R``
     itself rather than its range projection.
     """
-    r = _check_projection(beta.r, tol, "R")
+    r = _check_projection(beta.r, "R")
     d1, d2 = beta.d_in, beta.d_out
+    n = d1 * d2
 
-    compressed = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for i in range(d1):
-        for j in range(d1):
-            compressed[i * d2:(i + 1) * d2, j * d2:(j + 1) * d2] = (
-                r @ beta.blocks[i][j]
-            )
+    # (I (x) R) [beta(E_ij)]: every block times R from the left
+    compressed = (r @ beta._column.reshape(d1, d2, n)).reshape(n, n)
     gap = linalg.max_abs(compressed - compressed.conj().T)
     compressed_cp = gap <= 1e-9 * max(1.0, linalg.max_abs(compressed))
     if compressed_cp:

@@ -75,41 +75,42 @@ class CpMap:
     """A linear map ``M_{d_in} -> M_{d_out}`` with Hermitian Choi matrix.
 
     Instances always carry a Choi matrix; Kraus factors are kept when the
-    map was built from them (or extracted on request).  Despite the name,
-    construction does not require complete positivity -- differences of CP
-    maps and other Hermiticity-preserving maps are legal values, and
-    :func:`is_cp` decides positivity.
+    map was built from them (or extracted on request).  Given only Kraus
+    factors, the constructor builds the Choi matrix from them; given both,
+    it checks that they agree.  Despite the name, construction does not
+    require complete positivity -- differences of CP maps and other
+    Hermiticity-preserving maps are legal values, and :func:`is_cp`
+    decides positivity.
     """
 
     d_in: int
     d_out: int
-    choi: np.ndarray
+    choi: Optional[np.ndarray] = None
     kraus: Optional[tuple] = field(default=None)
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
             raise DimensionMismatch("dimensions must be positive")
+        rebuilt = None
+        if self.kraus is not None:
+            ks = tuple(linalg.as_matrix(k) for k in self.kraus)
+            object.__setattr__(self, "kraus", ks)
+            # kraus_to_choi also checks the factor shapes
+            rebuilt = kraus_to_choi(ks, self.d_in, self.d_out)
+        elif self.choi is None:
+            raise DimensionMismatch("a Choi matrix or Kraus factors are required")
         n = self.d_in * self.d_out
-        choi = linalg.require_hermitian(self.choi)
+        choi = linalg.require_hermitian(rebuilt if self.choi is None else self.choi)
         if choi.shape != (n, n):
             raise DimensionMismatch(
                 f"Choi matrix has shape {choi.shape}, expected {(n, n)}"
             )
+        if self.choi is not None and rebuilt is not None and linalg.max_abs(
+                rebuilt - choi) > 1e-9 * max(1.0, linalg.max_abs(choi)):
+            raise DimensionMismatch(
+                "stored Kraus factors and Choi matrix disagree"
+            )
         object.__setattr__(self, "choi", choi)
-        if self.kraus is not None:
-            ks = tuple(linalg.as_matrix(k) for k in self.kraus)
-            for k in ks:
-                if k.shape != (self.d_in, self.d_out):
-                    raise DimensionMismatch(
-                        f"Kraus factor has shape {k.shape}, expected "
-                        f"{(self.d_in, self.d_out)}"
-                    )
-            object.__setattr__(self, "kraus", ks)
-            rebuilt = kraus_to_choi(ks, self.d_in, self.d_out)
-            if linalg.max_abs(rebuilt - choi) > 1e-9 * max(1.0, linalg.max_abs(choi)):
-                raise DimensionMismatch(
-                    "stored Kraus factors and Choi matrix disagree"
-                )
 
     # -- constructors ------------------------------------------------------
 
@@ -126,8 +127,7 @@ class CpMap:
             k0 = ks[0]
             d_in = k0.shape[0] if d_in is None else d_in
             d_out = k0.shape[1] if d_out is None else d_out
-        choi = kraus_to_choi(ks, d_in, d_out)
-        return cls(d_in=d_in, d_out=d_out, choi=choi, kraus=ks)
+        return cls(d_in=d_in, d_out=d_out, kraus=ks)
 
     @classmethod
     def from_choi(cls, choi, d_in: int, d_out: int) -> "CpMap":
@@ -157,9 +157,7 @@ class CpMap:
 
     @classmethod
     def zero(cls, d_in: int, d_out: int) -> "CpMap":
-        n = d_in * d_out
-        return cls(d_in=d_in, d_out=d_out, choi=np.zeros((n, n), dtype=complex),
-                   kraus=())
+        return cls(d_in=d_in, d_out=d_out, kraus=())
 
     # -- arithmetic --------------------------------------------------------
 

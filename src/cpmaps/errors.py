@@ -1,9 +1,10 @@
 """Exception types raised by the toolkit.
 
 Everything derives from :class:`ToolkitError` so callers can catch the whole
-family with one clause.  The names mirror the failure they report; none of
-them carries state beyond the message except :class:`HypothesisFailed`,
-which records which hypothesis of the rigidity statement was violated.
+family with one clause.  The names mirror the failure they report; only
+:class:`HypothesisFailed` (which hypothesis of the rigidity statement was
+violated) and :class:`NotCompletable` (the two numbers the feasibility
+decision rests on) carry state beyond the message.
 """
 
 
@@ -44,7 +45,19 @@ class InputNotReduced(ToolkitError):
 
 
 class NotCompletable(ToolkitError):
-    """The partial data admits no positive (or CP) completion."""
+    """The partial data admits no positive (or CP) completion.
+
+    Attributes:
+        compression_min_eigenvalue: smallest eigenvalue of the known
+            compression ``A`` (of its Hermitian part, for partial CP maps).
+        kernel_leak: ``||C|_{ker A}||``, kernel taken inside ``ran P``.
+    """
+
+    def __init__(self, compression_min_eigenvalue: float, kernel_leak: float,
+                 message: str = "the data admits no positive completion"):
+        self.compression_min_eigenvalue = compression_min_eigenvalue
+        self.kernel_leak = kernel_leak
+        super().__init__(message)
 
 
 class MalformedPartialMap(ToolkitError):

@@ -6,7 +6,7 @@ import unittest
 
 import numpy as np
 
-from cpmaps import MalformedDocument, maps_close, serialize
+from cpmaps import MalformedDocument, apply, maps_close, serialize
 from cpmaps.gallery import flip_twirl_map, random_cp_map
 
 from conftest import DATA, run_cli
@@ -128,6 +128,58 @@ class ExitCodeTests(unittest.TestCase):
         self.assertTrue(report["completable"])
         self.assertTrue(report["feasibility"]["compressed_cp"])
         self.assertLess(report["route_discrepancy"], 1e-8)
+
+    def test_complete_single_routes(self):
+        beta = serialize.decode_partial_map(
+            json.loads((DATA / "special_partial.json").read_text()),
+            np.diag([1.0, 0.0]))
+        choi = {}
+        for route in ("choi", "stinespring"):
+            code, out, err = run_cli("complete", "special_partial.json",
+                                     "e11_operator.json", "--route", route)
+            self.assertEqual(code, 0, err)
+            report = json.loads(out)
+            self.assertEqual(report["route"], route)
+            self.assertTrue(report["completable"])
+            self.assertNotIn("route_discrepancy", report)
+            self.assertNotIn("violation", report)
+            alpha = serialize.decode_map(report["completion"])
+            for i in range(2):
+                for j in range(2):
+                    unit = np.zeros((2, 2))
+                    unit[i, j] = 1.0
+                    got = apply(alpha, unit) @ beta.r
+                    self.assertLess(np.abs(got - beta.blocks[i][j]).max(),
+                                    1e-9)
+            choi[route] = alpha.choi
+        self.assertLess(np.abs(choi["choi"] - choi["stinespring"]).max(),
+                        1e-8)
+
+    def test_complete_infeasible_reports_violation(self):
+        code, out, err = run_cli("complete", "infeasible_partial.json",
+                                 "e11_operator.json")
+        self.assertEqual(code, 1, err)
+        report = json.loads(out)
+        self.assertFalse(report["completable"])
+        self.assertNotIn("completion", report)
+        # the known Choi column [beta(E_ij) R^+] split by P = I (x) P_R
+        doc = json.loads((DATA / "infeasible_partial.json").read_text())
+        r = np.diag([1.0, 0.0])
+        column = np.block([[serialize.decode_matrix(b) @ np.linalg.pinv(r)
+                            for b in row] for row in doc["blocks"]])
+        p = np.kron(np.eye(2), r)
+        a = p @ column
+        a = (a + a.conj().T) / 2
+        c = (np.eye(4) - p) @ column
+        w, u = np.linalg.eigh(a + np.eye(4) - p)
+        null = u[:, np.abs(w) < 1e-9]
+        violation = report["violation"]
+        self.assertAlmostEqual(violation["compression_min_eigenvalue"],
+                               np.linalg.eigvalsh(a)[0], places=12)
+        self.assertAlmostEqual(violation["kernel_leak"],
+                               np.linalg.norm(c @ null, ord=2), places=12)
+        self.assertLess(violation["compression_min_eigenvalue"], 0.0)
+        self.assertGreater(violation["kernel_leak"], 0.0)
 
     def test_aeq_on_counterexample_pair(self):
         code, out, err = run_cli("aeq", "nqp_phi.json", "nqp_psi.json",

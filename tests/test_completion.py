@@ -201,6 +201,43 @@ def test_cp_completable_examples():
         minimal_cp_completion_choi(neg)
 
 
+
+def test_not_completable_carries_min_eigenvalue_and_kernel_leak():
+    zero = np.zeros((2, 2), dtype=complex)
+    # negative compression: A = diag(-1, 0) on ran P, and C = 0
+    neg = PartialCpMap(d_in=2, d_out=2, r=E11,
+                       blocks=((-E11, zero), (zero, zero)))
+    with pytest.raises(NotCompletable) as caught:
+        minimal_cp_completion_choi(neg)
+    assert caught.value.compression_min_eigenvalue == pytest.approx(-1.0)
+    assert caught.value.kernel_leak == pytest.approx(0.0, abs=1e-12)
+    # kernel leak: A = diag(1, 0) >= 0, but C sends the kernel of A to 0.5 e2
+    leak_block = np.array([[0.0, 0.0], [0.5, 0.0]], dtype=complex)
+    leaky = PartialCpMap(d_in=2, d_out=2, r=E11,
+                         blocks=((E11, zero), (zero, leak_block)))
+    assert not cp_completable(leaky)
+    with pytest.raises(NotCompletable) as caught:
+        minimal_cp_completion_choi(leaky)
+    assert caught.value.compression_min_eigenvalue == pytest.approx(
+        0.0, abs=1e-12)
+    assert caught.value.kernel_leak == pytest.approx(0.5)
+    # a non-Hermitian compression admits no completion; the numbers are
+    # those of its Hermitian part [[1, 1/2], [1/2, 1]]
+    one, nil = np.eye(1, dtype=complex), np.zeros((1, 1), dtype=complex)
+    skew = PartialCpMap(d_in=2, d_out=1, r=one,
+                        blocks=((one, one), (nil, one)))
+    assert not cp_completable(skew)
+    with pytest.raises(NotCompletable) as caught:
+        minimal_cp_completion_choi(skew)
+    assert caught.value.compression_min_eigenvalue == pytest.approx(0.5)
+    assert caught.value.kernel_leak == 0.0
+    # the block route raises the same data
+    prob = BlockCompletionProblem.from_blocks(np.diag([1.0, 0.0]),
+                                              np.array([[0.0, 2.0]]))
+    with pytest.raises(NotCompletable) as caught:
+        minimal_block_completion(prob)
+    assert caught.value.kernel_leak == pytest.approx(2.0)
+
 def test_minimal_completion_identity_full_information():
     beta = PartialCpMap.from_map(identity_map(2), np.eye(2))
     assert maps_close(minimal_cp_completion_choi(beta), identity_map(2))
@@ -238,6 +275,17 @@ def test_stinespring_route_requires_genuine_seed():
     with pytest.raises(SeedNotACompletion):
         minimal_cp_completion_stinespring(beta, identity_map(2))
 
+
+
+def test_stinespring_route_rejects_seed_off_by_more_than_1e_7():
+    phi = flip_twirl_map()
+    beta = PartialCpMap.from_map(phi, E11)
+    # phi + t id changes beta(E_11) by t E_11 and stays CP
+    with pytest.raises(SeedNotACompletion):
+        minimal_cp_completion_stinespring(beta, phi + 1e-6 * identity_map(2))
+    alpha = minimal_cp_completion_stinespring(beta,
+                                              phi + 1e-9 * identity_map(2))
+    assert np.abs(alpha.choi - phi.choi).max() < 1e-8
 
 def test_routes_agree_on_random_instances():
     rng = np.random.default_rng(55)

@@ -242,6 +242,20 @@ def test_kraus_to_choi_validates_shapes():
     assert np.allclose(kraus_to_choi([], d_in=2, d_out=3), np.zeros((6, 6)))
 
 
+
+def test_constructor_builds_or_cross_checks_choi_from_kraus():
+    rng = np.random.default_rng(8)
+    ks = random_kraus(rng, 2, 3, 2)
+    phi = CpMap(d_in=2, d_out=3, kraus=ks)
+    assert np.allclose(phi.choi, kraus_to_choi(ks), atol=1e-12)
+    assert np.array_equal(CpMap.from_kraus(ks).choi, phi.choi)
+    wrong = phi.choi.copy()
+    wrong[0, 0] += 1.0
+    with pytest.raises(DimensionMismatch):
+        CpMap(d_in=2, d_out=3, choi=wrong, kraus=ks)
+    with pytest.raises(DimensionMismatch):
+        CpMap(d_in=2, d_out=3)
+
 def test_from_choi_stores_hermitian_cp_checked_lazily():
     # from_choi stores any Hermitian matrix; CP-ness is a separate query
     phi = CpMap.from_choi(np.diag([1.0, -1.0, 0.0, 0.0]), 2, 2)
