@@ -91,7 +91,7 @@ print("  genuinely different:",
 e1 = np.array([1.0, 0.0])
 print("\nflip twirl at e1: construction returns",
       counterexample_construct(flip_twirl_map(), e1, seed=0))
-print("forced equality confirmed by scan:",
+print("minimal completion of phi(.) R is phi itself (forced equality):",
       forced_equality_scan(flip_twirl_map(), np.diag([1.0, 0.0])))
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,10 @@ def support_projection(xi: CpMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     for k in factors:
         gram += k @ k.conj().T
     p = linalg.range_projection(gram, tol)
-    # internal sanity: xi(P) = xi(I) and xi vanishes rightward of (I - P)
     scale = max(1.0, linalg.max_abs(xi.choi))
-    assert linalg.max_abs(apply(xi, p) - xi.unit()) <= 1e-8 * scale
+    if linalg.max_abs(apply(xi, p) - xi.unit()) > 1e-8 * scale:
+        raise NotCP("internal error: the support projection P fails "
+                    "xi(P) = xi(I)")
     return p
 
 
@@ -249,8 +250,8 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap, xi: CpMap,
     """Rigidity against the support projection of a reference CP map.
 
     Adds two gates on the reference map: it must be CP and nonzero, and
-    the composition ``xi . phi`` must not vanish (checked on matrix
-    units); then delegates to :func:`rigidity_check` with the support
+    the composition ``xi . phi`` must not vanish (checked on its Choi
+    matrix); then delegates to :func:`rigidity_check` with the support
     projection.
     """
     if not is_cp(xi, tol) or xi.is_zero(tol):
@@ -261,15 +262,11 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap, xi: CpMap,
             "the reference map must act on the codomain of phi"
         )
     p = support_projection(xi, tol)
-    composed_norm = 0.0
-    for i in range(phi.d_in):
-        for j in range(phi.d_in):
-            unit = np.zeros((phi.d_in, phi.d_in), dtype=complex)
-            unit[i, j] = 1.0
-            composed_norm = max(
-                composed_norm, linalg.max_abs(apply(xi, apply(phi, unit)))
-            )
-    if composed_norm <= tol.eps_eq * max(1.0, linalg.max_abs(xi.choi)):
+    # Choi blocks: phi(E_ij) = phi_t[i, :, j, :] and xi(E_ab) = xi_t[a, :, b, :]
+    phi_t = phi.choi.reshape(phi.d_in, phi.d_out, phi.d_in, phi.d_out)
+    xi_t = xi.choi.reshape(xi.d_in, xi.d_out, xi.d_in, xi.d_out)
+    composed = np.einsum("iajb,acbe->icje", phi_t, xi_t)
+    if linalg.max_abs(composed) <= tol.eps_eq * max(1.0, linalg.max_abs(xi.choi)):
         raise HypothesisFailed("vanishes-on-r", "xi . phi is identically zero")
     return rigidity_check(phi, psi, p, tol, budget=budget, seed=seed)
 
@@ -376,14 +373,10 @@ def counterexample_construct(phi: CpMap, witness,
     s_half = basis * sqrt_w          # S^{1/2} restricted: C^{rank} <- ...
     s_inv_half = basis / sqrt_w
 
-    alpha_units = []
-    d1 = phi.d_in
-    for i in range(d1):
-        for j in range(d1):
-            unit = np.zeros((d1, d1), dtype=complex)
-            unit[i, j] = 1.0
-            alpha_units.append(apply(alpha, unit))
-    scale = max(1.0, max(linalg.max_abs(a) for a in alpha_units))
+    # alpha(E_ij) for every matrix unit: the blocks of its Choi matrix
+    alpha_units = alpha.choi.reshape(
+        phi.d_in, phi.d_out, phi.d_in, phi.d_out).swapaxes(1, 2)
+    scale = max(1.0, linalg.max_abs(alpha_units))
 
     rng = np.random.default_rng(seed)
     for u_small in _unitary_candidates(rank_s, budget, rng):
@@ -393,9 +386,7 @@ def counterexample_construct(phi: CpMap, witness,
             continue
         if linalg.max_abs(z.conj().T @ s @ z - s) > 1e-8 * max(1.0, linalg.max_abs(s)):
             continue
-        moved = max(
-            linalg.max_abs(z.conj().T @ a @ z - a) for a in alpha_units
-        )
+        moved = linalg.max_abs(z.conj().T @ alpha_units @ z - alpha_units)
         if moved <= 1e-5 * scale:
             continue
         twisted = CpMap.from_kraus(
@@ -416,44 +407,26 @@ def counterexample_construct(phi: CpMap, witness,
     return None
 
 
-def forced_equality_scan(phi: CpMap, r, *, trials: int = 50, seed: int = 0,
+def forced_equality_scan(phi: CpMap, r, *,
                          tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Sampling confirmation that R-equivalence plus matched unit pin a map.
+    """Whether R-equivalence plus a matched unit value pin ``phi`` down.
 
-    Checks that the minimal CP completion of ``phi(.) R`` is ``phi``
-    itself (computed through both routes), in which case every completion
-    dominates ``phi`` and a matched unit forces the excess to vanish; the
-    sampled part confirms that no randomly drawn CP excess supported away
-    from ``ran R`` can have a zero unit value without being zero.  Returns
-    False when the minimal completion differs from ``phi`` (so distinct
-    unit-matched completions may exist) or when a sampled excess defeats
-    the argument.
+    By the minimal completion theorem the data ``beta = phi(.) R`` has a
+    unique minimal CP completion ``alpha``, dominated by every completion.
+    If ``alpha = phi``, any CP ``psi`` that is R-equivalent to ``phi``
+    completes ``beta``, so ``psi - phi`` is CP.  If also
+    ``psi(I) = phi(I)``, that excess has zero unit value; its Choi matrix
+    is then PSD with trace ``tr (psi - phi)(I) = 0``, so ``psi = phi``.
+
+    Returns True iff the minimal completion, computed by both routes,
+    equals ``phi``; False when the routes disagree or the minimal
+    completion differs from ``phi`` (distinct unit-matched completions
+    may then exist).
     """
     r = linalg.as_matrix(r)
     beta = PartialCpMap.from_map(phi, r)
     via_choi = minimal_cp_completion_choi(beta, tol)
     via_stine = minimal_cp_completion_stinespring(beta, phi, tol)
-    agree = linalg.max_abs(via_choi.choi - via_stine.choi)
     scale = max(1.0, linalg.max_abs(phi.choi))
-    if agree > 1e-8 * scale:
-        return False
-    if linalg.max_abs(via_choi.choi - phi.choi) > 1e-8 * scale:
-        return False
-
-    # excess maps live in the corner away from I (x) P_R; a CP map with a
-    # vanishing unit value is zero, so no nonzero excess can keep the unit
-    p_r = linalg.range_projection(r, tol)
-    corner = np.kron(np.eye(phi.d_in, dtype=complex),
-                     np.eye(phi.d_out, dtype=complex) - p_r)
-    rng = np.random.default_rng(seed)
-    n = phi.d_in * phi.d_out
-    for _ in range(trials):
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        raw = corner @ (g @ g.conj().T) @ corner
-        excess = CpMap.from_choi(raw, phi.d_in, phi.d_out)
-        if excess.is_zero(tol):
-            continue
-        unit_norm = linalg.max_abs(excess.unit())
-        if unit_norm <= tol.eps_eq * max(1.0, linalg.max_abs(raw)):
-            return False  # a nonzero excess slipped past the unit constraint
-    return True
+    return (linalg.max_abs(via_choi.choi - via_stine.choi) <= 1e-8 * scale
+            and linalg.max_abs(via_choi.choi - phi.choi) <= 1e-8 * scale)

@@ -327,7 +327,7 @@ def _demo_rows(seed: int, tol: Tolerance):
         e1 = np.array([1.0, 0.0])
         found = counterexample_construct(phi, e1, tol, budget=100, seed=seed)
         r = np.outer(e1, e1.conj())
-        forced = forced_equality_scan(phi, r, trials=25, seed=seed, tol=tol)
+        forced = forced_equality_scan(phi, r, tol=tol)
         ok = found is None and forced
         return ok, f"twist_found={found is not None} forced_equality={forced}"
 

@@ -111,10 +111,6 @@ class BlockCompletionProblem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
 
-    @property
-    def dim(self) -> int:
-        return self.p.shape[0]
-
     @classmethod
     def from_blocks(cls, a, c) -> "BlockCompletionProblem":
         """Build from compact corner blocks ``a`` (r x r) and ``c`` (s x r).
@@ -352,19 +348,19 @@ def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,
 
 @dataclass(frozen=True, eq=False)
 class CompletionFeasibilityReport:
-    """Sampled necessary conditions for CP completability against a projection.
+    """Necessary conditions for CP completability against a projection.
 
     ``compressed_cp``: whether ``X -> R beta(X)`` has a PSD Choi column.
     ``q_bound``: smallest sampled constant with
-    ``beta(X)* (1-R) beta(X) <= q ||X|| R beta(X)`` over the PSD samples, or
-    ``None`` with a ``q_witness`` when some sample admits no such constant.
-    ``completable``: the exact feasibility decision.
+    ``beta(X)* (1-R) beta(X) <= q ||X|| R beta(X)`` over the ``trials``
+    PSD samples, or ``None`` with a ``q_witness`` when some sample admits
+    no such constant.  Neither decides feasibility; :func:`cp_completable`
+    does, exactly.
     """
 
     compressed_cp: bool
     q_bound: Optional[float]
     q_witness: Optional[np.ndarray]
-    completable: bool
     trials: int
 
 
@@ -420,6 +416,5 @@ def necessary_conditions_report(beta: PartialCpMap, *, trials: int = 25,
         compressed_cp=bool(compressed_cp),
         q_bound=q_bound,
         q_witness=q_witness,
-        completable=cp_completable(beta, tol),
         trials=trials,
     )

@@ -335,12 +335,11 @@ def _eb_form(factors: list, d_in: int, d_out: int, tol: Tolerance):
     common_v = None
     lefts = []
     for k in factors:
-        s = np.linalg.svd(k, compute_uv=False)
+        _, s, vh = np.linalg.svd(k)
         if s.size == 0 or s[0] <= 0.0:
             return None
         if s.size > 1 and s[1] > tol.eps_rank * s[0]:
             return None
-        _, _, vh = np.linalg.svd(k)
         v = vh[0, :].conj()
         if common_v is None:
             common_v = v
@@ -354,17 +353,12 @@ def _eb_form(factors: list, d_in: int, d_out: int, tol: Tolerance):
     rho = np.zeros((d_in, d_in), dtype=complex)
     for w in lefts:
         rho += np.outer(w, w.conj())
-    # confirm the reconstruction phi(X) = trace(rho X) |v><v| on units
-    for i in range(d_in):
-        for j in range(d_in):
-            unit = np.zeros((d_in, d_in), dtype=complex)
-            unit[i, j] = 1.0
-            expected = rho[j, i] * np.outer(common_v, common_v.conj())
-            got = np.zeros((d_out, d_out), dtype=complex)
-            for k in factors:
-                got += k.conj().T @ unit @ k
-            if linalg.max_abs(expected - got) > 1e-8 * max(1.0, linalg.max_abs(rho)):
-                return None
+    # confirm the reconstruction phi(X) = trace(rho X) |v><v|: its Choi
+    # block (i, j) is rho[j, i] |v><v|
+    expected = np.kron(rho.T, np.outer(common_v, common_v.conj()))
+    got = kraus_to_choi(factors, d_in, d_out)
+    if linalg.max_abs(expected - got) > 1e-8 * max(1.0, linalg.max_abs(rho)):
+        return None
     return rho, common_v
 
 

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .cp_map import CpMap, choi_rank, is_cp, minimal_kraus
+from .cp_map import CpMap, is_cp, minimal_kraus
 from .errors import (
     InconclusiveQuasiPurity,
     InputNotReduced,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .cp_map import CpMap, apply, is_cp, minimal_kraus
+from .cp_map import CpMap, is_cp, minimal_kraus
 from .errors import DimensionMismatch, NotCP, NotDominated, ZeroMap
 from .linalg import DEFAULT_TOL, Tolerance
 

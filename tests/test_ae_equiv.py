@@ -1,5 +1,7 @@
 """Tests for context equivalence, decomposition, rigidity, counterexamples."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ def test_support_projection_gates():
         support_projection(transpose_map(2))
     with pytest.raises(ZeroMap):
         support_projection(CpMap.zero(2, 2))
+
+
+def test_support_projection_self_check_is_not_an_assert(monkeypatch):
+    # factors of another state map give the wrong support: xi(P) != xi(I);
+    # the check must raise a toolkit error, not an assert that -O strips
+    xi = state_map([1.0, 0.0])
+    other = state_map([0.0, 1.0])
+    monkeypatch.setattr("cpmaps.ae_equiv.minimal_kraus",
+                        lambda phi, tol: list(other.kraus))
+    with pytest.raises(NotCP, match="internal error"):
+        support_projection(xi)
 
 
 def test_equivalence_context_validation():
@@ -308,3 +321,14 @@ def test_forced_equality_scan():
     witness = is_quasipure(phi).witness
     r = np.outer(witness, witness.conj())
     assert not forced_equality_scan(phi, r)
+
+
+def test_forced_equality_scan_draws_no_random_numbers(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("forced_equality_scan drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    params = list(inspect.signature(forced_equality_scan).parameters)
+    assert params == ["phi", "r", "tol"]
+    assert forced_equality_scan(flip_twirl_map(), E11)
+    assert not forced_equality_scan(diagonal_pair_map(), np.diag([1.0, 0, 0]))

@@ -5,6 +5,7 @@ import tempfile
 import unittest
 
 import numpy as np
+import pytest
 
 from cpmaps import MalformedDocument, apply, maps_close, serialize
 from cpmaps.gallery import flip_twirl_map, random_cp_map
@@ -267,6 +268,31 @@ class DemoTests(unittest.TestCase):
         report = json.loads(out)
         self.assertTrue(report["all_passed"])
         self.assertTrue(all(row["passed"] for row in report["results"]))
+
+
+@pytest.mark.parametrize("beta_file, route, expected_code", [
+    ("special_partial.json", "choi", 0),
+    ("special_partial.json", "stinespring", 0),
+    ("special_partial.json", "both", 0),
+    ("infeasible_partial.json", "both", 1),
+])
+def test_complete_splits_and_decides_once(monkeypatch, capsys, beta_file,
+                                          route, expected_code):
+    from cpmaps import cli, completion
+    calls = {"_split_blocks": 0, "_decide": 0}
+    for name in calls:
+        original = getattr(completion, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(completion, name, counted)
+    code = cli.main(["complete", str(DATA / beta_file),
+                     str(DATA / "e11_operator.json"), "--route", route])
+    assert code == expected_code, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["completable"] == (code == 0)
+    assert calls == {"_split_blocks": 1, "_decide": 1}
 
 
 if __name__ == "__main__":

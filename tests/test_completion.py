@@ -340,7 +340,7 @@ def test_report_on_genuine_restriction():
     beta = PartialCpMap.from_map(flip_twirl_map(), E11)
     rep = necessary_conditions_report(beta)
     assert rep.compressed_cp
-    assert rep.completable
+    assert cp_completable(beta)
     assert rep.q_bound is not None and np.isfinite(rep.q_bound)
     assert rep.q_witness is None
     assert rep.trials == 25
@@ -353,7 +353,7 @@ def test_report_flags_negative_compression():
                         blocks=((neg_block, zero), (zero, zero)))
     rep = necessary_conditions_report(beta)
     assert not rep.compressed_cp
-    assert not rep.completable
+    assert not cp_completable(beta)
 
 
 def test_report_on_zero_map():
@@ -361,7 +361,7 @@ def test_report_on_zero_map():
     rep = necessary_conditions_report(beta)
     assert rep.compressed_cp
     assert rep.q_bound == 0.0
-    assert rep.completable
+    assert cp_completable(beta)
 
 
 def test_report_requires_projection():
