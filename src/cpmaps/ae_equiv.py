@@ -24,7 +24,7 @@ The central structural facts made executable here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -76,6 +76,7 @@ class EquivalenceContext:
 
     r: Optional[np.ndarray] = None
     xi: Optional[CpMap] = None
+    _projections: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if (self.r is None) == (self.xi is None):
@@ -94,10 +95,13 @@ class EquivalenceContext:
         return cls(xi=xi)
 
     def projection(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """The comparison projection: ran R, or the support of xi."""
-        if self.r is not None:
-            return linalg.range_projection(self.r, tol)
-        return support_projection(self.xi, tol)
+        """ran R, or the support of xi (cached per tolerance, read-only)."""
+        if tol not in self._projections:
+            p = (linalg.range_projection(self.r, tol) if self.r is not None
+                 else support_projection(self.xi, tol))
+            p.flags.writeable = False
+            self._projections[tol] = p
+        return self._projections[tol]
 
 
 def support_projection(xi: CpMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -196,7 +200,7 @@ class RigidityVerdict:
 def rigidity_check(phi: CpMap, psi: CpMap, r,
                    tol: Tolerance = DEFAULT_TOL, *,
                    verdict: Optional[QuasiPurityVerdict] = None,
-                   budget: int = 2000, seed: int = 0) -> RigidityVerdict:
+                   budget: int = 2000) -> RigidityVerdict:
     """Machine-check the hypotheses that force ``phi = psi``, then compare.
 
     Hypotheses (HypothesisFailed with the culprit's name when violated):
@@ -214,10 +218,10 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
         raise DimensionMismatch("maps act on different algebras")
     if not is_cp(phi, tol) or not is_cp(psi, tol):
         raise NotCP("rigidity concerns completely positive maps")
-    r = linalg.as_matrix(r)
+    ctx = EquivalenceContext.from_operator(r)
 
     if verdict is None:
-        verdict = is_quasipure(phi, tol, budget=budget, seed=seed)
+        verdict = is_quasipure(phi, tol, budget=budget)
     if not (verdict.status == QUASI_PURE and verdict.is_proof):
         raise HypothesisFailed(
             "quasi-purity",
@@ -229,11 +233,11 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
     if linalg.max_abs(phi.unit() - psi.unit()) > tol.eps_eq * scale:
         raise HypothesisFailed("unit-values", "phi(I) != psi(I)")
 
-    if not r_equivalent(phi, psi, EquivalenceContext.from_operator(r), tol):
+    if not r_equivalent(phi, psi, ctx, tol):
         raise HypothesisFailed("r-equivalence", "phi(X) R != psi(X) R")
 
-    p = linalg.range_projection(r, tol)
-    masked = phi.choi @ np.kron(np.eye(phi.d_in, dtype=complex), p)
+    masked = phi.choi @ np.kron(np.eye(phi.d_in, dtype=complex),
+                                ctx.projection(tol))
     if linalg.max_abs(masked) <= tol.eps_eq * scale:
         raise HypothesisFailed("vanishes-on-r", "phi(.) R is identically zero")
 
@@ -244,31 +248,35 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
                            quasipurity=verdict)
 
 
-def ae_equal_rigidity(phi: CpMap, psi: CpMap, xi: CpMap,
+def ae_equal_rigidity(phi: CpMap, psi: CpMap,
+                      xi: Union[CpMap, EquivalenceContext],
                       tol: Tolerance = DEFAULT_TOL, *,
-                      budget: int = 2000, seed: int = 0) -> RigidityVerdict:
+                      budget: int = 2000) -> RigidityVerdict:
     """Rigidity against the support projection of a reference CP map.
 
     Adds two gates on the reference map: it must be CP and nonzero, and
     the composition ``xi . phi`` must not vanish (checked on its Choi
     matrix); then delegates to :func:`rigidity_check` with the support
-    projection.
+    projection.  ``xi`` may also be a reference-map context, whose
+    projection is then reused.
     """
-    if not is_cp(xi, tol) or xi.is_zero(tol):
+    ctx = _coerce_context(xi)
+    xi = ctx.xi
+    if xi is None or not is_cp(xi, tol) or xi.is_zero(tol):
         raise HypothesisFailed("reference-map",
                                "the reference map must be CP and nonzero")
     if xi.d_in != phi.d_out:
         raise DimensionMismatch(
             "the reference map must act on the codomain of phi"
         )
-    p = support_projection(xi, tol)
+    p = ctx.projection(tol)
     # Choi blocks: phi(E_ij) = phi_t[i, :, j, :] and xi(E_ab) = xi_t[a, :, b, :]
     phi_t = phi.choi.reshape(phi.d_in, phi.d_out, phi.d_in, phi.d_out)
     xi_t = xi.choi.reshape(xi.d_in, xi.d_out, xi.d_in, xi.d_out)
     composed = np.einsum("iajb,acbe->icje", phi_t, xi_t)
     if linalg.max_abs(composed) <= tol.eps_eq * max(1.0, linalg.max_abs(xi.choi)):
         raise HypothesisFailed("vanishes-on-r", "xi . phi is identically zero")
-    return rigidity_check(phi, psi, p, tol, budget=budget, seed=seed)
+    return rigidity_check(phi, psi, p, tol, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +351,7 @@ def counterexample_construct(phi: CpMap, witness,
         # h0 is cyclic, so the dominated part vanishing on it is zero and
         # the construction can only reproduce phi.  Distinguish "the map
         # has no witnesses at all" from "this h0 just is not one".
-        verdict = is_quasipure(phi, tol, budget=max(budget, 200), seed=seed)
+        verdict = is_quasipure(phi, tol)
         if verdict.status == QUASI_PURE and verdict.is_proof:
             raise WitnessInvalid("the map is quasi-pure; no witness exists")
         return None

@@ -97,12 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quasipure", help="decide quasi-purity of a CP map")
     p.add_argument("map_file")
     p.add_argument("--budget", type=int, default=2000,
-                   help="randomized sample budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="demote randomized no-counterexample results "
-                        "to Inconclusive (default on)")
+                   help="cells the Lipschitz certificate may spend")
     _tolerance_args(p)
 
     p = sub.add_parser("complete",
@@ -124,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ctx.add_argument("--xi", dest="xi_file", metavar="XI_FILE",
                      help="reference map document (support projection)")
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
     _tolerance_args(p)
 
     p = sub.add_parser("demo", help="run the built-in example suite")
@@ -173,9 +167,7 @@ def _cmd_quasipure(args) -> int:
     report = {
         "command": "quasipure",
         "tolerances": _tolerance_fields(tol),
-        "seed": args.seed,
         "budget": args.budget,
-        "strict": bool(args.strict),
     }
     if not is_cp(phi, tol):
         report["error"] = "NotCP"
@@ -183,8 +175,7 @@ def _cmd_quasipure(args) -> int:
         print("quasipure: NotCP: the map must be completely positive",
               file=sys.stderr)
         return EXIT_NEGATIVE
-    verdict = is_quasipure(phi, tol, budget=args.budget, seed=args.seed,
-                           strict=args.strict)
+    verdict = is_quasipure(phi, tol, budget=args.budget)
     report["status"] = verdict.status
     report["method"] = verdict.method
     report["is_proof"] = verdict.is_proof
@@ -259,7 +250,6 @@ def _cmd_aeq(args) -> int:
     report = {
         "command": "aeq",
         "tolerances": _tolerance_fields(tol),
-        "seed": args.seed,
         "budget": args.budget,
     }
     if args.r_file is not None:
@@ -278,12 +268,10 @@ def _cmd_aeq(args) -> int:
     if is_cp(phi, tol) and is_cp(psi, tol):
         try:
             if args.r_file is not None:
-                verdict = rigidity_check(phi, psi, r, tol,
-                                         budget=args.budget, seed=args.seed)
+                verdict = rigidity_check(phi, psi, r, tol, budget=args.budget)
             else:
-                verdict = ae_equal_rigidity(phi, psi, xi, tol,
-                                            budget=args.budget,
-                                            seed=args.seed)
+                verdict = ae_equal_rigidity(phi, psi, ctx, tol,
+                                            budget=args.budget)
             rigidity = {
                 "applicable": True,
                 "status": verdict.status,
@@ -308,13 +296,13 @@ def _demo_rows(seed: int, tol: Tolerance):
     def eb_quasipure():
         rho = np.diag([1.0, 2.0]) / 3.0
         phi = trace_state_map(rho, np.array([1.0, 0.0]))
-        verdict = is_quasipure(phi, tol, budget=500, seed=seed)
+        verdict = is_quasipure(phi, tol, budget=500)
         ok = verdict.status == QUASI_PURE and verdict.is_proof
         return ok, f"status={verdict.status} method={verdict.method}"
 
     def special_not_quasipure():
         phi = flip_twirl_map()
-        verdict = is_quasipure(phi, tol, budget=500, seed=seed)
+        verdict = is_quasipure(phi, tol, budget=500)
         ok = verdict.status == NOT_QUASI_PURE and verdict.witness is not None
         detail = f"status={verdict.status}"
         if verdict.witness is not None:
@@ -388,7 +376,7 @@ def _demo_rows(seed: int, tol: Tolerance):
             r = np.outer(v, v.conj())
             beta = PartialCpMap.from_map(phi, r)
             psi = minimal_cp_completion_choi(beta, tol)
-            verdict = rigidity_check(phi, psi, r, tol, budget=500, seed=seed)
+            verdict = rigidity_check(phi, psi, r, tol, budget=500)
             ok = ok and verdict.status == THEOREM_HOLDS
             ok = ok and verdict.max_deviation <= 1e-8
         detail = ("all TheoremHolds within 1e-8" if ok

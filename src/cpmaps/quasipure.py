@@ -7,34 +7,42 @@ matrix-algebra terms, with minimal Kraus factors ``K_1..K_k``:
     the map is quasi-pure  iff  whenever some ``K_i h0 != 0`` the vectors
     ``K_1 h0, ..., K_k h0`` are linearly independent.
 
-Equivalently, writing ``F(h0) = [K_1 h0 | ... | K_k h0]``, a *witness*
-against quasi-purity is any ``h0`` with ``0 < rank F(h0) < k``.
+A *witness* is an ``h0`` with ``0 < rank F(h0) < k`` for
+``F(h) = [K_1 h | ... | K_k h]``: a nonzero ``a (x) h0`` sent to zero by
+``T = [K_1 | ... | K_k]``, as ``F(h) a = P(a) h = sum_j a_j K_j h``.
 
-Decision pipeline (:func:`is_quasipure`):
+:func:`is_quasipure` settles ``k == 1`` (pure), checks the necessary
+conditions ``k <= d_in`` and equal factor kernels (a violation yields a
+witness), and reduces modulo the common kernel (``K_j B`` for an
+orthonormal basis ``B`` of its complement, ``m`` columns).  Then:
 
-1. ``k == 1``: pure maps are quasi-pure.
-2. Necessary conditions: quasi-purity forces ``k <= d_in`` and all factor
-   kernels equal; a violation yields a concrete witness.
-3. Reduce modulo the common kernel ``N`` of the factors (replace ``K_j`` by
-   ``K_j B`` for an orthonormal basis ``B`` of ``N``'s complement); after
-   step 2 each reduced factor is injective.
-4. ``k == 2``: decision via the pencil ``z K_1 + K_2``
-   (:func:`exact_pencil_k2`).  Row reduction turns it into an ``m x m``
-   matrix ``M`` and a block ``B``; the pencil is singular exactly at the
-   eigenvalues of ``M`` with an eigenvector in ``ker B``, so ``QuasiPure``
-   is the observability rank test ``rank [B; BM; ...] == m``, exact over
-   the Gaussian rationals, and witness candidates are eigenvalues of
-   ``M``.  If the reduction leaves a single column the decision is a
-   single rank check and exact for every ``k``.
-5. Otherwise a seeded randomized search for witnesses; exhausting the
-   budget yields ``Inconclusive`` unless the caller opts into trusting the
-   randomized evidence.  A witness it finds is tagged
-   ``RandomizedWitness``.
+1. ``rank T == k m`` proves ``QuasiPure``: no nonzero tensor is sent to
+   zero.  The rank counts singular values above ``eps_rank`` times the
+   largest, far above the SVD's backward error (a small multiple of the
+   unit roundoff times the largest), so by Weyl's inequality the exact
+   ``sigma_min(T)`` is positive.  For ``m == 1``, ``T = F(h)`` for the
+   only direction, so this step decides.
+2. In the smaller mode ``n = min(k, m)`` the question is whether
+   ``M(c) = sum_i c_i M_i`` is injective for all ``c != 0``, with
+   ``M_j = K_j`` (``M = P``) when ``k <= m`` and
+   ``M_i = G_i = [K_1 e_i | ... | K_k e_i]`` (``M = F``) otherwise; a
+   dependency vector ``a`` gives the witness ``h = ker P(a)``.  For
+   ``n == 2`` one pencil decides (:func:`exact_pencil_k2`); its
+   ``QuasiPure`` is a proof for Gaussian-rational input only.
+3. Otherwise, and behind a floating-point pencil, a Lipschitz certificate
+   covers ``CP^{n-1}`` by the charts ``c_i = 1``, the other coordinates in
+   the real cube ``[-1, 1]^{2(n-1)}``.  ``sigma_p`` (``p`` columns) is
+   1-Lipschitz and ``||M(c) - M(c')||_2 <= L |c - c'|`` for
+   ``L = sqrt(sum_i ||M_i||_2^2)``, so a sub-cube of half-width ``r`` holds
+   no singular point once ``sigma_p`` at its centre exceeds
+   ``L r sqrt(2(n-1))`` plus a rounding allowance.  Other cubes are halved;
+   the centres of the lowest are polished into witness candidates.
+   Clearing every chart proves ``QuasiPure``; running out of cells gives
+   ``Inconclusive``.
 
-Verdicts carry a method tag; ``QuasiPure`` with method ``Pure``,
-``ExactPencil`` or ``GridOracle`` is proof-grade, randomized evidence is
-not.  Witnesses are always re-verified against the rank window before a
-``NotQuasiPure`` verdict is returned.
+Tags: ``Pure``, ``NecessaryConditionViolated``, ``ExactPencil`` (steps 1
+and 2), ``LipschitzCertificate`` (step 3), ``GridOracle``; each
+``QuasiPure`` is proof-grade, each witness re-verified.
 """
 
 from __future__ import annotations
@@ -65,8 +73,7 @@ __all__ = [
     "METHOD_PURE",
     "METHOD_EXACT_PENCIL",
     "METHOD_NECESSARY",
-    "METHOD_RANDOMIZED",
-    "METHOD_SEARCH_WITNESS",
+    "METHOD_CERTIFICATE",
     "METHOD_GRID",
     "QuasiPurityVerdict",
     "is_quasipure",
@@ -82,11 +89,11 @@ INCONCLUSIVE = "Inconclusive"
 METHOD_PURE = "Pure"
 METHOD_EXACT_PENCIL = "ExactPencil"
 METHOD_NECESSARY = "NecessaryConditionViolated"
-METHOD_RANDOMIZED = "RandomizedNoCounterexample"
-METHOD_SEARCH_WITNESS = "RandomizedWitness"
+METHOD_CERTIFICATE = "LipschitzCertificate"
 METHOD_GRID = "GridOracle"
 
-_PROOF_METHODS = frozenset({METHOD_PURE, METHOD_EXACT_PENCIL, METHOD_GRID})
+_PROOF_METHODS = frozenset({METHOD_PURE, METHOD_EXACT_PENCIL,
+                            METHOD_CERTIFICATE, METHOD_GRID})
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +101,8 @@ class QuasiPurityVerdict:
     """Outcome of a quasi-purity decision.
 
     ``witness`` is present exactly when ``status == NotQuasiPure`` and is a
-    unit vector with ``0 < rank F(witness) < k``.
+    unit vector with ``0 < rank F(witness) < k``.  ``samples_used`` counts
+    the cells the Lipschitz certificate evaluated.
     """
 
     status: str
@@ -104,7 +112,7 @@ class QuasiPurityVerdict:
 
     @property
     def is_proof(self) -> bool:
-        """Proof-grade positive verdicts; randomized evidence is excluded."""
+        """Witnesses and positive verdicts backed by a proof."""
         if self.status == NOT_QUASI_PURE:
             return True
         return self.status == QUASI_PURE and self.method in _PROOF_METHODS
@@ -125,16 +133,9 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec * (np.abs(pivot) / pivot)
 
 
-def _factor_columns(factors, h0) -> np.ndarray:
-    return np.column_stack([k @ h0 for k in factors])
-
-
-def _witness_rank(factors, h0, tol: Tolerance) -> int:
-    return linalg.numerical_rank(_factor_columns(factors, h0), tol)
-
-
 def _is_witness(factors, h0, tol: Tolerance) -> bool:
-    r = _witness_rank(factors, h0, tol)
+    """Whether ``0 < rank F(h0) < k``."""
+    r = linalg.numerical_rank(np.column_stack([k @ h0 for k in factors]), tol)
     return 0 < r < len(factors)
 
 
@@ -289,7 +290,8 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     When every entry is a Gaussian rational the reduction and the rank are
     computed exactly over QQ_I, so a True decision is a proof; the
     candidate roots are then the eigenvalues of ``M`` on that kernel.
-    Otherwise the candidates are the eigenvalues of ``-K_1^+ K_2``.
+    Otherwise the candidates are the eigenvalues of ``-K_1^+ K_2``, and a
+    True decision only says that none of them passed the rank window.
     Either way each candidate is polished and must pass the rank window
     before it yields a witness.
     """
@@ -332,29 +334,10 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# randomized search (k >= 3, multi-column reductions)
+# the Lipschitz certificate (n >= 3, and floating-point pencils)
 
 
-def _structured_candidates(reduced):
-    """Deterministic candidate directions in the reduced space."""
-    m = reduced[0].shape[1]
-    cands = []
-    eye = np.eye(m, dtype=complex)
-    for i in range(m):
-        cands.append(eye[:, i])
-        for j in range(i + 1, m):
-            cands.append(eye[:, i] + eye[:, j])
-            cands.append(eye[:, i] - eye[:, j])
-            cands.append(eye[:, i] + 1j * eye[:, j])
-            cands.append(eye[:, i] - 1j * eye[:, j])
-    for k in reduced:
-        _, _, vh = np.linalg.svd(k)
-        cands.append(vh[0, :].conj())
-        cands.append(vh[-1, :].conj())
-    return cands
-
-
-def _refine_candidate(reduced, h, iters: int = 400):
+def _refine_candidate(stack, h, iters: int = 400):
     """Alternating minimization towards a rank-deficient direction.
 
     Alternates the worst dependency vector ``a`` of ``F(h)`` with the best
@@ -363,8 +346,7 @@ def _refine_candidate(reduced, h, iters: int = 400):
     generous; the loop exits early once the small singular value bottoms
     out at rounding level.
     """
-    k = len(reduced)
-    stack = np.stack(reduced)  # (k, d1, m)
+    k = len(stack)  # stack: (k, d1, m)
     floor = 1e-14 * max(float(np.abs(stack).max()), 1.0)
     for _ in range(iters):
         f = np.einsum("jdm,m->dj", stack, h)
@@ -382,35 +364,61 @@ def _refine_candidate(reduced, h, iters: int = 400):
     return h
 
 
-def _randomized_search(factors, reduced, basis, budget, rng, tol: Tolerance):
-    """Sample dependency directions and kernel candidates within a budget.
+def _direction(stack, vec, dependency: bool) -> np.ndarray:
+    """The unit direction ``vec``, or ``ker P(vec)`` for a dependency."""
+    if dependency:
+        vec = np.linalg.svd(np.tensordot(vec, stack, axes=(0, 0)))[2][-1]
+        vec = vec.conj()
+    return vec / np.linalg.norm(vec)
 
-    Returns ``(witness_or_None, samples_used)``.
+
+def _lipschitz_certificate(factors, stack, basis, side, dependency: bool,
+                           budget: int, tol: Tolerance) -> QuasiPurityVerdict:
+    """Step 3 of the module docstring on ``side``, the ``n`` stacked ``M_i``.
+
+    Cube centres are dependency vectors when ``dependency`` is set.  The
+    lowest uncleared centre of each level is polished into a candidate.
     """
-    k = len(factors)
-    m = reduced[0].shape[1]
-    samples = 0
-    for cand in _structured_candidates(reduced):
-        samples += 1
-        h = basis @ _normalize(cand)
+    n, d, p = side.shape
+    dim = 2 * (n - 1)
+    lipschitz = float(np.sqrt(sum(np.linalg.norm(mat, ord=2) ** 2
+                                  for mat in side)))
+    # rounding allowance: forming M(c), |c| <= sqrt(2n - 1), and its SVD
+    # move sigma_p by a small multiple of (n + d + p) u sqrt(sum ||M_i||_F^2)
+    slack = (16.0 * (n + d + p) * np.finfo(float).eps
+             * np.sqrt(2.0 * n - 1.0) * float(np.linalg.norm(side)))
+    # the 2^dim child offsets of a chart-i cube: +-1 +-1j off coordinate i
+    signs = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    corners = np.array(list(itertools.product(signs, repeat=n - 1)))
+    corners = np.stack([np.insert(corners, i, 0, axis=1) for i in range(n)])
+    charts = np.arange(n)
+    centres = np.eye(n, dtype=complex)
+    half = 1.0
+    cells = 0
+    while cells + charts.size <= budget:
+        cells += charts.size
+        sigma = np.linalg.svd(np.tensordot(centres, side, axes=(1, 0)),
+                              compute_uv=False)[:, -1]
+        uncleared = np.nonzero(
+            sigma <= lipschitz * half * np.sqrt(dim) + slack)[0]
+        if uncleared.size == 0:
+            return QuasiPurityVerdict(status=QUASI_PURE,
+                                      method=METHOD_CERTIFICATE,
+                                      samples_used=cells)
+        lowest = centres[uncleared[np.argmin(sigma[uncleared])]]
+        h = basis @ _refine_candidate(stack,
+                                      _direction(stack, lowest, dependency))
         if _is_witness(factors, h, tol):
-            return h, samples
-    stack = np.stack(reduced)
-    while samples < budget:
-        samples += 1
-        a = rng.normal(size=k) + 1j * rng.normal(size=k)
-        a /= np.linalg.norm(a)
-        pencil = np.tensordot(a, stack, axes=(0, 0))
-        null = linalg.kernel_basis(pencil, tol)
-        candidates = [null[:, c] for c in range(null.shape[1])]
-        if not candidates:
-            _, _, vh = np.linalg.svd(pencil)
-            candidates = [_refine_candidate(reduced, vh[-1, :].conj())]
-        for cand in candidates:
-            h = basis @ _normalize(cand)
-            if _is_witness(factors, h, tol):
-                return h, samples
-    return None, samples
+            return _not_quasipure(factors, h, METHOD_CERTIFICATE, tol,
+                                  samples=cells)
+        if cells + uncleared.size * corners.shape[1] > budget:
+            break
+        half /= 2.0
+        centres = (centres[uncleared, None, :]
+                   + half * corners[charts[uncleared]]).reshape(-1, n)
+        charts = np.repeat(charts[uncleared], corners.shape[1])
+    return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_CERTIFICATE,
+                              samples_used=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +426,12 @@ def _randomized_search(factors, reduced, basis, budget, rng, tol: Tolerance):
 
 
 def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
-                 budget: int = 2000, seed: int = 0,
-                 strict: bool = True) -> QuasiPurityVerdict:
+                 budget: int = 2000) -> QuasiPurityVerdict:
     """Decide quasi-purity of a nonzero CP map.
 
-    ``strict`` (the default) demotes "no counterexample found within the
-    randomized budget" to ``Inconclusive``; passing ``strict=False`` lets
-    the caller accept that evidence as a ``QuasiPure`` status (the method
-    tag still says ``RandomizedNoCounterexample`` so provenance is never
-    lost).  Exact branches ignore the budget and the seed.
+    ``budget`` caps the cells the Lipschitz certificate may spend (reported
+    as ``samples_used``); running out gives ``Inconclusive``.  No step
+    draws random numbers, so the verdict is a function of the input.
     """
     if not is_cp(phi, tol):
         raise NotCP("quasi-purity is defined for completely positive maps")
@@ -455,35 +460,33 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
             return _not_quasipure(factors, nulls[i][:, col],
                                   METHOD_NECESSARY, tol)
 
-    reduced = [f @ basis for f in factors]
+    stack = np.stack([f @ basis for f in factors])  # (k, d, m)
     m = basis.shape[1]
 
-    if k == 2:
-        decision, witness = exact_pencil_k2(reduced[0], reduced[1], tol)
-        if decision:
-            return QuasiPurityVerdict(status=QUASI_PURE,
-                                      method=METHOD_EXACT_PENCIL)
-        return _not_quasipure(factors, basis @ witness,
-                              METHOD_EXACT_PENCIL, tol)
-
-    if m == 1:
-        # a single reduced column leaves one projective direction to test,
-        # so the rank window check is exhaustive for any k
-        h = basis[:, 0]
-        if _is_witness(factors, h, tol):
-            return _not_quasipure(factors, h, METHOD_EXACT_PENCIL, tol)
+    # step 1: an injective flattening sends no a (x) h to zero
+    if linalg.numerical_rank(np.hstack(stack), tol) == k * m:
         return QuasiPurityVerdict(status=QUASI_PURE,
                                   method=METHOD_EXACT_PENCIL)
+    if m == 1:
+        # the flattening is F(h) for the only direction h
+        return _not_quasipure(factors, basis[:, 0], METHOD_EXACT_PENCIL, tol)
 
-    rng = np.random.default_rng(seed)
-    witness, samples = _randomized_search(factors, reduced, basis, budget,
-                                          rng, tol)
-    if witness is not None:
-        return _not_quasipure(factors, witness, METHOD_SEARCH_WITNESS, tol,
-                              samples=samples)
-    status = INCONCLUSIVE if strict else QUASI_PURE
-    return QuasiPurityVerdict(status=status, method=METHOD_RANDOMIZED,
-                              samples_used=samples)
+    # the smaller mode: M(a) = sum_j a_j K_j, or M(h) = sum_i h_i G_i
+    over_a = k <= m
+    side = stack if over_a else stack.transpose(2, 1, 0)
+    if min(k, m) == 2:
+        # step 2: one pencil; its witness lives in the other mode
+        decision, witness = exact_pencil_k2(side[0], side[1], tol)
+        if not decision:
+            h = _direction(stack, witness, not over_a)
+            return _not_quasipure(factors, basis @ h, METHOD_EXACT_PENCIL, tol)
+        if _gaussian_rational_entries(side[:2]) is not None:
+            # the pencil decided over QQ_I
+            return QuasiPurityVerdict(status=QUASI_PURE,
+                                      method=METHOD_EXACT_PENCIL)
+    # step 3 (and the proof behind a floating-point pencil)
+    return _lipschitz_certificate(factors, stack, basis, side, over_a,
+                                  budget, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +541,8 @@ def grid_oracle(phi: CpMap, grid_density: int = 200,
         raise ValueError("grid density must be at least 8")
 
     basis = _common_kernel_complement(factors, tol)
-    reduced = [f @ basis for f in factors]
     m = basis.shape[1]
-    stack = np.stack(reduced)  # (k, d1, m)
+    stack = np.stack([f @ basis for f in factors])  # (k, d1, m)
     pts = _grid_points(m, grid_density)
 
     fs = np.einsum("jdm,nm->ndj", stack, pts)
@@ -565,7 +567,7 @@ def grid_oracle(phi: CpMap, grid_density: int = 200,
         return QuasiPurityVerdict(status=QUASI_PURE, method=METHOD_GRID)
 
     lipschitz = float(np.sqrt(sum(
-        np.linalg.norm(r, ord=2) ** 2 for r in reduced)))
+        np.linalg.norm(r, ord=2) ** 2 for r in stack)))
     dtheta = (np.pi / 2.0) / (grid_density - 1)
     dphase = (2.0 * np.pi) / grid_density
     covering = 0.5 * (dtheta + dphase)
@@ -575,7 +577,7 @@ def grid_oracle(phi: CpMap, grid_density: int = 200,
     suspicious = np.nonzero(sigma_k <= 4.0 * margin)[0]
     order = suspicious[np.argsort(sigma_k[suspicious])][:16]
     for idx in order:
-        h = _refine_candidate(reduced, pts[idx] / np.linalg.norm(pts[idx]))
+        h = _refine_candidate(stack, pts[idx] / np.linalg.norm(pts[idx]))
         lifted = basis @ h
         if _is_witness(factors, lifted, tol):
             return _not_quasipure(factors, lifted, METHOD_GRID, tol)
@@ -601,7 +603,7 @@ def domination_preserves_quasipurity_check(
     inconclusive verdicts on the dominated side are skipped, a single
     NotQuasiPure makes the whole check fail.
     """
-    base = is_quasipure(phi, tol, budget=budget, seed=seed)
+    base = is_quasipure(phi, tol, budget=budget)
     if not (base.status == QUASI_PURE and base.is_proof):
         raise InconclusiveQuasiPurity(
             f"base map verdict is {base.status} ({base.method})"
@@ -619,7 +621,7 @@ def domination_preserves_quasipurity_check(
         dominated = map_from_contraction(triple, d)
         if dominated.is_zero(tol):
             continue
-        verdict = is_quasipure(dominated, tol, budget=budget, seed=seed)
+        verdict = is_quasipure(dominated, tol, budget=budget)
         if verdict.status == NOT_QUASI_PURE:
             return False
     return True

@@ -61,7 +61,28 @@ def random_unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def matrix_unit(n, i, j):
     e = np.zeros((n, n), dtype=complex)
     e[i, j] = 1.0
     return e
+
+
+def polynomial_factors(rng, d_in, m, k):
+    """Factors ``K_j = A (sum_l C_jl S_l) B`` of a quasi-pure map.
+
+    ``S_l`` sends the coefficients of ``h(x)`` (degree < m) to those of
+    ``x^l h(x)`` in ``C^{d_in}``, ``d_in >= k + m - 1``.  Then
+    ``sum_j a_j K_j h = A ((C^T a)(x) (B h)(x))``, a product of nonzero
+    polynomials for invertible ``A``, ``B``, ``C``, so no ``a (x) h != 0``
+    is sent to zero, while ``rank [K_1 | ... | K_k] = k + m - 1 < k m``.
+    ``A``, ``B``, ``C`` are Haar unitaries.
+    """
+    a, b, c = (haar_unitary(rng, n) for n in (d_in, m, k))
+    shifts = [np.eye(d_in, m, -l) for l in range(k)]
+    return [a @ sum(c[j, l] * shifts[l] for l in range(k)) @ b
+            for j in range(k)]

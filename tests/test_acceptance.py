@@ -177,7 +177,7 @@ def test_criterion_4_kernel_theorem_both_directions():
             seed=int(rng.integers(0, 10 ** 6)))
         hard.append(phi)
     for phi in hard:
-        verdict = is_quasipure(phi, seed=7)
+        verdict = is_quasipure(phi)
         assert verdict.status == "NotQuasiPure"
         triple = minimal_stinespring(phi)
         q = cyclic_projection(triple, verdict.witness)
@@ -307,7 +307,7 @@ def test_criterion_8_counterexample_soundness():
             int(rng.integers(2, 4)), seed=int(rng.integers(0, 10 ** 6)))
         attempts.append(phi)
     for phi in attempts:
-        verdict = is_quasipure(phi, seed=11)
+        verdict = is_quasipure(phi)
         if verdict.status != "NotQuasiPure":
             continue
         out = counterexample_construct(phi, verdict.witness, seed=11)
@@ -339,12 +339,9 @@ def test_criterion_9_demo_and_golden_reports():
     assert code == 0, f"demo did not exit cleanly\n{err}"
 
     goldens = [
-        (("quasipure", "eb_map.json", "--seed", "0"),
-         "golden_quasipure_eb.json"),
-        (("quasipure", "special_map.json", "--seed", "0"),
-         "golden_quasipure_special.json"),
-        (("aeq", "nqp_phi.json", "nqp_psi.json", "--r", "nqp_r.json",
-          "--seed", "0"),
+        (("quasipure", "eb_map.json"), "golden_quasipure_eb.json"),
+        (("quasipure", "special_map.json"), "golden_quasipure_special.json"),
+        (("aeq", "nqp_phi.json", "nqp_psi.json", "--r", "nqp_r.json"),
          "golden_aeq_nonquasipure.json"),
     ]
     for args, name in goldens:
@@ -352,4 +349,4 @@ def test_criterion_9_demo_and_golden_reports():
         for _ in range(2):
             _, out, err = run_cli(*args)
             assert out == expected, f"golden report drifted: {name}\n{err}"
-    announce(9, "demo exits 0; three golden reports byte-stable at seed 0")
+    announce(9, "demo exits 0; three golden reports byte-stable")

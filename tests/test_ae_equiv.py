@@ -231,6 +231,20 @@ def test_rigidity_hypothesis_gates():
     assert info.value.hypothesis == "r-equivalence"
 
 
+def test_rigidity_projects_r_once(monkeypatch):
+    phi = trace_state_map(np.diag([1.0, 2.0]) / 3.0, np.array([1.0, 0.0]))
+    calls = []
+    original = linalg.range_projection
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "range_projection", counted)
+    assert rigidity_check(phi, phi, E11).status == "TheoremHolds"
+    assert len(calls) == 1
+
+
 def test_rigidity_forces_equality_through_completions():
     # psi := any CP completion of beta(X) = phi(X)R with matching unit must
     # equal phi itself; build psi independently through the completion module

@@ -92,13 +92,21 @@ class ExitCodeTests(unittest.TestCase):
         self.assertIsNotNone(report["witness"])
 
     def test_quasipure_inconclusive_exit_code(self):
-        code, out, err = run_cli("quasipure", "inconclusive_map.json")
+        # quasi-pure by construction, but out of the certificate's reach
+        code, out, err = run_cli("quasipure", "polynomial_744_map.json")
         self.assertEqual(code, 3, err)
-        self.assertEqual(json.loads(out)["status"], "Inconclusive")
-        code, out, err = run_cli("quasipure", "inconclusive_map.json",
-                                 "--no-strict")
+        report = json.loads(out)
+        self.assertEqual(report["status"], "Inconclusive")
+        self.assertFalse(report["is_proof"])
+        self.assertLessEqual(report["samples_used"], report["budget"])
+
+    def test_quasipure_proves_the_k3_map(self):
+        code, out, err = run_cli("quasipure", "inconclusive_map.json")
         self.assertEqual(code, 0, err)
-        self.assertEqual(json.loads(out)["status"], "QuasiPure")
+        report = json.loads(out)
+        self.assertEqual(report["status"], "QuasiPure")
+        self.assertEqual(report["method"], "LipschitzCertificate")
+        self.assertTrue(report["is_proof"])
 
     def test_quasipure_rejects_non_cp_input(self):
         code, out, err = run_cli("quasipure", "transpose_map.json")
@@ -219,9 +227,8 @@ class ReportStabilityTests(unittest.TestCase):
         # special_map is NotQuasiPure (exit 1); the nqp pair is equivalent
         # (exit 0).  A non-empty stdout rules out two failed launches.
         for args, expected_code in [
-            (("quasipure", "special_map.json", "--seed", "0"), 1),
-            (("aeq", "nqp_phi.json", "nqp_psi.json", "--r", "nqp_r.json",
-              "--seed", "0"), 0),
+            (("quasipure", "special_map.json"), 1),
+            (("aeq", "nqp_phi.json", "nqp_psi.json", "--r", "nqp_r.json"), 0),
         ]:
             first = run_cli(*args)
             second = run_cli(*args)
@@ -232,12 +239,10 @@ class ReportStabilityTests(unittest.TestCase):
 
     def test_golden_reports(self):
         for args, golden in [
-            (("quasipure", "eb_map.json", "--seed", "0"),
-             "golden_quasipure_eb.json"),
-            (("quasipure", "special_map.json", "--seed", "0"),
+            (("quasipure", "eb_map.json"), "golden_quasipure_eb.json"),
+            (("quasipure", "special_map.json"),
              "golden_quasipure_special.json"),
-            (("aeq", "nqp_phi.json", "nqp_psi.json", "--r", "nqp_r.json",
-              "--seed", "0"),
+            (("aeq", "nqp_phi.json", "nqp_psi.json", "--r", "nqp_r.json"),
              "golden_aeq_nonquasipure.json"),
         ]:
             _, out, err = run_cli(*args)
@@ -293,6 +298,27 @@ def test_complete_splits_and_decides_once(monkeypatch, capsys, beta_file,
     assert code == expected_code, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["completable"] == (code == 0)
     assert calls == {"_split_blocks": 1, "_decide": 1}
+
+
+def test_aeq_with_reference_map_computes_its_support_once(monkeypatch,
+                                                          capsys):
+    from cpmaps import ae_equiv, cli
+    calls = []
+    original = ae_equiv.support_projection
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ae_equiv, "support_projection", counted)
+    code = cli.main(["aeq", str(DATA / "eb_map.json"),
+                     str(DATA / "eb_map.json"),
+                     "--xi", str(DATA / "eb_map.json")])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads(capsys.readouterr().out)
+    assert report["equivalent"]
+    assert report["rigidity"]["applicable"]
+    assert len(calls) == 1
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from cpmaps import (
     minimal_kraus,
     minimal_stinespring,
 )
-from cpmaps import linalg
-from cpmaps.quasipure import METHOD_SEARCH_WITNESS
+from cpmaps import linalg, serialize
+from cpmaps.quasipure import METHOD_CERTIFICATE
 from cpmaps.gallery import (
     conjugation_map,
     diagonal_pair_map,
@@ -39,7 +39,7 @@ from cpmaps.gallery import (
     transpose_map,
 )
 
-from conftest import SRC, matrix_unit
+from conftest import DATA, SRC, haar_unitary, matrix_unit, polynomial_factors
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -151,35 +151,93 @@ def test_diagonal_pair_witness_from_exact_arithmetic():
     assert np.sort(np.abs(v.witness)).tolist() == pytest.approx([0.0, 0.0, 1.0])
 
 
-def test_planted_witness_found_by_randomized_search():
+def load_map(name):
+    return serialize.decode_map(serialize.load_document(DATA / name))
+
+
+def test_planted_witness_found_by_certificate():
+    # k = m = 3: the certificate's lowest cell polishes into the witness
     phi, _ = planted_witness_map(3, 3, 3, seed=2)
-    v = is_quasipure(phi, seed=0)
+    v = is_quasipure(phi)
     assert v.status == "NotQuasiPure"
-    assert v.method == METHOD_SEARCH_WITNESS == "RandomizedWitness"
+    assert v.method == METHOD_CERTIFICATE == "LipschitzCertificate"
+    assert v.samples_used <= 3
     assert witness_is_sound(phi, v.witness)
-    # determinism at a fixed seed
-    again = is_quasipure(phi, seed=0)
+    again = is_quasipure(phi)
     assert again.status == v.status
     assert np.allclose(again.witness, v.witness)
 
 
-def test_strict_vs_permissive_on_generic_map():
-    # a generic (d_in=4, d_out=2, k=3) map is quasi-pure but the pipeline has
-    # no exact branch for it: strict mode refuses to guess
-    phi = random_cp_map(4, 2, 3, seed=5)
-    strict = is_quasipure(phi, strict=True)
-    assert strict.status == "Inconclusive"
-    assert strict.method == "RandomizedNoCounterexample"
-    assert strict.samples_used > 0
-    assert not strict.is_proof
-    loose = is_quasipure(phi, strict=False)
-    assert loose.status == "QuasiPure"
-    assert loose.method == "RandomizedNoCounterexample"
-    assert not loose.is_proof
-    # the brute-force oracle can actually certify this instance (d_out <= 2)
+@pytest.mark.parametrize("phi", [random_cp_map(4, 2, 3, seed=5),
+                                 load_map("inconclusive_map.json")],
+                         ids=["random", "fixture"])
+def test_generic_k3_map_is_proved_by_pencil_and_certificate(phi):
+    # d_in = 4 < k m = 6, so the flattening is not injective; m = 2 leaves
+    # one pencil over h, and the certificate then clears CP^1
+    v = is_quasipure(phi)
+    assert v.status == "QuasiPure"
+    assert v.method == "LipschitzCertificate"
+    assert 0 < v.samples_used <= 2000
+    assert v.is_proof
+    # the brute-force oracle certifies it too (d_out <= 2)
     cert = grid_oracle(phi)
     assert cert.status == "QuasiPure"
     assert cert.is_proof
+
+
+def test_out_of_reach_map_is_inconclusive():
+    # quasi-pure by construction, rank [K_1 | ... | K_4] = 7 < 16, and four
+    # coordinates per chart are more than the default budget can clear
+    phi = load_map("polynomial_744_map.json")
+    assert linalg.numerical_rank(np.hstack(minimal_kraus(phi))) == 7
+    v = is_quasipure(phi)
+    assert v.status == "Inconclusive"
+    assert v.method == "LipschitzCertificate"
+    assert 0 < v.samples_used <= 2000
+    assert not v.is_proof
+    assert is_quasipure(phi, budget=3).samples_used == 0
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 3), (6, 3, 4)])
+def test_polynomial_maps_are_certified(shape):
+    rng = np.random.default_rng(sum(shape))
+    factors = polynomial_factors(rng, *shape)
+    d_in, m, k = shape
+    assert np.linalg.matrix_rank(np.hstack(factors)) == k + m - 1 < k * m
+    v = is_quasipure(CpMap.from_kraus(factors), budget=100_000)
+    assert v.status == "QuasiPure"
+    assert v.method == "LipschitzCertificate"
+    assert v.is_proof
+
+
+@pytest.mark.parametrize("d_in, m, k", [(6, 2, 3), (9, 3, 3)])
+def test_unitary_mixing_is_proved_by_the_flattening_rank(d_in, m, k):
+    # K_j = A pad(C_j (x) I) B: sigma_k [K_j h] is constant on the sphere,
+    # where polishing stalls; rank [K_1 | ... | K_k] = k m decides at once
+    rng = np.random.default_rng(d_in)
+    for _ in range(16):
+        a, b, c = (haar_unitary(rng, n) for n in (d_in, m, k))
+        factors = []
+        for j in range(k):
+            core = np.zeros((d_in, m), dtype=complex)
+            core[:k * m] = np.kron(c[j][:, None], np.eye(m))
+            factors.append(a @ core @ b)
+        v = is_quasipure(CpMap.from_kraus(factors))
+        assert v.status == "QuasiPure"
+        assert v.method == "ExactPencil"
+        assert v.samples_used == 0
+
+
+def test_decisions_draw_no_random_numbers(monkeypatch):
+    maps = [load_map("inconclusive_map.json"),
+            planted_witness_map(3, 3, 3, seed=2)[0]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_quasipure drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert [is_quasipure(phi).status for phi in maps] == \
+        ["QuasiPure", "NotQuasiPure"]
 
 
 def test_input_gates():
@@ -262,16 +320,19 @@ def test_pencil_exact_and_float_routes_agree():
     assert decisions == {True, False}
 
 
-@pytest.mark.parametrize("phi", [random_cp_map(5, 3, 2),
-                                 planted_witness_map(5, 3, 2)[0]],
-                         ids=["random", "planted"])
-def test_pencil_verdict_survives_rescaling(phi):
-    # Kraus factors scaled by 1e-4 scale the map by 1e-8
+@pytest.mark.parametrize("phi, method", [
+    (random_cp_map(5, 3, 2), "LipschitzCertificate"),
+    (planted_witness_map(5, 3, 2)[0], "ExactPencil"),
+], ids=["random", "planted"])
+def test_pencil_verdict_survives_rescaling(phi, method):
+    # Kraus factors scaled by 1e-4 scale the map by 1e-8; a floating-point
+    # pencil's QuasiPure stands on the certificate that clears CP^1
     scaled = CpMap.from_kraus([1e-4 * k for k in minimal_kraus(phi)])
     v = is_quasipure(phi)
     w = is_quasipure(scaled)
     assert w.status == v.status
-    assert w.method == v.method == "ExactPencil"
+    assert w.method == v.method == method
+    assert w.is_proof
     if w.witness is not None:
         assert witness_is_sound(scaled, w.witness)
 
@@ -349,6 +410,28 @@ def test_pencil_agrees_with_grid_on_small_maps():
     # and on the curated boundary case
     assert is_quasipure(flip_twirl_map()).status == \
         grid_oracle(flip_twirl_map()).status
+
+
+def test_grid_oracle_agrees_on_k3_maps():
+    # k = 3, d_out <= 2: one reduced column (the flattening rank decides),
+    # or two (a pencil over h, then a certificate of CP^1)
+    rng = np.random.default_rng(300)
+    family = [random_cp_map(d_in, d_out, 3, rng=rng)
+              for d_in in (3, 4, 5) for d_out in (1, 2) for _ in range(2)]
+    family += [planted_witness_map(d_in, 2, 3, seed=d_in)[0]
+               for d_in in (3, 4, 5)]
+    methods = set()
+    for trial, phi in enumerate(family):
+        fast = is_quasipure(phi)
+        slow = grid_oracle(phi)
+        assert fast.status != "Inconclusive"
+        assert fast.status == slow.status, f"disagreement on map {trial}"
+        if fast.witness is not None:
+            assert witness_is_sound(phi, fast.witness)
+        methods.add((fast.status, fast.method))
+    assert methods == {("QuasiPure", "ExactPencil"),
+                       ("QuasiPure", "LipschitzCertificate"),
+                       ("NotQuasiPure", "ExactPencil")}
 
 
 # ---------------------------------------------------------------------------
