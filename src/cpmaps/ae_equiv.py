@@ -213,12 +213,13 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
 
     Under these the maps must agree outright; a ``CounterexampleFound``
     status would indicate a defect in this package, not new mathematics.
+    ``r`` may also be a context, whose projection is then reused.
     """
     if (phi.d_in, phi.d_out) != (psi.d_in, psi.d_out):
         raise DimensionMismatch("maps act on different algebras")
     if not is_cp(phi, tol) or not is_cp(psi, tol):
         raise NotCP("rigidity concerns completely positive maps")
-    ctx = EquivalenceContext.from_operator(r)
+    ctx = _coerce_context(r)
 
     if verdict is None:
         verdict = is_quasipure(phi, tol, budget=budget)
@@ -269,14 +270,13 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap,
         raise DimensionMismatch(
             "the reference map must act on the codomain of phi"
         )
-    p = ctx.projection(tol)
     # Choi blocks: phi(E_ij) = phi_t[i, :, j, :] and xi(E_ab) = xi_t[a, :, b, :]
     phi_t = phi.choi.reshape(phi.d_in, phi.d_out, phi.d_in, phi.d_out)
     xi_t = xi.choi.reshape(xi.d_in, xi.d_out, xi.d_in, xi.d_out)
     composed = np.einsum("iajb,acbe->icje", phi_t, xi_t)
     if linalg.max_abs(composed) <= tol.eps_eq * max(1.0, linalg.max_abs(xi.choi)):
         raise HypothesisFailed("vanishes-on-r", "xi . phi is identically zero")
-    return rigidity_check(phi, psi, p, tol, budget=budget)
+    return rigidity_check(phi, psi, ctx, tol, budget=budget)
 
 
 # ---------------------------------------------------------------------------

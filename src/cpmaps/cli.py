@@ -253,8 +253,8 @@ def _cmd_aeq(args) -> int:
         "budget": args.budget,
     }
     if args.r_file is not None:
-        r = decode_operator(load_document(args.r_file))
-        ctx = EquivalenceContext.from_operator(r)
+        ctx = EquivalenceContext.from_operator(
+            decode_operator(load_document(args.r_file)))
         report["context"] = "operator"
     else:
         xi = decode_map(load_document(args.xi_file))
@@ -267,11 +267,8 @@ def _cmd_aeq(args) -> int:
     rigidity: dict = {"applicable": False}
     if is_cp(phi, tol) and is_cp(psi, tol):
         try:
-            if args.r_file is not None:
-                verdict = rigidity_check(phi, psi, r, tol, budget=args.budget)
-            else:
-                verdict = ae_equal_rigidity(phi, psi, ctx, tol,
-                                            budget=args.budget)
+            check = ae_equal_rigidity if args.r_file is None else rigidity_check
+            verdict = check(phi, psi, ctx, tol, budget=args.budget)
             rigidity = {
                 "applicable": True,
                 "status": verdict.status,

@@ -128,8 +128,7 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     if norm == 0:
         return vec
     vec = vec / norm
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
+    pivot = vec[int(np.argmax(np.abs(vec)))]
     return vec * (np.abs(pivot) / pivot)
 
 
@@ -157,11 +156,9 @@ def _not_quasipure(factors, h0, method: str, tol: Tolerance,
 
 def _common_kernel_complement(factors, tol: Tolerance) -> np.ndarray:
     """Orthonormal basis (columns) of the orthocomplement of cap_j ker K_j."""
-    stacked = np.vstack(factors)
-    null = linalg.kernel_basis(stacked, tol)
-    d = factors[0].shape[1]
+    null = linalg.kernel_basis(np.vstack(factors), tol)
     if null.shape[1] == 0:
-        return np.eye(d, dtype=complex)
+        return np.eye(factors[0].shape[1], dtype=complex)
     return linalg.kernel_basis(null.conj().T, tol)
 
 
@@ -290,10 +287,10 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     When every entry is a Gaussian rational the reduction and the rank are
     computed exactly over QQ_I, so a True decision is a proof; the
     candidate roots are then the eigenvalues of ``M`` on that kernel.
-    Otherwise the candidates are the eigenvalues of ``-K_1^+ K_2``, and a
-    True decision only says that none of them passed the rank window.
-    Either way each candidate is polished and must pass the rank window
-    before it yields a witness.
+    Otherwise the candidates are the eigenvalues of ``-K_1^+ K_2``, and
+    None says that none of them passed the rank window.  Either way each
+    candidate is polished and must pass the rank window before it yields
+    a witness.
     """
     l1 = linalg.as_matrix(l1)
     l2 = linalg.as_matrix(l2)
@@ -326,7 +323,9 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
         _, v = _polish_root(l1, l2, root)
         if v is not None and _is_witness(factors, v, tol):
             return False, _normalize(v)
-    if exact is not None and len(candidates) > 0:
+    if exact is None:
+        return None, None
+    if len(candidates) > 0:
         raise InputNotReduced(
             "internal error: exact singular point failed the rank window"
         )
@@ -338,29 +337,38 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
 
 
 def _refine_candidate(stack, h, iters: int = 400):
-    """Alternating minimization towards a rank-deficient direction.
+    """Drive ``h`` towards a rank-deficient direction of ``F``.
 
-    Alternates the worst dependency vector ``a`` of ``F(h)`` with the best
-    kernel direction of ``sum_j a_j K_j``; both steps are smallest singular
-    vectors of small matrices.  Convergence is linear, so the budget is
-    generous; the loop exits early once the small singular value bottoms
-    out at rounding level.
+    Each round takes the worst dependency vector ``a`` of ``F(h)`` and
+    tries a Gauss-Newton step on ``P(a) h = 0`` moving ``a`` and ``h``
+    orthogonally to themselves, kept when it lowers ``sigma_k(F(h))``;
+    otherwise ``h`` becomes the best kernel direction of ``P(a)``, an
+    alternating step that converges only linearly.  The loop exits once
+    ``sigma_k`` reaches rounding level.
     """
     k = len(stack)  # stack: (k, d1, m)
     floor = 1e-14 * max(float(np.abs(stack).max()), 1.0)
-    for _ in range(iters):
-        f = np.einsum("jdm,m->dj", stack, h)
+
+    def state(vec):  # sigma_k of F(vec), F(vec), its worst a, and vec
+        f = np.einsum("jdm,m->dj", stack, vec)
         _, s, vh = np.linalg.svd(f)
-        if s[min(k, s.size) - 1] < floor:
+        return s[min(k, s.size) - 1], f, vh[-1, :].conj(), vec
+
+    s, f, a, h = state(h)
+    for _ in range(iters):
+        if s < floor:
             break
-        a = vh[-1, :].conj()
         pencil = np.tensordot(a, stack, axes=(0, 0))
-        _, _, vh2 = np.linalg.svd(pencil)
-        h_new = vh2[-1, :].conj()
-        if np.linalg.norm(h_new - h * np.vdot(h, h_new)) < 1e-15:
-            h = h_new
-            break
-        h = h_new
+        jacobian = np.hstack([f - np.outer(f @ a, a.conj()),
+                              pencil - np.outer(pencil @ h, h.conj())])
+        step = np.linalg.lstsq(jacobian, -(pencil @ h), rcond=None)[0][k:]
+        trial = state((h + step) / np.linalg.norm(h + step))
+        if trial[0] >= s:
+            h_new = np.linalg.svd(pencil)[2][-1, :].conj()
+            if np.linalg.norm(h_new - h * np.vdot(h, h_new)) < 1e-15:
+                return h_new
+            trial = state(h_new)
+        s, f, a, h = trial
     return h
 
 
@@ -387,10 +395,11 @@ def _lipschitz_certificate(factors, stack, basis, side, dependency: bool,
     # move sigma_p by a small multiple of (n + d + p) u sqrt(sum ||M_i||_F^2)
     slack = (16.0 * (n + d + p) * np.finfo(float).eps
              * np.sqrt(2.0 * n - 1.0) * float(np.linalg.norm(side)))
-    # the 2^dim child offsets of a chart-i cube: +-1 +-1j off coordinate i
-    signs = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    corners = np.array(list(itertools.product(signs, repeat=n - 1)))
-    corners = np.stack([np.insert(corners, i, 0, axis=1) for i in range(n)])
+    # a chart-i cube has 2^dim children, offset by +-1 +-1j off coordinate
+    # i: row i of `columns` reads them from `steps`, whose last column is 0
+    children = 4 ** (n - 1)
+    columns = np.array([np.insert(np.arange(n - 1), i, n - 1)
+                        for i in range(n)])
     charts = np.arange(n)
     centres = np.eye(n, dtype=complex)
     half = 1.0
@@ -411,12 +420,15 @@ def _lipschitz_certificate(factors, stack, basis, side, dependency: bool,
         if _is_witness(factors, h, tol):
             return _not_quasipure(factors, h, METHOD_CERTIFICATE, tol,
                                   samples=cells)
-        if cells + uncleared.size * corners.shape[1] > budget:
+        if cells + uncleared.size * children > budget:
             break
+        steps = np.zeros((children, n), dtype=complex)  # the split fits
+        steps[:, :-1] = list(itertools.product((1 + 1j, 1 - 1j, -1 + 1j,
+                                                -1 - 1j), repeat=n - 1))
+        steps = steps[:, columns[charts[uncleared]]].transpose(1, 0, 2)
         half /= 2.0
-        centres = (centres[uncleared, None, :]
-                   + half * corners[charts[uncleared]]).reshape(-1, n)
-        charts = np.repeat(charts[uncleared], corners.shape[1])
+        centres = (centres[uncleared, None, :] + half * steps).reshape(-1, n)
+        charts = np.repeat(charts[uncleared], children)
     return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_CERTIFICATE,
                               samples_used=cells)
 
@@ -467,8 +479,7 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     if linalg.numerical_rank(np.hstack(stack), tol) == k * m:
         return QuasiPurityVerdict(status=QUASI_PURE,
                                   method=METHOD_EXACT_PENCIL)
-    if m == 1:
-        # the flattening is F(h) for the only direction h
+    if m == 1:  # the flattening is F(h) for the only direction h
         return _not_quasipure(factors, basis[:, 0], METHOD_EXACT_PENCIL, tol)
 
     # the smaller mode: M(a) = sum_j a_j K_j, or M(h) = sum_i h_i G_i
@@ -477,11 +488,10 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     if min(k, m) == 2:
         # step 2: one pencil; its witness lives in the other mode
         decision, witness = exact_pencil_k2(side[0], side[1], tol)
-        if not decision:
+        if decision is False:
             h = _direction(stack, witness, not over_a)
             return _not_quasipure(factors, basis @ h, METHOD_EXACT_PENCIL, tol)
-        if _gaussian_rational_entries(side[:2]) is not None:
-            # the pencil decided over QQ_I
+        if decision:  # decided over QQ_I
             return QuasiPurityVerdict(status=QUASI_PURE,
                                       method=METHOD_EXACT_PENCIL)
     # step 3 (and the proof behind a floating-point pencil)
@@ -499,12 +509,8 @@ def _grid_points(m: int, density: int) -> np.ndarray:
     thetas = np.linspace(0.0, np.pi / 2.0, density)
     phases = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
     tt, pp = np.meshgrid(thetas, phases, indexing="ij")
-    pts = np.stack(
-        [np.cos(tt).ravel().astype(complex),
-         (np.exp(1j * pp) * np.sin(tt)).ravel()],
-        axis=1,
-    )
-    return pts
+    return np.stack([np.cos(tt).ravel().astype(complex),
+                     (np.exp(1j * pp) * np.sin(tt)).ravel()], axis=1)
 
 
 def grid_oracle(phi: CpMap, grid_density: int = 200,
@@ -520,8 +526,7 @@ def grid_oracle(phi: CpMap, grid_density: int = 200,
     * any grid point inside the rank window is a verified witness;
     * points whose k-th singular value dips below a Lipschitz threshold
       (singular values of ``F(h)`` are 1-Lipschitz in ``h`` against the
-      aggregate factor norm) are polished by alternating minimization and
-      re-verified;
+      aggregate factor norm) are polished and re-verified;
     * if the scan minimum clears the Lipschitz margin, no direction
       anywhere on the sphere can be singular and the verdict is a
       certificate, not a sample.

@@ -300,25 +300,33 @@ def test_complete_splits_and_decides_once(monkeypatch, capsys, beta_file,
     assert calls == {"_split_blocks": 1, "_decide": 1}
 
 
-def test_aeq_with_reference_map_computes_its_support_once(monkeypatch,
-                                                          capsys):
-    from cpmaps import ae_equiv, cli
+@pytest.mark.parametrize("context", [("--xi", "eb_map.json"),
+                                     ("--r", "e11_operator.json")])
+def test_aeq_computes_its_projection_once(monkeypatch, capsys, context):
+    # with --xi the one range projection is the support projection's own
+    from cpmaps import ae_equiv, cli, linalg
     calls = []
-    original = ae_equiv.support_projection
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(ae_equiv, "support_projection", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ae_equiv, "support_projection")
+    counted(linalg, "range_projection")
     code = cli.main(["aeq", str(DATA / "eb_map.json"),
                      str(DATA / "eb_map.json"),
-                     "--xi", str(DATA / "eb_map.json")])
+                     context[0], str(DATA / context[1])])
     assert code == 0, capsys.readouterr().err
     report = json.loads(capsys.readouterr().out)
     assert report["equivalent"]
     assert report["rigidity"]["applicable"]
-    assert len(calls) == 1
+    expected = {"--xi": ["support_projection", "range_projection"],
+                "--r": ["range_projection"]}[context[0]]
+    assert calls == expected
 
 
 if __name__ == "__main__":
