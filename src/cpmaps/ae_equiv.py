@@ -32,6 +32,7 @@ import numpy as np
 from . import linalg
 from .completion import (
     PartialCpMap,
+    _times_blocks,
     minimal_cp_completion_choi,
     minimal_cp_completion_stinespring,
 )
@@ -152,7 +153,7 @@ def r_equivalent(phi: CpMap, psi: CpMap,
     if p.shape != (phi.d_out, phi.d_out):
         raise DimensionMismatch("comparison operator has the wrong dimension")
     diff = phi.choi - psi.choi
-    masked = diff @ np.kron(np.eye(phi.d_in, dtype=complex), p)
+    masked = _times_blocks(diff, p, phi.d_in)
     scale = max(1.0, linalg.max_abs(phi.choi), linalg.max_abs(psi.choi))
     return linalg.max_abs(masked) <= tol.eps_eq * scale
 
@@ -237,8 +238,7 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
     if not r_equivalent(phi, psi, ctx, tol):
         raise HypothesisFailed("r-equivalence", "phi(X) R != psi(X) R")
 
-    masked = phi.choi @ np.kron(np.eye(phi.d_in, dtype=complex),
-                                ctx.projection(tol))
+    masked = _times_blocks(phi.choi, ctx.projection(tol), phi.d_in)
     if linalg.max_abs(masked) <= tol.eps_eq * scale:
         raise HypothesisFailed("vanishes-on-r", "phi(.) R is identically zero")
 

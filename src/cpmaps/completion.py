@@ -29,21 +29,28 @@ computed two independent ways, which must agree:
 * Stinespring route: compress a seed completion's dilation to the
   reducing subspace generated by ``V P_R``.
 
-Blocks here are carried in *operator form*: ``A`` and ``C`` are ``n x n``
-matrices satisfying ``A = P A P`` and ``C = (I-P) C P``, which avoids any
-choice of basis for ``ran P``.  ``BlockCompletionProblem.from_blocks``
-accepts the familiar compact ``[[A, C*], [C, *]]`` corner layout.
+Decisions run in an orthonormal basis adapted to the splitting, ``ran P``
+first: there ``A`` is ``m x m`` (``m = rank P``) and ``C`` is
+``(n-m) x m``.  One eigendecomposition of that ``A`` gives its smallest
+eigenvalue, its kernel and ``A^+``; the least completion is assembled in
+the same basis and rotated back.  A partial map needs no ``n x n``
+projection for this: its basis is ``I (x) [U | U_perp]``, with ``U`` from
+the SVD of ``R``, applied one ``d_out``-block at a time.  A
+``BlockCompletionProblem`` stores its blocks in operator form (``n x n``
+matrices with ``A = P A P`` and ``C = (I-P) C P``) and is compressed by
+the eigenvectors of ``P``; ``from_blocks`` accepts the familiar compact
+``[[A, C*], [C, *]]`` corner layout.
 
 Column form.  ``PartialCpMap`` stacks its blocks once into the known Choi
-column ``[beta(E_ij)]``; each route splits it into ``(P, A, C)`` once and
-decides once, from the smallest eigenvalue of ``A`` and the leak
-``||C|_{ker A}||`` -- the two numbers a ``NotCompletable`` carries.
+column ``[beta(E_ij)]``; each route splits it once and decides once, from
+the smallest eigenvalue of ``A`` and the leak ``||C|_{ker A}||`` -- the
+two numbers a ``NotCompletable`` carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,7 +64,7 @@ from .errors import (
     SeedNotACompletion,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .stinespring import map_from_dilation, minimal_stinespring, reducing_projection
+from .stinespring import _minimal_triple, map_from_dilation, reducing_projection
 
 __all__ = [
     "BlockCompletionProblem",
@@ -136,20 +143,78 @@ class BlockCompletionProblem:
         return cls(p=p, a=a_op, c=c_op)
 
 
-def _decide(p: np.ndarray, a: np.ndarray, c: np.ndarray, tol: Tolerance):
-    """``(completable, min eigenvalue of A, ||C|_{ker A}||)`` for Hermitian data.
+@dataclass(frozen=True, eq=False)
+class _Split:
+    """Known blocks in an orthonormal basis ``ran P (+) ran P^perp``.
+
+    ``a`` (``m x m``, Hermitian) and ``c`` (``(n-m) x m``) are ``A`` and
+    ``C`` in that basis; ``lift`` carries an ``n x n`` matrix written in it
+    back to the original coordinates.
+    """
+
+    a: np.ndarray
+    c: np.ndarray
+    lift: Callable[[np.ndarray], np.ndarray]
+
+
+def _compress(problem: BlockCompletionProblem) -> _Split:
+    """The operator-form blocks in the eigenbasis of the splitting ``P``."""
+    w, q = np.linalg.eigh(problem.p)
+    inside = w > 0.5
+    basis = np.hstack([q[:, inside], q[:, ~inside]])
+    m = int(np.count_nonzero(inside))
+    q_in, q_out = basis[:, :m], basis[:, m:]
+    a = q_in.conj().T @ problem.a @ q_in
+    return _Split(a=(a + a.conj().T) / 2.0,
+                  c=q_out.conj().T @ problem.c @ q_in,
+                  lift=lambda full: basis @ full @ basis.conj().T)
+
+
+def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance):
+    """``(completable, min eigenvalue of A, ||C|_{ker A}||, eigh(A))``.
 
     ``A >= 0`` and ``ker A <= ker C`` read as: the eigenvalue is at least
     ``-eps_psd`` and the leak at most ``eps_rank`` times the size of ``C``.
+    The kernel is the eigenspace of ``|lambda| <= eps_rank * top``; the
+    eigendecomposition is returned for ``A^+``.
     """
-    eigs = np.linalg.eigvalsh(a)
-    min_eig = float(eigs[0]) if eigs.size else 0.0
-    # kernel of A inside ran P = kernel of (A + (1 - P)), which is PSD when A is
-    null = linalg.kernel_basis(a + (np.eye(p.shape[0], dtype=complex) - p), tol)
-    leak = float(np.linalg.norm(c @ null, ord=2)) if null.size else 0.0
+    w, v = np.linalg.eigh(a)
+    min_eig = float(w[0]) if w.size else 0.0
+    top = float(np.abs(w).max()) if w.size else 0.0
+    if c.shape[0]:
+        # P != I: as an n x n operator A also has the eigenvalue 0 on
+        # ran(P)^perp, and its kernel in ran P is the kernel of A + (1 - P),
+        # whose largest singular value is at least 1
+        min_eig = min(min_eig, 0.0)
+        top = max(1.0, top)
+    null = v[:, np.abs(w) <= tol.eps_rank * top]
+    leak = (float(np.linalg.norm(c @ null, ord=2)) if null.size and c.size
+            else 0.0)
     completable = (min_eig >= -tol.eps_psd
                    and leak <= tol.eps_rank * max(1.0, linalg.max_abs(c)))
-    return completable, min_eig, leak
+    return completable, min_eig, leak, (w, v)
+
+
+def _least_completion(split: _Split, tol: Tolerance) -> np.ndarray:
+    """``A + C + C* + C A^+ C*`` in the original coordinates.
+
+    Raises NotCompletable, with the two deciding numbers, when no
+    completion exists.
+    """
+    completable, min_eig, leak, (w, v) = _decide(split.a, split.c, tol)
+    if not completable:
+        raise NotCompletable(min_eig, leak)
+    # A^+ with the cutoff of linalg.pseudo_inverse
+    keep = np.abs(w) > tol.eps_rank * (float(np.abs(w).max()) if w.size else 0.0)
+    cv = split.c @ v[:, keep]
+    m = split.a.shape[0]
+    full = np.empty((m + split.c.shape[0],) * 2, dtype=complex)
+    full[:m, :m] = split.a
+    full[m:, :m] = split.c
+    full[:m, m:] = split.c.conj().T
+    full[m:, m:] = (cv / w[keep]) @ cv.conj().T
+    full = split.lift(full)
+    return (full + full.conj().T) / 2.0
 
 
 def block_completable(problem: BlockCompletionProblem,
@@ -160,7 +225,8 @@ def block_completable(problem: BlockCompletionProblem,
     inside ``ran P``); see the module docstring for why this matches the
     quadratic criterion ``C* C <= q A``.
     """
-    return _decide(problem.p, problem.a, problem.c, tol)[0]
+    split = _compress(problem)
+    return _decide(split.a, split.c, tol)[0]
 
 
 def minimal_block_completion(problem: BlockCompletionProblem,
@@ -171,13 +237,7 @@ def minimal_block_completion(problem: BlockCompletionProblem,
     a larger-or-equal PSD corner; NotCompletable is raised when no
     completion exists at all, carrying the two numbers that decided it.
     """
-    completable, min_eig, leak = _decide(problem.p, problem.a, problem.c, tol)
-    if not completable:
-        raise NotCompletable(min_eig, leak)
-    a_pinv = linalg.pseudo_inverse(problem.a, tol)
-    corner = problem.c @ a_pinv @ problem.c.conj().T
-    m = problem.a + problem.c + problem.c.conj().T + corner
-    return (m + m.conj().T) / 2.0
+    return _least_completion(_compress(problem), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -247,40 +307,50 @@ class PartialCpMap:
 
 
 def _times_blocks(column: np.ndarray, m: np.ndarray, d_in: int) -> np.ndarray:
-    """``column (I_{d_in} (x) m)``: every block of ``column`` times ``m``."""
-    n = column.shape[0]
-    return (column.reshape(n, d_in, m.shape[0]) @ m).reshape(n, n)
+    """``column (I_{d_in} (x) m)``: every block column of ``column`` times ``m``."""
+    rows = column.shape[0]
+    return (column.reshape(rows, d_in, m.shape[0]) @ m).reshape(rows, -1)
 
 
-def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> BlockCompletionProblem:
-    """The block problem induced by a partial CP map.
+def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> _Split:
+    """The block problem induced by a partial CP map, in the basis of ``R``.
 
     Knowing ``phi(X) R`` is the same as knowing ``phi(X) P_R`` (multiply by
     the pseudo-inverse of ``R`` or by ``R`` itself), so the known Choi
     column is ``N = [beta(E_ij) R^+]`` and the splitting is
-    ``P = I (x) P_R``.  The known compression must be Hermitian
-    (equivalently ``beta(E_ij)* ~ beta(E_ji)`` against ``R``); when it is
-    not, NotCompletable is raised with the numbers of its Hermitian part.
+    ``P = I (x) P_R``.  With ``R = U S V*`` (``U = [U_r | U_perp]``) the
+    known columns are ``N (I (x) U_r) = [beta(E_ij) V_r S_r^{-1}]``, and
+    ``N (I (x) U_perp) = 0`` exactly since ``R^+ U_perp = 0``.  Rotating
+    their rows by ``I (x) U*`` gives ``A`` and ``C``.  The known
+    compression must be Hermitian (equivalently
+    ``beta(E_ij)* ~ beta(E_ji)`` against ``R``); when it is not,
+    NotCompletable is raised with the numbers of its Hermitian part.
     """
-    n = beta.d_in * beta.d_out
-    r_pinv = np.linalg.pinv(beta.r, rcond=tol.eps_rank)
-    p_split = np.kron(np.eye(beta.d_in, dtype=complex),
-                      beta.range_projection(tol))
-    column = _times_blocks(beta._column, r_pinv, beta.d_in)
-    a = p_split @ column
-    c = (np.eye(n, dtype=complex) - p_split) @ column
+    d1, d2 = beta.d_in, beta.d_out
+    n = d1 * d2
+    u, s, vh, r = linalg.ranked_svd(beta.r, tol)
+    known = _times_blocks(beta._column, vh[:r].conj().T / s[:r], d1)
+    rotated = u.conj().T @ known.reshape(d1, d2, d1 * r)
+    a = rotated[:, :r].reshape(d1 * r, d1 * r)
+    c = rotated[:, r:].reshape(n - d1 * r, d1 * r)
+    order = np.arange(n).reshape(d1, d2)
+    # positions of the ran P and ran P^perp coordinates among I (x) U's
+    perm = np.concatenate([order[:, :r].ravel(), order[:, r:].ravel()])
+
+    def lift(full: np.ndarray) -> np.ndarray:
+        blocked = np.empty_like(full)
+        blocked[np.ix_(perm, perm)] = full
+        blocked = (u @ blocked.reshape(d1, d2, n)).reshape(n, n)
+        return _times_blocks(blocked, u.conj().T, d1)
+
     hermitian = (linalg.max_abs(a - a.conj().T)
                  <= 1e-9 * max(1.0, linalg.max_abs(a)))
     a = (a + a.conj().T) / 2.0
-    if hermitian:
-        try:
-            return BlockCompletionProblem(p=p_split, a=a, c=c)
-        except DimensionMismatch:
-            pass
-    _, min_eig, leak = _decide(p_split, a, c, tol)
-    raise NotCompletable(min_eig, leak,
-                         "the known compression is not Hermitian or not "
-                         "supported on ran P")
+    if not hermitian:
+        _, min_eig, leak, _ = _decide(a, c, tol)
+        raise NotCompletable(min_eig, leak,
+                             "the known compression is not Hermitian")
+    return _Split(a=a, c=c, lift=lift)
 
 
 def cp_completable(beta: PartialCpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -291,10 +361,10 @@ def cp_completable(beta: PartialCpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     Hermitian (equivalently ``beta(E_ij)* ~ beta(E_ji)`` against ``R``).
     """
     try:
-        problem = _split_blocks(beta, tol)
+        split = _split_blocks(beta, tol)
     except NotCompletable:
         return False
-    return block_completable(problem, tol)
+    return _decide(split.a, split.c, tol)[0]
 
 
 def minimal_cp_completion_choi(beta: PartialCpMap,
@@ -305,7 +375,7 @@ def minimal_cp_completion_choi(beta: PartialCpMap,
     completions share everything but the free corner, so the least block
     completion is the Choi matrix of the least CP completion.
     """
-    choi = minimal_block_completion(_split_blocks(beta, tol), tol)
+    choi = _least_completion(_split_blocks(beta, tol), tol)
     return CpMap.from_choi(choi, beta.d_in, beta.d_out)
 
 
@@ -335,7 +405,8 @@ def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,
         )
     if seed.is_zero(tol):
         return CpMap.zero(beta.d_in, beta.d_out)
-    triple = minimal_stinespring(seed, tol)
+    # _seed_completes has checked that the seed is CP
+    triple = _minimal_triple(seed, tol)
     p_r = beta.range_projection(tol)
     q = reducing_projection(triple, p_r, tol)
     w = q @ triple.v

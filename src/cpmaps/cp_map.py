@@ -87,6 +87,8 @@ class CpMap:
     d_out: int
     choi: Optional[np.ndarray] = None
     kraus: Optional[tuple] = field(default=None)
+    # True when the Choi matrix was assembled here from the stored factors
+    _choi_from_kraus: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -110,6 +112,7 @@ class CpMap:
             raise DimensionMismatch(
                 "stored Kraus factors and Choi matrix disagree"
             )
+        object.__setattr__(self, "_choi_from_kraus", self.choi is None)
         object.__setattr__(self, "choi", choi)
 
     # -- constructors ------------------------------------------------------
@@ -176,11 +179,10 @@ class CpMap:
 
     def __mul__(self, scalar: float) -> "CpMap":
         s = float(scalar)
-        ks = None
         if self.kraus is not None and s >= 0.0:
-            ks = tuple(np.sqrt(s) * k for k in self.kraus)
-        return CpMap(d_in=self.d_in, d_out=self.d_out, choi=s * self.choi,
-                     kraus=ks)
+            return CpMap.from_kraus([np.sqrt(s) * k for k in self.kraus],
+                                    self.d_in, self.d_out)
+        return CpMap(d_in=self.d_in, d_out=self.d_out, choi=s * self.choi)
 
     __rmul__ = __mul__
 
@@ -276,19 +278,38 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
     If the map already stores a linearly independent Kraus family it is
     returned unchanged -- any independent family is a legitimate minimal
     choice, and preserving the caller's basis keeps derived objects (e.g.
-    commutant factors) expressed in their coordinates.  Otherwise factors
-    are extracted from the Choi matrix.
+    commutant factors) expressed in their coordinates.  A dependent stored
+    family is reduced by the SVD of the stacked factors: the Choi matrix is
+    ``W W*`` for the matrix ``W`` of their Choi vectors, so its eigenpairs
+    are the squared singular values and the left singular vectors of ``W``,
+    kept under the cutoff of :func:`choi_to_kraus` without ever forming a
+    Choi eigenvalue below zero.  Without stored factors they are extracted
+    from the Choi matrix.
     """
-    if phi.kraus is not None and len(phi.kraus) > 0:
-        stack = np.stack([k.reshape(-1) for k in phi.kraus])
-        if linalg.numerical_rank(stack, tol) == len(phi.kraus):
+    if phi.kraus:
+        stack = np.stack([k.reshape(-1) for k in phi.kraus])  # rows: conj(v_j)
+        _, s, vh = np.linalg.svd(stack, full_matrices=False)
+        top = s[0]
+        rank = np.count_nonzero(s > tol.eps_rank * top) if top > 0.0 else 0
+        if rank == len(phi.kraus):
             return list(phi.kraus)
+        keep = np.nonzero(s ** 2 > tol.eps_rank * top ** 2)[0]
+        # Choi eigenvector conj(vh[i]) scaled by s[i], reshaped by _vector_kraus
+        return [_canonical_phase(s[i] * vh[i].reshape(phi.d_in, phi.d_out))
+                for i in keep]
     return choi_to_kraus(phi.choi, phi.d_in, phi.d_out, tol)
 
 
 def is_cp(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the Choi matrix of ``phi`` is PSD within ``eps_psd``."""
-    return linalg.psd_check(phi.choi, tol)
+    """True iff the Choi matrix of ``phi`` is PSD within ``eps_psd``.
+
+    A Choi matrix the map assembled from its own Kraus factors is
+    ``sum_j v_j v_j*``, PSD by construction, so it is accepted without an
+    eigensolve -- at every scale, where rounding could push a computed
+    eigenvalue below ``-eps_psd``.  A Choi matrix given as such, or one
+    given alongside factors, is tested on its smallest eigenvalue.
+    """
+    return phi._choi_from_kraus or linalg.psd_check(phi.choi, tol)
 
 
 def choi_rank(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> int:

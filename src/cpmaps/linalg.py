@@ -32,6 +32,7 @@ __all__ = [
     "numerical_rank",
     "pseudo_inverse",
     "psd_sqrt",
+    "ranked_svd",
     "range_projection",
     "kernel_basis",
     "close",
@@ -166,17 +167,27 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (u * np.sqrt(w)) @ u.conj().T
 
 
+def ranked_svd(m, tol: Tolerance = DEFAULT_TOL):
+    """``(u, s, vh, rank)``: the thin SVD of ``m`` and its numerical rank.
+
+    ``u[:, :rank]`` is an orthonormal basis of the column space of ``m``;
+    for a square ``m`` the remaining columns of ``u`` span its orthogonal
+    complement.
+    """
+    m = as_matrix(m)
+    if m.size == 0:
+        rows, cols = m.shape
+        return (np.eye(rows, 0, dtype=complex), np.zeros(0),
+                np.eye(0, cols, dtype=complex), 0)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    top = s[0] if s.size else 0.0
+    r = int(np.count_nonzero(s > tol.eps_rank * top)) if top > 0.0 else 0
+    return u, s, vh, r
+
+
 def range_projection(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projection onto the column space of ``m``."""
-    m = as_matrix(m)
-    rows = m.shape[0]
-    if m.size == 0:
-        return np.zeros((rows, rows), dtype=complex)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    top = s[0] if s.size else 0.0
-    if top <= 0.0:
-        return np.zeros((rows, rows), dtype=complex)
-    r = int(np.count_nonzero(s > tol.eps_rank * top))
+    u, _, _, r = ranked_svd(m, tol)
     ur = u[:, :r]
     return ur @ ur.conj().T
 

@@ -83,6 +83,11 @@ def minimal_stinespring(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> Stinespring
     """
     if not is_cp(phi, tol):
         raise NotCP("minimal_stinespring requires a completely positive map")
+    return _minimal_triple(phi, tol)
+
+
+def _minimal_triple(phi: CpMap, tol: Tolerance) -> StinespringTriple:
+    """:func:`minimal_stinespring` of a map already known to be CP."""
     if phi.is_zero(tol):
         raise ZeroMap("the zero map has no minimal dilation")
     factors = minimal_kraus(phi, tol)

@@ -30,7 +30,7 @@ from cpmaps.gallery import (
     trace_state_map,
 )
 
-from conftest import random_projection, random_psd
+from conftest import haar_unitary, random_projection, random_psd
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -368,3 +368,183 @@ def test_report_requires_projection():
     beta = PartialCpMap.from_map(flip_twirl_map(), np.diag([2.0, 0.0]))
     with pytest.raises(RNotProjection):
         necessary_conditions_report(beta)
+
+
+# ---------------------------------------------------------------------------
+# the compressed decision against the dense operator-form formulas
+
+# fixed before comparing: numbers agree to this fraction of the data's size
+REFERENCE_RTOL = 1e-8
+
+
+def _reference_decide(p, a, c, tol):
+    """``_decide`` as written on ``n x n`` operator-form blocks."""
+    n = p.shape[0]
+    min_eig = float(np.linalg.eigvalsh(a)[0])
+    null = linalg.kernel_basis(a + (np.eye(n) - p), tol)
+    leak = float(np.linalg.norm(c @ null, ord=2)) if null.size else 0.0
+    completable = (min_eig >= -tol.eps_psd
+                   and leak <= tol.eps_rank * max(1.0, linalg.max_abs(c)))
+    return completable, min_eig, leak
+
+
+def _reference_split(beta, tol):
+    """``(P, A, C, hermitian)`` from ``[beta(E_ij) R^+]`` and ``I (x) P_R``."""
+    n = beta.d_in * beta.d_out
+    r_pinv = np.linalg.pinv(beta.r, rcond=tol.eps_rank)
+    p = np.kron(np.eye(beta.d_in), linalg.range_projection(beta.r, tol))
+    column = np.block([[b @ r_pinv for b in row] for row in beta.blocks])
+    a = p @ column
+    c = (np.eye(n) - p) @ column
+    hermitian = (linalg.max_abs(a - a.conj().T)
+                 <= 1e-9 * max(1.0, linalg.max_abs(a)))
+    return p, (a + a.conj().T) / 2.0, c, hermitian
+
+
+def _reference_completion(a, c, tol):
+    m = a + c + c.conj().T + c @ linalg.pseudo_inverse(a, tol) @ c.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _compare_with_reference(p, a, c, hermitian, decide, complete, tol):
+    """Run the library on one problem and check it against the reference."""
+    ref_ok, ref_min, ref_leak = _reference_decide(p, a, c, tol)
+    ref_ok = ref_ok and hermitian
+    scale = max(1.0, linalg.max_abs(a), linalg.max_abs(c))
+    assert decide() == ref_ok
+    if ref_ok:
+        want = _reference_completion(a, c, tol)
+        got = complete()
+        assert np.abs(got - want).max() <= REFERENCE_RTOL * max(
+            1.0, np.abs(want).max())
+        return True
+    with pytest.raises(NotCompletable) as caught:
+        complete()
+    assert caught.value.compression_min_eigenvalue == pytest.approx(
+        ref_min, abs=REFERENCE_RTOL * scale)
+    assert caught.value.kernel_leak == pytest.approx(
+        ref_leak, abs=REFERENCE_RTOL * scale)
+    return False
+
+
+def _comparison_operators(rng, d):
+    """R invertible, of rank 1, zero, and PSD but not a projection."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    psd = random_psd(rng, d, rank=max(1, d - 1))
+    return [g, random_projection(rng, d, 1), np.zeros((d, d)), psd]
+
+
+def _infeasible_choi(rng, choi, r, d1, d2, kind):
+    """A Hermitian matrix whose data ``X -> M(X) R`` has no CP completion."""
+    n = d1 * d2
+    p = np.kron(np.eye(d1), linalg.range_projection(r))
+    u = p @ (rng.normal(size=n) + 1j * rng.normal(size=n))
+    u = u / np.linalg.norm(u)
+    if kind == "negative":
+        return choi - 2.0 * np.abs(choi).max() * n * np.outer(u, u.conj())
+    # kill u in the known compression and let C carry it elsewhere
+    x = (np.eye(n) - p) @ (rng.normal(size=n) + 1j * rng.normal(size=n))
+    q = np.eye(n) - np.outer(u, u.conj())
+    return q @ choi @ q + np.outer(u, x.conj()) + np.outer(x, u.conj())
+
+
+def test_partial_map_decisions_match_the_dense_reference():
+    rng = np.random.default_rng(71)
+    tol = linalg.DEFAULT_TOL
+    seen = {True: 0, False: 0}
+    for trial in range(12):
+        d1, d2 = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        phi = random_cp_map(d1, d2, int(rng.integers(1, 4)), rng=rng)
+        for r in _comparison_operators(rng, d2):
+            rank = linalg.numerical_rank(r)
+            kinds = ["feasible"] + ["negative", "skew"] * (rank > 0)
+            if 0 < rank < d2:
+                kinds.append("leak")
+            for kind in kinds:
+                choi = phi.choi
+                if kind in ("negative", "leak"):
+                    choi = _infeasible_choi(rng, choi, r, d1, d2, kind)
+                column = choi @ np.kron(np.eye(d1), r)
+                if kind == "skew":
+                    # an anti-Hermitian addition: the compression's Hermitian
+                    # part stays PSD, the data still admits no completion
+                    h = random_psd(rng, d1 * d2) - random_psd(rng, d1 * d2)
+                    column = column + 1j * h @ np.kron(np.eye(d1), r)
+                blocks = column.reshape(d1, d2, d1, d2).swapaxes(1, 2)
+                beta = PartialCpMap(d_in=d1, d_out=d2, r=r, blocks=blocks)
+                p, a, c, hermitian = _reference_split(beta, tol)
+                seen[_compare_with_reference(
+                    p, a, c, hermitian,
+                    lambda: cp_completable(beta, tol),
+                    lambda: minimal_cp_completion_choi(beta, tol).choi,
+                    tol)] += 1
+    assert seen[True] >= 40 and seen[False] >= 40
+
+
+def test_block_decisions_match_the_dense_reference_in_a_rotated_basis():
+    rng = np.random.default_rng(72)
+    tol = linalg.DEFAULT_TOL
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        r = int(rng.integers(1, 4))
+        s = int(rng.integers(0, 3))
+        a = random_psd(rng, r, rank=int(rng.integers(1, r + 1)))
+        c = rng.normal(size=(s, r)) + 1j * rng.normal(size=(s, r))
+        if rng.uniform() < 0.5:
+            c = c @ linalg.range_projection(a)
+        if rng.uniform() < 0.25:
+            a = a - 2.0 * np.abs(a).max() * np.eye(r) * rng.uniform()
+        corner = BlockCompletionProblem.from_blocks(a, c)
+        u = haar_unitary(rng, r + s)
+        problem = BlockCompletionProblem(
+            p=u @ corner.p @ u.conj().T, a=u @ corner.a @ u.conj().T,
+            c=u @ corner.c @ u.conj().T)
+        seen[_compare_with_reference(
+            problem.p, problem.a, problem.c, True,
+            lambda: block_completable(problem, tol),
+            lambda: minimal_block_completion(problem, tol),
+            tol)] += 1
+    assert seen[True] >= 5 and seen[False] >= 5
+
+
+def _counting(monkeypatch, names):
+    """Record the input shape of every call to the named numpy.linalg routines."""
+    calls = []
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(m)))
+            return _original(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_choi_route_makes_one_compressed_eigensolve(monkeypatch):
+    rng = np.random.default_rng(73)
+    phi = random_cp_map(8, 12, 6, rng=rng)
+    r = random_psd(rng, 12, rank=6)
+    beta = PartialCpMap.from_map(phi, r)
+    calls = _counting(monkeypatch, ["eigh", "eigvalsh", "svd"])
+    minimal_cp_completion_choi(beta)
+    assert [call for call in calls if call[0] != "svd"] == [("eigh", (48, 48))]
+    assert all(shape[0] < 96 for _, shape in calls)
+
+
+def test_stinespring_route_checks_a_choi_seed_once(monkeypatch):
+    rng = np.random.default_rng(74)
+    phi = random_cp_map(3, 4, 3, rng=rng)
+    r = random_projection(rng, 4, 2)
+    beta = PartialCpMap.from_map(phi, r)
+    seed = minimal_cp_completion_choi(beta)  # given by its Choi matrix
+    calls = _counting(monkeypatch, ["eigvalsh"])
+    alpha = minimal_cp_completion_stinespring(beta, seed)
+    assert calls == [("eigvalsh", (12, 12))]
+    assert maps_close(alpha, seed)
+    # a seed that matches the data but is not CP is still refused: w lies
+    # in ran(I (x) (1 - P_R)), which the data never sees
+    w = np.kron(np.eye(3), np.eye(4) - beta.range_projection()) @ (
+        rng.normal(size=12) + 1j * rng.normal(size=12))
+    bad = CpMap.from_choi(seed.choi - np.outer(w, w.conj()), 3, 4)
+    with pytest.raises(SeedNotACompletion):
+        minimal_cp_completion_stinespring(beta, bad)

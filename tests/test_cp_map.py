@@ -13,6 +13,7 @@ from cpmaps import (
     choi_to_kraus,
     classify,
     is_cp,
+    is_quasipure,
     kraus_to_choi,
     maps_close,
     minimal_kraus,
@@ -22,6 +23,7 @@ from cpmaps.gallery import (
     conjugation_map,
     flip_twirl_map,
     identity_map,
+    random_cp_map,
     trace_state_map,
     transpose_map,
 )
@@ -147,6 +149,42 @@ def test_minimal_kraus_reduces_dependent_family():
     mk = minimal_kraus(phi)
     assert len(mk) == 1
     assert np.allclose(mk[0], np.sqrt(2.0) * np.eye(2))
+
+
+def test_minimal_kraus_reduces_dependent_family_at_any_scale():
+    # a dependent stored family is reduced from its factors: at x1e6 its
+    # Choi matrix has an eigenvalue below -eps_psd by rounding alone
+    k1, k2 = random_cp_map(5, 3, 2).kraus
+    family = [k1, k2, k1 + 0.5j * k2]
+    status = {}
+    for c in (1.0, 1e6):
+        phi = CpMap.from_kraus([np.sqrt(c) * k for k in family])
+        assert is_cp(phi)
+        factors = minimal_kraus(phi)
+        assert len(factors) == 2
+        back = kraus_to_choi(factors, 5, 3)
+        assert np.abs(back - phi.choi).max() < 1e-12 * np.abs(phi.choi).max()
+        status[c] = is_quasipure(phi).status
+    assert status[1e6] == status[1.0]
+
+
+def test_cp_verdicts_are_scale_invariant():
+    # c phi for c in [1e-8, 1e8], phi given by Kraus factors: is_cp needs
+    # no eigensolve, and quasi-purity reads the factors, not the scale
+    phi = random_cp_map(5, 3, 2)
+    psi = random_cp_map(5, 3, 2, seed=1)
+    base = is_quasipure(phi).status
+    for c in (1e-8, 1.0, 1e6, 1e8):
+        scaled = CpMap.from_kraus([np.sqrt(c) * k for k in phi.kraus])
+        assert is_cp(scaled)
+        assert is_quasipure(scaled).status == base
+        # maps given by a Choi matrix keep the eigenvalue test
+        other = CpMap.from_kraus([np.sqrt(c) * k for k in psi.kraus])
+        assert not is_cp(scaled - other)
+        negative = CpMap.from_choi(-c * np.eye(15), 5, 3)
+        assert not is_cp(negative)
+        with pytest.raises(NotCP):
+            classify(negative)
 
 
 def test_minimal_kraus_of_zero_map_is_empty():
