@@ -75,7 +75,7 @@ target = diagonal_pair_map()          # k = 2, not quasi-pure
 witness = is_quasipure(target).witness
 print("\ndiagonal pair witness:", np.round(witness, 4))
 
-out = counterexample_construct(target, witness, seed=0)
+out = counterexample_construct(target, witness)
 psi2, r3 = out
 print("constructed psi and rank-1 R with:")
 print("  same unit values:",
@@ -90,7 +90,7 @@ print("  genuinely different:",
 # ---------------------------------------------------------------------------
 e1 = np.array([1.0, 0.0])
 print("\nflip twirl at e1: construction returns",
-      counterexample_construct(flip_twirl_map(), e1, seed=0))
+      counterexample_construct(flip_twirl_map(), e1))
 print("minimal completion of phi(.) R is phi itself (forced equality):",
       forced_equality_scan(flip_twirl_map(), np.diag([1.0, 0.0])))
 

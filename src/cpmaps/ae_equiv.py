@@ -17,9 +17,11 @@ The central structural facts made executable here:
   R-equivalent, and ``phi(.) R`` is not identically zero, then
   ``phi = psi`` (:func:`rigidity_check`);
 * without quasi-purity, equality can genuinely fail:
-  :func:`counterexample_construct` searches for a distinct ``psi`` that is
-  CP, unit-matched and R-equivalent to ``phi``, built by twisting the
-  dominated part of ``phi`` that vanishes on a quasi-purity witness.
+  :func:`counterexample_construct` builds a distinct ``psi`` that is
+  CP, unit-matched and R-equivalent to ``phi`` by twisting the dominated
+  part of ``phi`` that vanishes on a quasi-purity witness, with one
+  unitary read off the commutant of that part; None means no twist
+  moves the map at that witness.
 """
 
 from __future__ import annotations
@@ -283,32 +285,10 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap,
 # counterexamples without quasi-purity
 
 
-def _unitary_candidates(dim: int, budget: int, rng):
-    """Structured unitaries first (permutations, phase twists, Fourier),
-    then Haar-random draws."""
-    if dim >= 2:
-        perm = np.eye(dim, dtype=complex)[:, list(range(1, dim)) + [0]]
-        yield perm
-        swap = np.eye(dim, dtype=complex)
-        swap[[0, 1]] = swap[[1, 0]]
-        yield swap
-        yield np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-        idx = np.arange(dim)
-        yield np.exp(2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
-    count = 0
-    while count < budget:
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, rr = np.linalg.qr(g)
-        q = q * (np.diag(rr) / np.abs(np.diag(rr)))
-        yield q
-        count += 1
-
-
 def counterexample_construct(phi: CpMap, witness,
-                             tol: Tolerance = DEFAULT_TOL, *,
-                             budget: int = 200, seed: int = 0
+                             tol: Tolerance = DEFAULT_TOL
                              ) -> Optional[Tuple[CpMap, np.ndarray]]:
-    """Try to build ``psi != phi`` that matches ``phi`` through the witness.
+    """Build ``psi != phi`` that matches ``phi`` through the witness.
 
     Given a quasi-purity witness ``h0``, the compression of ``phi`` to the
     complement of the witness's cyclic subspace is a nonzero CP map
@@ -321,16 +301,25 @@ def counterexample_construct(phi: CpMap, witness,
     ``R = |h0><h0|``; it differs from ``phi`` iff the twist moves some
     ``alpha(X)``.  Writing ``S = alpha(I)``, every admissible twist acts
     as ``Z = S^{+1/2} U S^{1/2}`` for a unitary ``U`` of ``ran S`` (plus
-    irrelevant pieces into ``ker S``), so the search runs over structured
-    and random unitaries of ``ran S`` within the budget.
+    irrelevant pieces into ``ker S``).  With
+    ``B_ij = S^{+1/2} alpha(E_ij) S^{+1/2}`` on ``ran S`` we have
+    ``alpha(E_ij) = S^{1/2} B_ij S^{1/2}`` and
+    ``Z* alpha(E_ij) Z = S^{1/2} U* B_ij U S^{1/2}``, so a twist moves
+    ``alpha`` exactly when ``U`` fails to commute with some ``B_ij``, and
+    some twist does exactly when some ``B_ij`` is not a scalar.  The one
+    candidate takes the Hermitian or anti-Hermitian part of the ``B_ij``
+    farthest (in Frobenius norm) from a scalar and swaps its eigenvectors
+    for the smallest and the largest eigenvalue: that moves the part by
+    the whole spread of its spectrum.
 
-    Returns ``(psi, R)`` on success and None when no admissible twist
-    exists or moves the map -- which does happen for genuinely rigid
-    inputs: a cyclic ``h0`` (full-rank ``[K_j h0]``) leaves nothing to
-    twist, so every candidate collapses back to ``phi``.  Raises
-    WitnessInvalid when ``phi(I) h0 = 0``, when the compression fails to
-    annihilate the witness numerically, or when the map is provably
-    quasi-pure (no witness exists at all).
+    Returns ``(psi, R)`` on success, and None when no admissible twist
+    moves the map at this witness: every ``B_ij`` is a scalar (always so
+    when ``rank S = 1``, and when a cyclic ``h0`` leaves nothing to
+    twist), or the candidate moves ``alpha`` by no more than ``1e-5`` of
+    its size, or fails a postcondition.  Raises WitnessInvalid when
+    ``phi(I) h0 = 0``, when the compression fails to annihilate the
+    witness numerically, or when the map is provably quasi-pure (no
+    witness exists at all).
     """
     if not is_cp(phi, tol):
         raise NotCP("counterexamples start from a completely positive map")
@@ -376,6 +365,9 @@ def counterexample_construct(phi: CpMap, witness,
     rank_s = int(np.count_nonzero(pos))
     if rank_s == 0:
         raise WitnessInvalid("the compression has zero unit value")
+    if rank_s == 1:
+        # every B_ij is 1 x 1, a scalar: no twist moves alpha
+        return None
     basis = u[:, pos]  # orthonormal basis of ran S
     sqrt_w = np.sqrt(w[pos])
     s_half = basis * sqrt_w          # S^{1/2} restricted: C^{rank} <- ...
@@ -386,33 +378,39 @@ def counterexample_construct(phi: CpMap, witness,
         phi.d_in, phi.d_out, phi.d_in, phi.d_out).swapaxes(1, 2)
     scale = max(1.0, linalg.max_abs(alpha_units))
 
-    rng = np.random.default_rng(seed)
-    for u_small in _unitary_candidates(rank_s, budget, rng):
-        z = s_inv_half @ u_small @ s_half.conj().T
-        # admissibility (these hold by construction, up to rounding)
-        if np.linalg.norm(z @ h0) > 1e-9:
-            continue
-        if linalg.max_abs(z.conj().T @ s @ z - s) > 1e-8 * max(1.0, linalg.max_abs(s)):
-            continue
-        moved = linalg.max_abs(z.conj().T @ alpha_units @ z - alpha_units)
-        if moved <= 1e-5 * scale:
-            continue
-        twisted = CpMap.from_kraus(
-            [k @ z for k in alpha.kraus], phi.d_in, phi.d_out
-        )
-        psi = twisted + complement
-        r = np.outer(h0, h0.conj())
-        # final validation of the promised postconditions
-        if not is_cp(psi, tol):
-            continue
-        if linalg.max_abs(psi.unit() - phi.unit()) > 1e-8 * scale:
-            continue
-        if not r_equivalent(phi, psi, EquivalenceContext.from_operator(r), tol):
-            continue
-        if linalg.max_abs(phi.choi - psi.choi) <= 1e-6:
-            continue
-        return psi, r
-    return None
+    # every B_ij on ran S, and its squared Frobenius distance to the
+    # scalars, ||B||^2 - |tr B|^2 / r
+    b = (s_inv_half.conj().T @ alpha_units @ s_inv_half).reshape(
+        -1, rank_s, rank_s)
+    distance = (np.einsum("kpq,kpq->k", b, b.conj()).real
+                - np.abs(np.trace(b, axis1=1, axis2=2)) ** 2 / rank_s)
+    far = b[np.argmax(distance)]
+    parts = [(far + far.conj().T) / 2.0, (far - far.conj().T) / 2.0j]
+    offsets = [np.linalg.norm(p - np.trace(p).real / rank_s * np.eye(rank_s))
+               for p in parts]
+    _, vecs = np.linalg.eigh(parts[int(offsets[1] > offsets[0])])
+    # the reflection I - v v*, v = x - y, exchanges the eigenvectors x and
+    # y of the smallest and the largest eigenvalue
+    v = vecs[:, 0] - vecs[:, -1]
+    swap = np.eye(rank_s) - np.outer(v, v.conj())
+    z = s_inv_half @ swap @ s_half.conj().T
+
+    moved = linalg.max_abs(z.conj().T @ alpha_units @ z - alpha_units)
+    if moved <= 1e-5 * scale:
+        return None
+    twisted = CpMap.from_kraus(
+        [k @ z for k in alpha.kraus], phi.d_in, phi.d_out
+    )
+    psi = twisted + complement
+    r = np.outer(h0, h0.conj())
+    # final validation of the promised postconditions
+    if (not is_cp(psi, tol)
+            or linalg.max_abs(psi.unit() - phi.unit()) > 1e-8 * scale
+            or not r_equivalent(phi, psi,
+                                EquivalenceContext.from_operator(r), tol)
+            or linalg.max_abs(phi.choi - psi.choi) <= 1e-6):
+        return None
+    return psi, r
 
 
 def forced_equality_scan(phi: CpMap, r, *,

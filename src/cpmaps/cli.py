@@ -1,9 +1,9 @@
 """Command-line front end: JSON documents in, JSON reports out.
 
-Reports go to stdout and are deterministic for fixed inputs and seed;
-diagnostics (including wall time) go to stderr.  Exit codes are a stable
-contract: 0 success/affirmative, 1 negative verdict, 2 invalid input,
-3 inconclusive.
+Reports go to stdout and are byte-identical for the same inputs (for
+``demo``, the same ``--seed`` of its random rows); diagnostics (including
+wall time) go to stderr.  Exit codes are a stable contract: 0
+success/affirmative, 1 negative verdict, 2 invalid input, 3 inconclusive.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .completion import (
     PartialCpMap,
     minimal_cp_completion_choi,
     minimal_cp_completion_stinespring,
-    necessary_conditions_report,
 )
 from .cp_map import CpMap, choi_rank, classify, is_cp, maps_close
 from .errors import (
@@ -106,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("r_file", help="comparison operator document")
     p.add_argument("--route", choices=("choi", "stinespring", "both"),
                    default="both")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the feasibility sampling report")
     _tolerance_args(p)
 
     p = sub.add_parser("aeq", help="R-equivalence and rigidity of two maps")
@@ -198,7 +195,6 @@ def _cmd_complete(args) -> int:
     report = {
         "command": "complete",
         "tolerances": _tolerance_fields(tol),
-        "seed": args.seed,
         "route": args.route,
     }
     completion_choi: Optional[CpMap] = None
@@ -212,20 +208,6 @@ def _cmd_complete(args) -> int:
             "kernel_leak": exc.kernel_leak,
         }
     report["completable"] = completion_choi is not None
-    try:
-        diagnostics = necessary_conditions_report(beta, trials=25,
-                                                  seed=args.seed, tol=tol)
-        report["feasibility"] = {
-            "compressed_cp": diagnostics.compressed_cp,
-            "q_bound": diagnostics.q_bound,
-            "q_witness": (None if diagnostics.q_witness is None
-                          else encode_matrix(diagnostics.q_witness)),
-            "trials": diagnostics.trials,
-        }
-    except ToolkitError:
-        # the sampled diagnostics require R to be a projection; the exact
-        # decision above does not
-        report["feasibility"] = None
     if completion_choi is None:
         report["violation"] = violation
         _emit(report)
@@ -310,7 +292,7 @@ def _demo_rows(seed: int, tol: Tolerance):
     def special_forced_equality():
         phi = flip_twirl_map()
         e1 = np.array([1.0, 0.0])
-        found = counterexample_construct(phi, e1, tol, budget=100, seed=seed)
+        found = counterexample_construct(phi, e1, tol)
         r = np.outer(e1, e1.conj())
         forced = forced_equality_scan(phi, r, tol=tol)
         ok = found is None and forced
@@ -319,13 +301,13 @@ def _demo_rows(seed: int, tol: Tolerance):
     def special_counterexample():
         phi = flip_twirl_map()
         h0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        found = counterexample_construct(phi, h0, tol, budget=100, seed=seed)
+        found = counterexample_construct(phi, h0, tol)
         return found is None, f"twist_found={found is not None}"
 
     def diagonal_counterexample():
         phi = diagonal_pair_map((1.0, 2.0, 3.0))
         h0 = np.array([1.0, 0.0, 0.0])
-        found = counterexample_construct(phi, h0, tol, budget=100, seed=seed)
+        found = counterexample_construct(phi, h0, tol)
         if found is None:
             return False, "no twist found"
         psi, r = found

@@ -50,7 +50,7 @@ two numbers a ``NotCompletable`` carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .errors import (
     DimensionMismatch,
     MalformedPartialMap,
     NotCompletable,
+    NotPSD,
     RNotProjection,
     SeedNotACompletion,
 )
@@ -69,13 +70,11 @@ from .stinespring import _minimal_triple, map_from_dilation, reducing_projection
 __all__ = [
     "BlockCompletionProblem",
     "PartialCpMap",
-    "CompletionFeasibilityReport",
     "block_completable",
     "minimal_block_completion",
     "cp_completable",
     "minimal_cp_completion_choi",
     "minimal_cp_completion_stinespring",
-    "necessary_conditions_report",
 ]
 
 
@@ -380,9 +379,16 @@ def minimal_cp_completion_choi(beta: PartialCpMap,
 
 
 def _seed_completes(beta: PartialCpMap, seed: CpMap, tol: Tolerance) -> bool:
+    """Whether ``seed`` matches the data.
+
+    Complete positivity is tested here only for a seed that stores Kraus
+    factors (free when its Choi matrix was built from them); a seed given
+    by its Choi matrix alone is tested by the one eigendecomposition that
+    extracts its factors.
+    """
     if (seed.d_in, seed.d_out) != (beta.d_in, beta.d_out):
         return False
-    if not is_cp(seed, tol):
+    if seed.kraus is not None and not is_cp(seed, tol):
         return False
     scale = max(1.0, linalg.max_abs(seed.choi), linalg.max_abs(beta.r))
     got = _times_blocks(seed.choi, beta.r, beta.d_in)
@@ -399,93 +405,16 @@ def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,
     independent of which seed was supplied.  SeedNotACompletion is raised
     when the seed does not actually complete ``beta``.
     """
+    message = "the seed map is not a CP completion of the partial data"
     if not _seed_completes(beta, seed, tol):
-        raise SeedNotACompletion(
-            "the seed map is not a CP completion of the partial data"
-        )
+        raise SeedNotACompletion(message)
     if seed.is_zero(tol):
         return CpMap.zero(beta.d_in, beta.d_out)
-    # _seed_completes has checked that the seed is CP
-    triple = _minimal_triple(seed, tol)
+    try:
+        triple = _minimal_triple(seed, tol)
+    except NotPSD:
+        raise SeedNotACompletion(message) from None
     p_r = beta.range_projection(tol)
     q = reducing_projection(triple, p_r, tol)
     w = q @ triple.v
     return map_from_dilation(w, beta.d_in, beta.d_out, triple.multiplicity)
-
-
-# ---------------------------------------------------------------------------
-# feasibility diagnostics
-
-
-@dataclass(frozen=True, eq=False)
-class CompletionFeasibilityReport:
-    """Necessary conditions for CP completability against a projection.
-
-    ``compressed_cp``: whether ``X -> R beta(X)`` has a PSD Choi column.
-    ``q_bound``: smallest sampled constant with
-    ``beta(X)* (1-R) beta(X) <= q ||X|| R beta(X)`` over the ``trials``
-    PSD samples, or ``None`` with a ``q_witness`` when some sample admits
-    no such constant.  Neither decides feasibility; :func:`cp_completable`
-    does, exactly.
-    """
-
-    compressed_cp: bool
-    q_bound: Optional[float]
-    q_witness: Optional[np.ndarray]
-    trials: int
-
-
-def necessary_conditions_report(beta: PartialCpMap, *, trials: int = 25,
-                                seed: int = 0,
-                                tol: Tolerance = DEFAULT_TOL
-                                ) -> CompletionFeasibilityReport:
-    """Diagnostic report on the classical necessary conditions.
-
-    Requires ``R`` to be an orthogonal projection (RNotProjection
-    otherwise), since the compressed-map condition reads against ``R``
-    itself rather than its range projection.
-    """
-    r = _check_projection(beta.r, "R")
-    d1, d2 = beta.d_in, beta.d_out
-    n = d1 * d2
-
-    # (I (x) R) [beta(E_ij)]: every block times R from the left
-    compressed = (r @ beta._column.reshape(d1, d2, n)).reshape(n, n)
-    gap = linalg.max_abs(compressed - compressed.conj().T)
-    compressed_cp = gap <= 1e-9 * max(1.0, linalg.max_abs(compressed))
-    if compressed_cp:
-        compressed_cp = linalg.psd_check(compressed, tol)
-
-    rng = np.random.default_rng(seed)
-    comp = np.eye(d2, dtype=complex) - r
-    q_bound = 0.0
-    q_witness = None
-    for _ in range(trials):
-        g = rng.normal(size=(d1, d1)) + 1j * rng.normal(size=(d1, d1))
-        x = g @ g.conj().T
-        bx = beta.evaluate(x)
-        s = bx.conj().T @ comp @ bx
-        t = float(np.linalg.norm(x, ord=2)) * (r @ bx)
-        t_gap = linalg.max_abs(t - t.conj().T)
-        t_scale = max(1.0, linalg.max_abs(t))
-        if t_gap > 1e-8 * t_scale or not linalg.psd_check((t + t.conj().T) / 2, tol):
-            q_bound, q_witness = None, x
-            break
-        t = (t + t.conj().T) / 2
-        p_t = linalg.range_projection(t, tol)
-        off = (np.eye(d2) - p_t) @ s @ (np.eye(d2) - p_t)
-        if linalg.max_abs(off) > 1e-8 * max(1.0, linalg.max_abs(s)):
-            q_bound, q_witness = None, x
-            break
-        t_inv_half = linalg.psd_sqrt(linalg.pseudo_inverse(t, tol), tol)
-        ratio = t_inv_half @ s @ t_inv_half
-        w = np.linalg.eigvalsh((ratio + ratio.conj().T) / 2)
-        q_x = float(w[-1]) if w.size else 0.0
-        q_bound = max(q_bound, q_x)
-
-    return CompletionFeasibilityReport(
-        compressed_cp=bool(compressed_cp),
-        q_bound=q_bound,
-        q_witness=q_witness,
-        trials=trials,
-    )

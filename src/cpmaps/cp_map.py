@@ -250,7 +250,8 @@ def choi_to_kraus(choi, d_in: int, d_out: int,
     by the square root of their eigenvalue and reshaped; the resulting
     factors are linearly independent, mutually orthogonal in the trace
     inner product, and their number equals the Choi rank.  Raises NotPSD
-    when the Choi matrix has an eigenvalue below ``-eps_psd``.
+    when the Choi matrix fails :func:`linalg.psd_check`'s rule, read from
+    the same eigendecomposition.
     """
     choi = linalg.require_hermitian(choi)
     n = d_in * d_out
@@ -259,7 +260,7 @@ def choi_to_kraus(choi, d_in: int, d_out: int,
             f"Choi matrix has shape {choi.shape}, expected {(n, n)}"
         )
     w, u = np.linalg.eigh(choi)
-    if w.size and w[0] < -tol.eps_psd:
+    if w.size and w[0] < -linalg._psd_slack(w, tol):
         raise NotPSD(f"Choi matrix has eigenvalue {w[0]:.3e}")
     top = float(np.max(w)) if w.size else 0.0
     if top <= 0.0:
@@ -301,13 +302,15 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
 
 
 def is_cp(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the Choi matrix of ``phi`` is PSD within ``eps_psd``.
+    """True iff the Choi matrix of ``phi`` is PSD within the tolerance.
 
     A Choi matrix the map assembled from its own Kraus factors is
     ``sum_j v_j v_j*``, PSD by construction, so it is accepted without an
-    eigensolve -- at every scale, where rounding could push a computed
-    eigenvalue below ``-eps_psd``.  A Choi matrix given as such, or one
-    given alongside factors, is tested on its smallest eigenvalue.
+    eigensolve.  A Choi matrix given as such, or one given alongside
+    factors, is tested on its smallest eigenvalue against
+    ``-eps_psd * max(1, max |lambda|)`` (:func:`linalg.psd_check`), the
+    rule :func:`choi_to_kraus` applies too: rounding scales with the
+    matrix, so the verdict holds at every scale.
     """
     return phi._choi_from_kraus or linalg.psd_check(phi.choi, tol)
 

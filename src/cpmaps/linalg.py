@@ -6,7 +6,9 @@ that the conventions live in exactly one place:
 
 * rank cutoffs are *relative*: a singular value (or eigenvalue magnitude)
   counts as zero when it is below ``eps_rank`` times the largest one;
-* positivity is checked against ``-eps_psd`` on the smallest eigenvalue;
+* positivity is checked on the smallest eigenvalue, against ``-eps_psd``
+  times the largest eigenvalue magnitude (or times 1, when that is
+  smaller);
 * operator equality is measured in the max-entry norm against ``eps_eq``.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex`` dtype.  The
@@ -48,7 +50,8 @@ class Tolerance:
     """Bundle of the three tolerances used throughout the package.
 
     :param eps_rank: relative singular-value cutoff for rank decisions.
-    :param eps_psd: absolute slack allowed below zero for PSD checks.
+    :param eps_psd: slack allowed below zero for PSD checks, relative to
+        ``max(1, max |lambda|)`` of the matrix tested.
     :param eps_eq: max-entry-norm threshold for operator equality.
     """
 
@@ -121,13 +124,20 @@ def eigh(m):
     return w, u
 
 
+def _psd_slack(w: np.ndarray, tol: Tolerance) -> float:
+    """How far below zero the (nonempty) eigenvalues ``w`` of a PSD matrix
+    may reach: ``eps_psd * max(1, max |w|)``."""
+    return tol.eps_psd * max(1.0, float(np.abs(w).max()))
+
+
 def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue of Hermitian ``m`` is >= -eps_psd."""
+    """True iff the smallest eigenvalue of Hermitian ``m`` is at least
+    ``-eps_psd * max(1, max |lambda|)``."""
     h = require_hermitian(m)
     if h.shape[0] == 0:
         return True
     w = np.linalg.eigvalsh(h)
-    return bool(w[0] >= -tol.eps_psd)
+    return bool(w[0] >= -_psd_slack(w, tol))
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -160,8 +170,7 @@ def pseudo_inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a PSD matrix; tiny negatives are clipped."""
     w, u = eigh(m)
-    scale = max(float(w[-1]) if w.size else 0.0, 1.0)
-    if w.size and w[0] < -tol.eps_psd * scale:
+    if w.size and w[0] < -_psd_slack(w, tol):
         raise NotPSD(f"matrix has a negative eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T

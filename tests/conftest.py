@@ -86,3 +86,28 @@ def polynomial_factors(rng, d_in, m, k):
     shifts = [np.eye(d_in, m, -l) for l in range(k)]
     return [a @ sum(c[j, l] * shifts[l] for l in range(k)) @ b
             for j in range(k)]
+
+
+def counterexample_population():
+    """(map, witness) pairs of the counterexample soundness criterion.
+
+    Four diagonal pair maps and 36 seeded planted-witness maps, each with
+    the witness ``is_quasipure`` reports, kept when it reports one.
+    """
+    from cpmaps import is_quasipure
+    from cpmaps.gallery import diagonal_pair_map, planted_witness_map
+
+    rng = np.random.default_rng(1008)
+    maps = [diagonal_pair_map(diag) for diag in (
+        (1.0, 2.0, 3.0), (1.0, 2.0, 5.0), (1.0, 3.0, 7.0), (2.0, 3.0, 4.0))]
+    while len(maps) < 40:
+        phi, _ = planted_witness_map(
+            int(rng.integers(2, 4)), int(rng.integers(2, 4)),
+            int(rng.integers(2, 4)), seed=int(rng.integers(0, 10 ** 6)))
+        maps.append(phi)
+    pairs = []
+    for phi in maps:
+        verdict = is_quasipure(phi)
+        if verdict.status == "NotQuasiPure":
+            pairs.append((phi, verdict.witness))
+    return pairs

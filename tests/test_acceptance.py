@@ -47,7 +47,14 @@ from cpmaps.gallery import (
     trace_state_map,
 )
 
-from conftest import DATA, random_projection, random_psd, random_unit, run_cli
+from conftest import (
+    DATA,
+    counterexample_population,
+    random_projection,
+    random_psd,
+    random_unit,
+    run_cli,
+)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -294,23 +301,9 @@ def test_criterion_7_rigidity():
 
 
 def test_criterion_8_counterexample_soundness():
-    rng = np.random.default_rng(1008)
     successes = 0
-    attempts = []
-    attempts.append(diagonal_pair_map())
-    attempts.append(diagonal_pair_map((1.0, 2.0, 5.0)))
-    attempts.append(diagonal_pair_map((1.0, 3.0, 7.0)))
-    attempts.append(diagonal_pair_map((2.0, 3.0, 4.0)))
-    while len(attempts) < 40:
-        phi, _ = planted_witness_map(
-            int(rng.integers(2, 4)), int(rng.integers(2, 4)),
-            int(rng.integers(2, 4)), seed=int(rng.integers(0, 10 ** 6)))
-        attempts.append(phi)
-    for phi in attempts:
-        verdict = is_quasipure(phi)
-        if verdict.status != "NotQuasiPure":
-            continue
-        out = counterexample_construct(phi, verdict.witness, seed=11)
+    for phi, witness in counterexample_population():
+        out = counterexample_construct(phi, witness)
         if out is None:
             continue
         psi, r = out
@@ -327,8 +320,7 @@ def test_criterion_8_counterexample_soundness():
 
     # the boundary case: restriction at e1 forces the whole map back
     special = flip_twirl_map()
-    assert counterexample_construct(special,
-                                    np.array([1.0, 0.0]), seed=0) is None
+    assert counterexample_construct(special, np.array([1.0, 0.0])) is None
     assert forced_equality_scan(special, E11)
     announce(8, f"{successes} counterexamples with all postconditions; "
                 "forced equality confirmed at the boundary case")

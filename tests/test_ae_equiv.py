@@ -22,6 +22,7 @@ from cpmaps import (
     is_cp,
     is_quasipure,
     maps_close,
+    minimal_kraus,
     r_equivalent,
     rigidity_check,
     support_projection,
@@ -37,7 +38,7 @@ from cpmaps.gallery import (
     transpose_map,
 )
 
-from conftest import random_projection
+from conftest import counterexample_population, random_projection
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -146,7 +147,7 @@ def test_distinct_maps_can_be_equivalent():
     # the constructed counterexample pair agrees at R yet differs globally
     phi = diagonal_pair_map()
     witness = is_quasipure(phi).witness
-    psi, r = counterexample_construct(phi, witness, seed=0)
+    psi, r = counterexample_construct(phi, witness)
     assert r_equivalent(phi, psi, r)
     assert not maps_close(phi, psi)
 
@@ -293,7 +294,7 @@ def check_counterexample(phi, psi, r):
 def test_counterexample_on_diagonal_pair():
     phi = diagonal_pair_map()
     witness = is_quasipure(phi).witness
-    out = counterexample_construct(phi, witness, seed=0)
+    out = counterexample_construct(phi, witness)
     assert out is not None
     psi, r = out
     check_counterexample(phi, psi, r)
@@ -304,18 +305,71 @@ def test_counterexample_on_diagonal_pair():
 def test_counterexample_determinism():
     phi = diagonal_pair_map()
     witness = is_quasipure(phi).witness
-    a = counterexample_construct(phi, witness, seed=3)
-    b = counterexample_construct(phi, witness, seed=3)
-    assert np.allclose(a[0].choi, b[0].choi)
+    a = counterexample_construct(phi, witness)
+    b = counterexample_construct(phi, witness)
+    assert np.array_equal(a[0].choi, b[0].choi)
+    assert np.array_equal(a[1], b[1])
+
+
+def test_counterexample_draws_no_random_numbers(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("counterexample_construct drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    params = list(inspect.signature(counterexample_construct).parameters)
+    assert params == ["phi", "witness", "tol"]
+    phi = diagonal_pair_map()
+    assert counterexample_construct(phi, is_quasipure(phi).witness) is not None
+    assert counterexample_construct(flip_twirl_map(), np.array([1.0, 0.0])) \
+        is None
 
 
 def test_flip_twirl_admits_no_twist():
-    # both at the true witness and at e1 the search must come up empty:
-    # rigidity without quasi-purity, as the forced-equality scan confirms
+    # both at the true witness and at e1 no twist moves the map: rigidity
+    # without quasi-purity, as the forced-equality scan confirms
     phi = flip_twirl_map()
     h0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert counterexample_construct(phi, h0, seed=0) is None
-    assert counterexample_construct(phi, np.array([1.0, 0.0]), seed=0) is None
+    assert counterexample_construct(phi, h0) is None
+    assert counterexample_construct(phi, np.array([1.0, 0.0])) is None
+
+
+def twist_room(phi, h0):
+    """Largest Frobenius distance of a ``B_ij`` from the scalars.
+
+    Plain numpy, from a Kraus family of ``phi``: the mixtures
+    ``sum_j c_j K_j`` with ``c`` in the kernel of ``[K_1 h0 | ... ]`` are
+    the factors of the part ``alpha`` that vanishes on ``h0``; with
+    ``S = alpha(I)``, ``B_ij = S^{+1/2} alpha(E_ij) S^{+1/2}`` on ``ran S``.
+    """
+    h0 = np.asarray(h0, dtype=complex) / np.linalg.norm(h0)
+    ks = np.stack(minimal_kraus(phi))
+    _, sv, vh = np.linalg.svd((ks @ h0).T)
+    rank = int(np.count_nonzero(sv > 1e-9 * sv[0]))
+    factors = np.einsum("lj,jap->lap", vh[rank:].conj(), ks)
+    units = np.einsum("lap,lbq->abpq", factors.conj(), factors)
+    w, u = np.linalg.eigh(np.einsum("aapq->pq", units))
+    keep = w > 1e-9 * max(w.max(), 0.0)
+    if np.count_nonzero(keep) < 2:
+        return 0.0
+    inv_half = u[:, keep] / np.sqrt(w[keep])
+    b = inv_half.conj().T @ units @ inv_half
+    mean = np.trace(b, axis1=-2, axis2=-1)[..., None, None] / b.shape[-1]
+    return float(np.linalg.norm(b - mean * np.eye(b.shape[-1]),
+                                axis=(-2, -1)).max())
+
+
+def test_counterexample_exactly_when_some_b_is_not_scalar():
+    flip = flip_twirl_map()
+    pairs = counterexample_population() + [
+        (flip, np.array([1.0, 0.0])),
+        (flip, np.array([1.0, 1.0]) / np.sqrt(2.0))]
+    found = 0
+    for phi, h0 in pairs:
+        room = twist_room(phi, h0)
+        out = counterexample_construct(phi, h0)
+        assert (out is not None) == (room > 1e-6), room
+        found += out is not None
+    assert 10 <= found < len(pairs)
 
 
 def test_counterexample_gates():

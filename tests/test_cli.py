@@ -135,7 +135,6 @@ class ExitCodeTests(unittest.TestCase):
         self.assertEqual(code, 0, err)
         report = json.loads(out)
         self.assertTrue(report["completable"])
-        self.assertTrue(report["feasibility"]["compressed_cp"])
         self.assertLess(report["route_discrepancy"], 1e-8)
 
     def test_complete_single_routes(self):
@@ -189,6 +188,19 @@ class ExitCodeTests(unittest.TestCase):
                                np.linalg.norm(c @ null, ord=2), places=12)
         self.assertLess(violation["compression_min_eigenvalue"], 0.0)
         self.assertGreater(violation["kernel_leak"], 0.0)
+
+    def test_complete_report_holds_only_the_decision(self):
+        # no sampled feasibility report and no seed: the exact decision,
+        # with its two numbers when it fails, is the whole answer
+        common = {"command", "tolerances", "route", "completable"}
+        for beta_file, extra in [
+                ("special_partial.json", {"completion", "route_discrepancy"}),
+                ("infeasible_partial.json", {"violation"})]:
+            _, out, err = run_cli("complete", beta_file, "e11_operator.json")
+            self.assertEqual(set(json.loads(out)), common | extra, err)
+        code, _, err = run_cli("complete", "special_partial.json",
+                               "e11_operator.json", "--seed", "0")
+        self.assertEqual(code, 2, err)
 
     def test_aeq_on_counterexample_pair(self):
         code, out, err = run_cli("aeq", "nqp_phi.json", "nqp_psi.json",

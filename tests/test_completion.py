@@ -20,7 +20,6 @@ from cpmaps import (
     minimal_block_completion,
     minimal_cp_completion_choi,
     minimal_cp_completion_stinespring,
-    necessary_conditions_report,
 )
 from cpmaps import linalg
 from cpmaps.gallery import (
@@ -333,44 +332,6 @@ def test_perturbed_completions_dominate_the_minimal_one():
 
 
 # ---------------------------------------------------------------------------
-# necessary-conditions report
-
-
-def test_report_on_genuine_restriction():
-    beta = PartialCpMap.from_map(flip_twirl_map(), E11)
-    rep = necessary_conditions_report(beta)
-    assert rep.compressed_cp
-    assert cp_completable(beta)
-    assert rep.q_bound is not None and np.isfinite(rep.q_bound)
-    assert rep.q_witness is None
-    assert rep.trials == 25
-
-
-def test_report_flags_negative_compression():
-    neg_block = np.array([[-1.0 + 0j, 0.0], [0.0, 0.0]])
-    zero = np.zeros((2, 2), dtype=complex)
-    beta = PartialCpMap(d_in=2, d_out=2, r=E11,
-                        blocks=((neg_block, zero), (zero, zero)))
-    rep = necessary_conditions_report(beta)
-    assert not rep.compressed_cp
-    assert not cp_completable(beta)
-
-
-def test_report_on_zero_map():
-    beta = PartialCpMap.from_map(CpMap.zero(2, 2), E11)
-    rep = necessary_conditions_report(beta)
-    assert rep.compressed_cp
-    assert rep.q_bound == 0.0
-    assert cp_completable(beta)
-
-
-def test_report_requires_projection():
-    beta = PartialCpMap.from_map(flip_twirl_map(), np.diag([2.0, 0.0]))
-    with pytest.raises(RNotProjection):
-        necessary_conditions_report(beta)
-
-
-# ---------------------------------------------------------------------------
 # the compressed decision against the dense operator-form formulas
 
 # fixed before comparing: numbers agree to this fraction of the data's size
@@ -537,9 +498,11 @@ def test_stinespring_route_checks_a_choi_seed_once(monkeypatch):
     r = random_projection(rng, 4, 2)
     beta = PartialCpMap.from_map(phi, r)
     seed = minimal_cp_completion_choi(beta)  # given by its Choi matrix
-    calls = _counting(monkeypatch, ["eigvalsh"])
+    calls = _counting(monkeypatch, ["eigh", "eigvalsh"])
     alpha = minimal_cp_completion_stinespring(beta, seed)
-    assert calls == [("eigvalsh", (12, 12))]
+    # the eigendecomposition that extracts the seed's factors also decides
+    # that it is CP
+    assert calls == [("eigh", (12, 12))]
     assert maps_close(alpha, seed)
     # a seed that matches the data but is not CP is still refused: w lies
     # in ran(I (x) (1 - P_R)), which the data never sees

@@ -187,6 +187,25 @@ def test_cp_verdicts_are_scale_invariant():
             classify(negative)
 
 
+def test_choi_given_maps_are_cp_at_every_scale():
+    # the same family given by its Choi matrix: the PSD slack scales with
+    # the largest eigenvalue, so rounding at x1e6 does not read as NotCP
+    phi = random_cp_map(5, 3, 2)
+    psi = random_cp_map(5, 3, 2, seed=1)
+    counts = set()
+    for c in (1e-8, 1.0, 1e6, 1e8):
+        given = CpMap.from_choi(c * phi.choi, 5, 3)
+        assert is_cp(given)
+        counts.add(len(minimal_kraus(given)))
+        difference = CpMap.from_choi(c * (phi.choi - psi.choi), 5, 3)
+        assert not is_cp(difference)
+        with pytest.raises(NotPSD):
+            minimal_kraus(difference)
+    assert counts == {2}
+    assert not is_cp(transpose_map(2))
+    assert not is_cp(CpMap.from_choi(1e8 * transpose_map(2).choi, 2, 2))
+
+
 def test_minimal_kraus_of_zero_map_is_empty():
     assert minimal_kraus(CpMap.zero(2, 2)) == []
 
