@@ -56,14 +56,16 @@ def trace_state_map(rho, v) -> CpMap:
     Any map of this form factors through a commutative algebra, and every
     such map is quasi-pure: the Kraus factors ``|sqrt(p_j) u_j><v|`` built
     from an eigendecomposition ``rho = sum p_j |u_j><u_j|`` all share the
-    right vector ``v``.
+    right vector ``v``.  ``rho`` is tested by the rule of
+    :func:`linalg.psd_check`, with a slack relative to its largest
+    eigenvalue, so a state is accepted at every scale.
     """
     rho = linalg.require_hermitian(rho)
     v = np.asarray(v, dtype=complex).reshape(-1)
     if np.linalg.norm(v) == 0.0:
         raise DimensionMismatch("the output vector must be nonzero")
     w, u = np.linalg.eigh(rho)
-    if w.size and w[0] < -DEFAULT_TOL.eps_psd:
+    if w.size and w[0] < -linalg._psd_slack(w, DEFAULT_TOL):
         raise NotPSD(f"state has eigenvalue {w[0]:.3e}")
     factors = []
     top = float(np.max(w)) if w.size else 0.0

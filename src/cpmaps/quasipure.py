@@ -11,24 +11,30 @@ A *witness* is an ``h0`` with ``0 < rank F(h0) < k`` for
 ``F(h) = [K_1 h | ... | K_k h]``: a nonzero ``a (x) h0`` sent to zero by
 ``T = [K_1 | ... | K_k]``, as ``F(h) a = P(a) h = sum_j a_j K_j h``.
 
-:func:`is_quasipure` settles ``k == 1`` (pure), checks the necessary
-conditions ``k <= d_in`` and equal factor kernels (a violation yields a
-witness), and reduces modulo the common kernel (``K_j B`` for an
-orthonormal basis ``B`` of its complement, ``m`` columns).  Then:
+:func:`is_quasipure` first takes the rank of ``T`` on the family the map
+holds (its stored Kraus factors, else its minimal ones) when ``k >= 2``
+and ``k d_out <= d_in``: ``rank T == k d_out`` proves ``QuasiPure`` from
+that one SVD (step 1).  Otherwise it settles ``k == 1`` (pure), checks
+the necessary conditions ``k <= d_in`` and equal factor kernels (a
+violation yields a witness), and reduces modulo the common kernel
+(``K_j B`` for an orthonormal basis ``B`` of its complement, ``m``
+columns).  Then:
 
 1. ``rank T == k m`` proves ``QuasiPure``: no nonzero tensor is sent to
    zero.  The rank counts singular values above ``eps_rank`` times the
    largest, far above the SVD's backward error (a small multiple of the
    unit roundoff times the largest), so by Weyl's inequality the exact
    ``sigma_min(T)`` is positive.  For ``m == 1``, ``T = F(h)`` for the
-   only direction, so this step decides.
+   only direction, so this step decides.  Taken before the reduction, it
+   gives the answer the reduction would reach: see :func:`is_quasipure`.
 2. In the smaller mode ``n = min(k, m)`` the question is whether
    ``M(c) = sum_i c_i M_i`` is injective for all ``c != 0``, with
    ``M_j = K_j`` (``M = P``) when ``k <= m`` and
    ``M_i = G_i = [K_1 e_i | ... | K_k e_i]`` (``M = F``) otherwise; a
    dependency vector ``a`` gives the witness ``h = ker P(a)``.  For
    ``n == 2`` one pencil decides (:func:`exact_pencil_k2`); its
-   ``QuasiPure`` is a proof for Gaussian-rational input only.
+   ``QuasiPure`` is a proof for Gaussian-rational input only.  Its
+   floating-point candidates are polished near-singular ones first.
 3. Otherwise, and behind a floating-point pencil, a Lipschitz certificate
    covers ``CP^{n-1}`` by the charts ``c_i = 1``, the other coordinates in
    the real cube ``[-1, 1]^{2(n-1)}``.  ``sigma_p`` (``p`` columns) is
@@ -290,7 +296,11 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     Otherwise the candidates are the eigenvalues of ``-K_1^+ K_2``, and
     None says that none of them passed the rank window.  Either way each
     candidate is polished and must pass the rank window before it yields
-    a witness.
+    a witness.  Candidates are tried by ``(real, imag)``, except that on
+    the floating-point route those at which ``z K_1 + K_2`` is already
+    singular within ``eps_rank`` (one batched SVD) go first; all are
+    tried, so the order can change which witness is returned, never
+    whether one is.
     """
     l1 = linalg.as_matrix(l1)
     l2 = linalg.as_matrix(l2)
@@ -316,10 +326,18 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     exact = _gaussian_rational_entries(factors)
     if exact is None:
         candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
+        # a spurious candidate runs the polisher to its cap, a genuine one
+        # converges at once: try first those already singular
+        sigma = np.linalg.svd(candidates[:, None, None] * l1 + l2,
+                              compute_uv=False)
+        later = sigma[:, -1] > tol.eps_rank * sigma[:, 0]
     else:
         candidates = _exact_singular_points(exact, m)
-    for root in sorted(candidates,
-                       key=lambda c: (round(c.real, 12), round(c.imag, 12))):
+        later = [False] * len(candidates)  # each one a genuine root
+    order = sorted(range(len(candidates)), key=lambda i: (
+        later[i], round(candidates[i].real, 12),
+        round(candidates[i].imag, 12)))
+    for root in (candidates[i] for i in order):
         _, v = _polish_root(l1, l2, root)
         if v is not None and _is_witness(factors, v, tol):
             return False, _normalize(v)
@@ -444,16 +462,45 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     ``budget`` caps the cells the Lipschitz certificate may spend (reported
     as ``samples_used``); running out gives ``Inconclusive``.  No step
     draws random numbers, so the verdict is a function of the input.
+
+    Step 1 runs first, on the family the map holds, because an injective
+    ``T`` makes every step before it a no-op.  Write ``r = sigma_min(T) /
+    sigma_max(T)``, above ``eps_rank`` when ``T`` is injective.  For unit
+    ``a`` and ``x``, ``K_j x = T (e_j (x) x)``, ``sum_j a_j K_j x =
+    T (a (x) x)`` and ``||sum_j a_j K_j||_F^2 = sum_l ||T (a (x) e_l)||^2``,
+    so each of these three quantities lies between ``sigma_min(T)`` and
+    ``sigma_max(T)`` (times the same constant) and three singular-value
+    ratios are at least ``r``: those of the stacked factor vectors (so
+    :func:`minimal_kraus` keeps the family), of the stacked factors (so
+    the common kernel is trivial, the basis is ``I`` and ``f @ I`` equals
+    ``f`` entry for entry), and of each factor (so every factor is
+    injective and the kernels agree).  An injective ``T`` has
+    ``d_in >= k d_out >= k`` rows, so ``k > d_in`` cannot occur either,
+    and a wider ``T`` is not factorized here.  When ``T`` is not
+    injective the pipeline runs as described, and reuses the rank while
+    the factors are the ones it was taken on and the basis is ``I``.
     """
     if not is_cp(phi, tol):
         raise NotCP("quasi-purity is defined for completely positive maps")
     if phi.is_zero(tol):
         raise ZeroMap("quasi-purity is undefined for the zero map")
 
-    factors = minimal_kraus(phi, tol)
+    # step 1 first, on the family the map holds: injective settles it
+    given = list(phi.kraus) if phi.kraus else minimal_kraus(phi, tol)
+    columns = len(given) * phi.d_out
+    flat_rank = None
+    if len(given) >= 2 and columns <= phi.d_in:  # else T cannot be injective
+        flat_rank = linalg.numerical_rank(np.hstack(given), tol)
+        if flat_rank == columns:
+            return QuasiPurityVerdict(status=QUASI_PURE,
+                                      method=METHOD_EXACT_PENCIL)
+
+    factors = minimal_kraus(phi, tol) if phi.kraus else given
     k = len(factors)
     if k == 1:
         return QuasiPurityVerdict(status=QUASI_PURE, method=METHOD_PURE)
+    if k != len(given):  # a dependent stored family was reduced
+        flat_rank = None
 
     basis = _common_kernel_complement(factors, tol)
 
@@ -475,8 +522,11 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     stack = np.stack([f @ basis for f in factors])  # (k, d, m)
     m = basis.shape[1]
 
-    # step 1: an injective flattening sends no a (x) h to zero
-    if linalg.numerical_rank(np.hstack(stack), tol) == k * m:
+    # step 1 on the reduced factors; m == d_out iff the basis is I, and
+    # then f @ I equals f entry for entry: the rank taken above is this one
+    if flat_rank is None or m < phi.d_out:
+        flat_rank = linalg.numerical_rank(np.hstack(stack), tol)
+    if flat_rank == k * m:
         return QuasiPurityVerdict(status=QUASI_PURE,
                                   method=METHOD_EXACT_PENCIL)
     if m == 1:  # the flattening is F(h) for the only direction h

@@ -111,3 +111,16 @@ def counterexample_population():
         if verdict.status == "NotQuasiPure":
             pairs.append((phi, verdict.witness))
     return pairs
+
+
+def count_linalg_calls(monkeypatch, names):
+    """Record the input shape of every call to the named numpy.linalg routines."""
+    calls = []
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(m)))
+            return _original(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -29,7 +29,12 @@ from cpmaps.gallery import (
     trace_state_map,
 )
 
-from conftest import haar_unitary, random_projection, random_psd
+from conftest import (
+    count_linalg_calls,
+    haar_unitary,
+    random_projection,
+    random_psd,
+)
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -468,25 +473,12 @@ def test_block_decisions_match_the_dense_reference_in_a_rotated_basis():
     assert seen[True] >= 5 and seen[False] >= 5
 
 
-def _counting(monkeypatch, names):
-    """Record the input shape of every call to the named numpy.linalg routines."""
-    calls = []
-    for name in names:
-        original = getattr(np.linalg, name)
-
-        def counted(m, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.shape(m)))
-            return _original(m, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 def test_choi_route_makes_one_compressed_eigensolve(monkeypatch):
     rng = np.random.default_rng(73)
     phi = random_cp_map(8, 12, 6, rng=rng)
     r = random_psd(rng, 12, rank=6)
     beta = PartialCpMap.from_map(phi, r)
-    calls = _counting(monkeypatch, ["eigh", "eigvalsh", "svd"])
+    calls = count_linalg_calls(monkeypatch, ["eigh", "eigvalsh", "svd"])
     minimal_cp_completion_choi(beta)
     assert [call for call in calls if call[0] != "svd"] == [("eigh", (48, 48))]
     assert all(shape[0] < 96 for _, shape in calls)
@@ -498,7 +490,7 @@ def test_stinespring_route_checks_a_choi_seed_once(monkeypatch):
     r = random_projection(rng, 4, 2)
     beta = PartialCpMap.from_map(phi, r)
     seed = minimal_cp_completion_choi(beta)  # given by its Choi matrix
-    calls = _counting(monkeypatch, ["eigh", "eigvalsh"])
+    calls = count_linalg_calls(monkeypatch, ["eigh", "eigvalsh"])
     alpha = minimal_cp_completion_stinespring(beta, seed)
     # the eigendecomposition that extracts the seed's factors also decides
     # that it is CP

@@ -206,6 +206,22 @@ def test_choi_given_maps_are_cp_at_every_scale():
     assert not is_cp(CpMap.from_choi(1e8 * transpose_map(2).choi, 2, 2))
 
 
+def test_trace_state_map_accepts_a_state_at_every_scale():
+    # a rank-2 state on C^4: its two zero eigenvalues come out of eigh as
+    # rounding of either sign, which grows with the scale of the state
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    v = np.array([1.0, 1j]) / np.sqrt(2.0)
+    for c in (1.0, 1e6, 1e8):
+        phi = trace_state_map(c * (g @ g.conj().T), v)
+        assert len(phi.kraus) == 2
+        assert is_quasipure(phi).status == "QuasiPure"
+    with pytest.raises(NotPSD):
+        trace_state_map(np.diag([1.0, 1.0, -1e-3, 0.0]), v)
+    with pytest.raises(NotPSD):
+        trace_state_map(1e8 * np.diag([1.0, 1.0, -1e-3, 0.0]), v)
+
+
 def test_minimal_kraus_of_zero_map_is_empty():
     assert minimal_kraus(CpMap.zero(2, 2)) == []
 

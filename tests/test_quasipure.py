@@ -25,7 +25,7 @@ from cpmaps import (
     minimal_kraus,
     minimal_stinespring,
 )
-from cpmaps import linalg, serialize
+from cpmaps import linalg, quasipure, serialize
 from cpmaps.quasipure import METHOD_CERTIFICATE
 from cpmaps.gallery import (
     conjugation_map,
@@ -39,7 +39,14 @@ from cpmaps.gallery import (
     transpose_map,
 )
 
-from conftest import DATA, SRC, haar_unitary, matrix_unit, polynomial_factors
+from conftest import (
+    DATA,
+    SRC,
+    count_linalg_calls,
+    haar_unitary,
+    matrix_unit,
+    polynomial_factors,
+)
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -246,6 +253,44 @@ def test_unitary_mixing_is_proved_by_the_flattening_rank(d_in, m, k):
         assert v.samples_used == 0
 
 
+@pytest.mark.parametrize("phi", [random_cp_map(5, 2, 2, seed=3),
+                                 random_cp_map(8, 2, 3, seed=3)],
+                         ids=["k2", "k3"])
+def test_injective_flattening_is_decided_by_one_svd(monkeypatch, phi):
+    # rank [K_1 | ... | K_k] = k d_out on the stored family settles the map
+    # before minimal_kraus, the common kernel and the factor kernels
+    ks = list(phi.kraus)
+    forms = [CpMap.from_kraus(ks + [ks[0] + 0.5j * ks[1]]),  # dependent
+             CpMap.from_choi(phi.choi, phi.d_in, phi.d_out)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_kraus ran")
+
+    calls = count_linalg_calls(monkeypatch, ["svd", "eig", "eigh", "eigvalsh"])
+    monkeypatch.setattr(quasipure, "minimal_kraus", refuse)
+    v = is_quasipure(phi)
+    assert calls == [("svd", (phi.d_in, len(ks) * phi.d_out))]
+    monkeypatch.undo()
+    assert (v.status, v.method) == ("QuasiPure", "ExactPencil")
+    for form in forms:
+        w = is_quasipure(form)
+        assert (w.status, w.method) == (v.status, v.method)
+
+
+@pytest.mark.parametrize("phi, verdict", [
+    (planted_witness_map(6, 2, 3)[0], ("NotQuasiPure", "ExactPencil")),
+    (random_cp_map(4, 2, 3, seed=5), ("QuasiPure", "LipschitzCertificate")),
+], ids=["square", "wide"])
+def test_flattening_rank_is_taken_once(monkeypatch, phi, verdict):
+    # not injective, and with no common kernel the reduced flattening is
+    # the stored one: a square T is factorized up front and its rank
+    # reused, a wide one (4 < 3 * 2 rows) only after the reduction
+    calls = count_linalg_calls(monkeypatch, ["svd"])
+    v = is_quasipure(phi)
+    assert (v.status, v.method) == verdict
+    assert calls.count(("svd", (phi.d_in, 3 * phi.d_out))) == 1
+
+
 def test_decisions_draw_no_random_numbers(monkeypatch):
     maps = [load_map("inconclusive_map.json"),
             planted_witness_map(3, 3, 3, seed=2)[0]]
@@ -373,6 +418,56 @@ def test_only_gaussian_rational_pencils_load_sympy():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_pencil_polishes_singular_candidates_first(monkeypatch):
+    # K_2 e_1 = -2 K_1 e_1: -K_1^+ K_2 has the singular point 2 and two
+    # spurious eigenvalues, which the (real, imag) order puts first; the
+    # genuine one is polished alone
+    rng = np.random.default_rng(0)
+    l1, l2 = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+              for _ in range(2))
+    l2[:, 0] = -2.0 * l1[:, 0]
+    candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
+    assert sorted(candidates.real)[-1] == pytest.approx(2.0)
+    polished = []
+    original = quasipure._polish_root
+
+    def counted(pencil_1, pencil_2, z0, *args, **kwargs):
+        polished.append(z0)
+        return original(pencil_1, pencil_2, z0, *args, **kwargs)
+
+    monkeypatch.setattr(quasipure, "_polish_root", counted)
+    decision, witness = exact_pencil_k2(l1, l2)
+    assert decision is False
+    assert abs(witness[0]) == pytest.approx(1.0)
+    assert len(polished) == 1
+    assert polished[0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("name, decision, line", [
+    ("eb_map.json", None, None),
+    ("nqp_phi.json", False, [0.0, 0.0, 1.0]),
+    ("nqp_psi.json", False, [0.0, 0.0, 1.0]),
+    ("special_map.json", False, [1.0, 1.0]),
+])
+def test_pencil_decisions_on_the_fixtures(name, decision, line):
+    # the decisions and witness lines recorded with the plain (real, imag)
+    # candidate order, on the fixtures' reduced factors and, scaled by
+    # sqrt(2) so that no entry is a small rational, on the floating-point
+    # route
+    factors = minimal_kraus(load_map(name))
+    assert len(factors) == 2
+    basis = quasipure._common_kernel_complement(factors, linalg.DEFAULT_TOL)
+    if line is not None:
+        line = np.asarray(line) / np.linalg.norm(line)
+    for scale in (1.0, np.sqrt(2.0)):
+        got, witness = exact_pencil_k2(*(scale * f @ basis for f in factors))
+        assert got is decision
+        if line is None:
+            assert witness is None
+        else:
+            assert abs(np.vdot(witness, line)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pencil_rejects_common_kernel():
