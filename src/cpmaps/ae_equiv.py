@@ -48,11 +48,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .quasipure import QUASI_PURE, QuasiPurityVerdict, is_quasipure
-from .stinespring import (
-    cyclic_projection,
-    map_from_dilation,
-    minimal_stinespring,
-)
+from .stinespring import _minimal_triple, cyclic_projection, map_from_dilation
 
 __all__ = [
     "EquivalenceContext",
@@ -333,7 +329,9 @@ def counterexample_construct(phi: CpMap, witness,
     if np.linalg.norm(phi.unit() @ h0) <= tol.eps_eq:
         raise WitnessInvalid("phi(I) annihilates the witness")
 
-    factors = minimal_kraus(phi, tol)
+    # one factorization: the triple's factors are minimal_kraus(phi)
+    triple = _minimal_triple(phi, tol)
+    factors = triple.kraus
     cols = np.column_stack([k @ h0 for k in factors])
     rank = linalg.numerical_rank(cols, tol)
     if rank >= len(factors):
@@ -345,7 +343,6 @@ def counterexample_construct(phi: CpMap, witness,
             raise WitnessInvalid("the map is quasi-pure; no witness exists")
         return None
 
-    triple = minimal_stinespring(phi, tol)
     q = cyclic_projection(triple, h0, tol)
     eye = np.eye(triple.dilation_dim, dtype=complex)
     alpha = map_from_dilation((eye - q) @ triple.v, phi.d_in, phi.d_out,

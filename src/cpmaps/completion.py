@@ -43,8 +43,12 @@ the eigenvectors of ``P``; ``from_blocks`` accepts the familiar compact
 
 Column form.  ``PartialCpMap`` stacks its blocks once into the known Choi
 column ``[beta(E_ij)]``; each route splits it once and decides once, from
-the smallest eigenvalue of ``A`` and the leak ``||C|_{ker A}||`` -- the
-two numbers a ``NotCompletable`` carries.
+the smallest eigenvalue of ``A`` and the leak ``||C|_{ker A}||_2`` -- the
+two numbers a ``NotCompletable`` carries.  The leak is tested by its
+Frobenius norm first, an upper bound on the 2-norm: below the cutoff it
+settles the test with the same answer, and the 2-norm (an SVD) is taken
+only when it does not or ``A`` fails the PSD test, so a
+``NotCompletable`` still carries the exact number.
 """
 
 from __future__ import annotations
@@ -169,13 +173,18 @@ def _compress(problem: BlockCompletionProblem) -> _Split:
                   lift=lambda full: basis @ full @ basis.conj().T)
 
 
-def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance):
-    """``(completable, min eigenvalue of A, ||C|_{ker A}||, eigh(A))``.
+def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
+            exact: bool = False):
+    """``(completable, min eigenvalue of A, leak, eigh(A))``.
 
     ``A >= 0`` and ``ker A <= ker C`` read as: the eigenvalue is at least
-    ``-eps_psd`` and the leak at most ``eps_rank`` times the size of ``C``.
-    The kernel is the eigenspace of ``|lambda| <= eps_rank * top``; the
-    eigendecomposition is returned for ``A^+``.
+    ``-eps_psd * max(1, max |lambda|)`` (the slack of
+    :func:`linalg.psd_check`) and the leak ``||C|_{ker A}||_2`` at most
+    ``eps_rank`` times the size of ``C``.  The kernel is the eigenspace of
+    ``|lambda| <= eps_rank * top``; the eigendecomposition is returned for
+    ``A^+``.  Since ``||X||_2 <= ||X||_F``, a Frobenius norm below the
+    cutoff passes the leak test; then, unless ``exact`` is set, the leak
+    returned is that Frobenius norm.  Otherwise it is the 2-norm.
     """
     w, v = np.linalg.eigh(a)
     min_eig = float(w[0]) if w.size else 0.0
@@ -186,12 +195,13 @@ def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance):
         # whose largest singular value is at least 1
         min_eig = min(min_eig, 0.0)
         top = max(1.0, top)
-    null = v[:, np.abs(w) <= tol.eps_rank * top]
-    leak = (float(np.linalg.norm(c @ null, ord=2)) if null.size and c.size
-            else 0.0)
-    completable = (min_eig >= -tol.eps_psd
-                   and leak <= tol.eps_rank * max(1.0, linalg.max_abs(c)))
-    return completable, min_eig, leak, (w, v)
+    psd = w.size == 0 or min_eig >= -linalg._psd_slack(w, tol)
+    null_leak = c @ v[:, np.abs(w) <= tol.eps_rank * top]
+    cutoff = tol.eps_rank * max(1.0, linalg.max_abs(c))
+    leak = float(np.linalg.norm(null_leak))
+    if null_leak.size and (exact or not psd or leak > cutoff):
+        leak = float(np.linalg.norm(null_leak, ord=2))
+    return psd and leak <= cutoff, min_eig, leak, (w, v)
 
 
 def _least_completion(split: _Split, tol: Tolerance) -> np.ndarray:
@@ -266,15 +276,17 @@ class PartialCpMap:
         if r.shape != (d, d):
             raise DimensionMismatch(f"R has shape {r.shape}, expected {(d, d)}")
         object.__setattr__(self, "r", r)
-        column = np.zeros((self.d_in * d, self.d_in * d), dtype=complex)
-        for i in range(self.d_in):
-            for j in range(self.d_in):
-                b = linalg.as_matrix(self.blocks[i][j])
-                if b.shape != (d, d):
-                    raise DimensionMismatch(
-                        f"block ({i},{j}) has shape {b.shape}"
-                    )
-                column[i * d:(i + 1) * d, j * d:(j + 1) * d] = b
+        column = np.empty((self.d_in * d, self.d_in * d), dtype=complex)
+        try:
+            stacked = np.asarray(self.blocks, dtype=complex)
+        except (TypeError, ValueError):  # ragged: named block by block below
+            stacked = None
+        if stacked is not None and stacked.shape == (self.d_in, self.d_in, d, d):
+            if not np.all(np.isfinite(stacked)):
+                raise ValueError("matrix entries must be finite")
+            column.reshape(self.d_in, d, self.d_in, d)[...] = stacked.swapaxes(1, 2)
+        else:
+            _fill_block_by_block(column, self.blocks, self.d_in, d)
         blocks = column.reshape(self.d_in, d, self.d_in, d).swapaxes(1, 2)
         comp = np.eye(d, dtype=complex) - linalg.range_projection(r)
         scale = max(1.0, linalg.max_abs(r), linalg.max_abs(column))
@@ -303,6 +315,20 @@ class PartialCpMap:
         x = linalg.as_matrix(x)
         d1, d2 = self.d_in, self.d_out
         return np.einsum("ij,iajb->ab", x, self._column.reshape(d1, d2, d1, d2))
+
+
+def _fill_block_by_block(column: np.ndarray, blocks, d_in: int, d: int) -> None:
+    """Copy ``blocks[i][j]`` into ``column`` one at a time.
+
+    The path for blocks that do not stack to ``(d_in, d_in, d, d)``: it
+    raises on the first bad block, naming it when its shape is wrong.
+    """
+    for i in range(d_in):
+        for j in range(d_in):
+            b = linalg.as_matrix(blocks[i][j])
+            if b.shape != (d, d):
+                raise DimensionMismatch(f"block ({i},{j}) has shape {b.shape}")
+            column[i * d:(i + 1) * d, j * d:(j + 1) * d] = b
 
 
 def _times_blocks(column: np.ndarray, m: np.ndarray, d_in: int) -> np.ndarray:
@@ -346,7 +372,7 @@ def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> _Split:
                  <= 1e-9 * max(1.0, linalg.max_abs(a)))
     a = (a + a.conj().T) / 2.0
     if not hermitian:
-        _, min_eig, leak, _ = _decide(a, c, tol)
+        _, min_eig, leak, _ = _decide(a, c, tol, exact=True)
         raise NotCompletable(min_eig, leak,
                              "the known compression is not Hermitian")
     return _Split(a=a, c=c, lift=lift)

@@ -12,8 +12,9 @@ Under these conventions the Choi matrix equals
 
     ``sum_j  v_j v_j*``   with   ``v_j = conj(K_j).reshape(-1)``
 
-(row-major flattening), which is exactly what :func:`_kraus_vector` and
-:func:`_vector_kraus` implement.  The map is completely positive iff its
+(row-major flattening): :func:`kraus_to_choi` forms it as one Gram
+product of the stacked ``conj(v_j)``, and :func:`_vector_kraus` inverts
+the flattening.  The map is completely positive iff its
 Choi matrix is PSD, the minimal number of Kraus factors equals the rank of
 the Choi matrix, and scaled Choi eigenvectors give a trace-orthogonal
 minimal Kraus family.
@@ -44,13 +45,8 @@ __all__ = [
 ]
 
 
-def _kraus_vector(k: np.ndarray) -> np.ndarray:
-    """Flatten a Kraus factor to the Choi vector it contributes."""
-    return k.conj().reshape(-1)
-
-
 def _vector_kraus(v: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Inverse of :func:`_kraus_vector`."""
+    """The factor whose Choi vector is ``v``: inverts ``conj(K).reshape(-1)``."""
     return v.reshape(d_in, d_out).conj()
 
 
@@ -76,11 +72,13 @@ class CpMap:
 
     Instances always carry a Choi matrix; Kraus factors are kept when the
     map was built from them (or extracted on request).  Given only Kraus
-    factors, the constructor builds the Choi matrix from them; given both,
-    it checks that they agree.  Despite the name, construction does not
-    require complete positivity -- differences of CP maps and other
-    Hermiticity-preserving maps are legal values, and :func:`is_cp`
-    decides positivity.
+    factors, the constructor builds the Choi matrix from them, as one Gram
+    product (:func:`kraus_to_choi`); given both, it checks that they agree.
+    Each factor is coerced to a complex array and checked finite once, here
+    (:meth:`from_kraus` only reads the first one's shape).  Despite the
+    name, construction does not require complete positivity -- differences
+    of CP maps and other Hermiticity-preserving maps are legal values, and
+    :func:`is_cp` decides positivity.
     """
 
     d_in: int
@@ -95,24 +93,29 @@ class CpMap:
             raise DimensionMismatch("dimensions must be positive")
         rebuilt = None
         if self.kraus is not None:
+            # the one coercion and finite check of each factor
             ks = tuple(linalg.as_matrix(k) for k in self.kraus)
             object.__setattr__(self, "kraus", ks)
-            # kraus_to_choi also checks the factor shapes
-            rebuilt = kraus_to_choi(ks, self.d_in, self.d_out)
+            # _gram_choi also checks the factor shapes
+            rebuilt = _gram_choi(ks, self.d_in, self.d_out)
         elif self.choi is None:
             raise DimensionMismatch("a Choi matrix or Kraus factors are required")
+        if self.choi is None:
+            # exactly Hermitian and of shape (n, n) by construction
+            object.__setattr__(self, "_choi_from_kraus", True)
+            object.__setattr__(self, "choi", rebuilt)
+            return
         n = self.d_in * self.d_out
-        choi = linalg.require_hermitian(rebuilt if self.choi is None else self.choi)
+        choi = linalg.require_hermitian(self.choi)
         if choi.shape != (n, n):
             raise DimensionMismatch(
                 f"Choi matrix has shape {choi.shape}, expected {(n, n)}"
             )
-        if self.choi is not None and rebuilt is not None and linalg.max_abs(
+        if rebuilt is not None and linalg.max_abs(
                 rebuilt - choi) > 1e-9 * max(1.0, linalg.max_abs(choi)):
             raise DimensionMismatch(
                 "stored Kraus factors and Choi matrix disagree"
             )
-        object.__setattr__(self, "_choi_from_kraus", self.choi is None)
         object.__setattr__(self, "choi", choi)
 
     # -- constructors ------------------------------------------------------
@@ -120,16 +123,20 @@ class CpMap:
     @classmethod
     def from_kraus(cls, kraus: Sequence[np.ndarray], d_in: int | None = None,
                    d_out: int | None = None) -> "CpMap":
-        ks = tuple(linalg.as_matrix(k) for k in kraus)
+        # the constructor coerces the factors; only the first one's shape
+        # is read here
+        ks = tuple(kraus)
         if not ks:
             if d_in is None or d_out is None:
                 raise DimensionMismatch(
                     "dimensions are required for an empty Kraus family"
                 )
-        else:
-            k0 = ks[0]
-            d_in = k0.shape[0] if d_in is None else d_in
-            d_out = k0.shape[1] if d_out is None else d_out
+        elif d_in is None or d_out is None:
+            shape = np.shape(ks[0])
+            if len(shape) != 2:
+                raise ValueError(f"expected a 2-d array, got shape {shape}")
+            d_in = shape[0] if d_in is None else d_in
+            d_out = shape[1] if d_out is None else d_out
         return cls(d_in=d_in, d_out=d_out, kraus=ks)
 
     @classmethod
@@ -223,23 +230,34 @@ def apply(phi: CpMap, x) -> np.ndarray:
 
 def kraus_to_choi(kraus: Sequence[np.ndarray], d_in: int | None = None,
                   d_out: int | None = None) -> np.ndarray:
-    """Assemble the Choi matrix of ``X -> sum_j K_j* X K_j``."""
+    """Assemble the Choi matrix of ``X -> sum_j K_j* X K_j``.
+
+    One Gram product: the rows of ``S`` are the factors flattened row-major,
+    ``conj(v_j)``, so ``sum_j v_j v_j* = S* S``; it is symmetrized, which
+    makes the result exactly Hermitian.
+    """
     ks = [linalg.as_matrix(k) for k in kraus]
     if ks:
         d_in = ks[0].shape[0] if d_in is None else d_in
         d_out = ks[0].shape[1] if d_out is None else d_out
     if d_in is None or d_out is None:
         raise DimensionMismatch("dimensions required for empty Kraus family")
-    n = d_in * d_out
-    choi = np.zeros((n, n), dtype=complex)
+    return _gram_choi(ks, d_in, d_out)
+
+
+def _gram_choi(ks: Sequence[np.ndarray], d_in: int, d_out: int) -> np.ndarray:
+    """:func:`kraus_to_choi` of factors already coerced by ``as_matrix``."""
     for k in ks:
         if k.shape != (d_in, d_out):
             raise DimensionMismatch(
                 f"Kraus factor has shape {k.shape}, expected {(d_in, d_out)}"
             )
-        v = _kraus_vector(k)
-        choi += np.outer(v, v.conj())
-    return choi
+    n = d_in * d_out
+    if not ks:
+        return np.zeros((n, n), dtype=complex)
+    rows = np.stack(ks).reshape(len(ks), n)
+    gram = rows.conj().T @ rows
+    return (gram + gram.conj().T) / 2.0
 
 
 def choi_to_kraus(choi, d_in: int, d_out: int,
@@ -279,22 +297,24 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
     If the map already stores a linearly independent Kraus family it is
     returned unchanged -- any independent family is a legitimate minimal
     choice, and preserving the caller's basis keeps derived objects (e.g.
-    commutant factors) expressed in their coordinates.  A dependent stored
-    family is reduced by the SVD of the stacked factors: the Choi matrix is
-    ``W W*`` for the matrix ``W`` of their Choi vectors, so its eigenpairs
-    are the squared singular values and the left singular vectors of ``W``,
-    kept under the cutoff of :func:`choi_to_kraus` without ever forming a
-    Choi eigenvalue below zero.  Without stored factors they are extracted
-    from the Choi matrix.
+    commutant factors) expressed in their coordinates.  Independence is
+    read from the SVD of the stacked factors: the Choi matrix is ``W W*``
+    for the matrix ``W`` of their Choi vectors, so its eigenpairs are the
+    squared singular values ``s^2`` and the left singular vectors of ``W``,
+    and the family counts as independent when every ``s^2`` passes the
+    Choi-rank cutoff ``s^2 > eps_rank * s_max^2`` of :func:`choi_to_kraus`
+    and :func:`choi_rank`.  A dependent family is reduced to the kept
+    singular pairs, without ever forming a Choi eigenvalue below zero.
+    Either way ``len(minimal_kraus(phi)) == choi_rank(phi)``, whether the
+    map was given by factors or by its Choi matrix.  Without stored
+    factors they are extracted from the Choi matrix.
     """
     if phi.kraus:
-        stack = np.stack([k.reshape(-1) for k in phi.kraus])  # rows: conj(v_j)
+        stack = np.stack(phi.kraus).reshape(len(phi.kraus), -1)  # rows: conj(v_j)
         _, s, vh = np.linalg.svd(stack, full_matrices=False)
-        top = s[0]
-        rank = np.count_nonzero(s > tol.eps_rank * top) if top > 0.0 else 0
-        if rank == len(phi.kraus):
+        keep = np.nonzero(s ** 2 > tol.eps_rank * s[0] ** 2)[0]
+        if keep.size == len(phi.kraus):
             return list(phi.kraus)
-        keep = np.nonzero(s ** 2 > tol.eps_rank * top ** 2)[0]
         # Choi eigenvector conj(vh[i]) scaled by s[i], reshaped by _vector_kraus
         return [_canonical_phase(s[i] * vh[i].reshape(phi.d_in, phi.d_out))
                 for i in keep]
@@ -304,10 +324,10 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
 def is_cp(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the Choi matrix of ``phi`` is PSD within the tolerance.
 
-    A Choi matrix the map assembled from its own Kraus factors is
-    ``sum_j v_j v_j*``, PSD by construction, so it is accepted without an
-    eigensolve.  A Choi matrix given as such, or one given alongside
-    factors, is tested on its smallest eigenvalue against
+    A Choi matrix the map assembled from its own Kraus factors is the
+    Gram matrix ``sum_j v_j v_j*``, PSD by construction, so it is accepted
+    without an eigensolve.  A Choi matrix given as such, or one given
+    alongside factors, is tested on its smallest eigenvalue against
     ``-eps_psd * max(1, max |lambda|)`` (:func:`linalg.psd_check`), the
     rule :func:`choi_to_kraus` applies too: rounding scales with the
     matrix, so the verdict holds at every scale.

@@ -14,11 +14,15 @@ A *witness* is an ``h0`` with ``0 < rank F(h0) < k`` for
 :func:`is_quasipure` first takes the rank of ``T`` on the family the map
 holds (its stored Kraus factors, else its minimal ones) when ``k >= 2``
 and ``k d_out <= d_in``: ``rank T == k d_out`` proves ``QuasiPure`` from
-that one SVD (step 1).  Otherwise it settles ``k == 1`` (pure), checks
-the necessary conditions ``k <= d_in`` and equal factor kernels (a
-violation yields a witness), and reduces modulo the common kernel
-(``K_j B`` for an orthonormal basis ``B`` of its complement, ``m``
-columns).  Then:
+that one SVD (step 1).  Otherwise it settles ``k == 1`` (pure), reduces
+modulo the common kernel (``K_j B`` for an orthonormal basis ``B`` of
+its complement, ``m`` columns) and checks two necessary conditions, each
+violation yielding a witness.  One is ``k <= d_in``.  The other is that
+the factor kernels coincide: after the reduction they meet in ``0``, so
+they coincide iff every ``K_j B`` is injective, which one batched SVD of
+the ``(k, d_in, m)`` stack decides.  A short ``K_j B`` sends its last
+right singular vector ``x`` to zero while some other factor does not,
+so ``B x`` is the witness.  Then:
 
 1. ``rank T == k m`` proves ``QuasiPure``: no nonzero tensor is sent to
    zero.  The rank counts singular values above ``eps_rank`` times the
@@ -166,6 +170,26 @@ def _common_kernel_complement(factors, tol: Tolerance) -> np.ndarray:
     if null.shape[1] == 0:
         return np.eye(factors[0].shape[1], dtype=complex)
     return linalg.kernel_basis(null.conj().T, tol)
+
+
+def _short_factor_direction(stack, tol: Tolerance) -> Optional[np.ndarray]:
+    """A unit ``x`` with ``K_j B x = 0`` for some ``j``, or None.
+
+    ``stack`` holds the reduced factors ``K_j B`` (``k x d x m``).  One
+    batched SVD gives every factor's rank; a factor is short when its
+    smallest singular value is at most ``eps_rank`` times its largest (the
+    cutoff of :func:`linalg.numerical_rank`), or when ``d < m``.  The
+    direction comes from the shortest factor, by that ratio.
+    """
+    _, d, m = stack.shape
+    _, s, vh = np.linalg.svd(stack, full_matrices=d < m)
+    j = 0
+    if d >= m:
+        ratio = s[:, -1] / s[:, 0]
+        j = int(np.argmin(ratio))
+        if ratio[j] > tol.eps_rank:
+            return None
+    return vh[j, -1].conj()
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +494,19 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     T (a (x) x)`` and ``||sum_j a_j K_j||_F^2 = sum_l ||T (a (x) e_l)||^2``,
     so each of these three quantities lies between ``sigma_min(T)`` and
     ``sigma_max(T)`` (times the same constant) and three singular-value
-    ratios are at least ``r``: those of the stacked factor vectors (so
-    :func:`minimal_kraus` keeps the family), of the stacked factors (so
-    the common kernel is trivial, the basis is ``I`` and ``f @ I`` equals
-    ``f`` entry for entry), and of each factor (so every factor is
-    injective and the kernels agree).  An injective ``T`` has
-    ``d_in >= k d_out >= k`` rows, so ``k > d_in`` cannot occur either,
-    and a wider ``T`` is not factorized here.  When ``T`` is not
-    injective the pipeline runs as described, and reuses the rank while
+    ratios are at least ``r``: those of the stacked factor vectors, of the
+    stacked factors (so the common kernel is trivial and the basis is
+    ``I``), and of each factor (so every factor is injective and the
+    kernels agree).  An injective ``T`` has ``d_in >= k d_out >= k`` rows,
+    so ``k > d_in`` cannot occur either, and a wider ``T`` is not
+    factorized here.  The held family is then exactly independent, a
+    minimal family of the map as given, and no nonzero ``a (x) h`` is sent
+    to zero: ``QuasiPure`` is proved.  :func:`minimal_kraus` may still
+    return a shorter family, since it keeps a factor only when
+    ``s^2 > eps_rank * s_max^2`` (the Choi-rank rule) while ``T`` passes
+    at ``r > eps_rank``: the reduced family is that of a map within
+    ``eps_rank * ||Choi||`` of this one.  When ``T`` is not injective the
+    pipeline runs as described, and reuses the rank while
     the factors are the ones it was taken on and the basis is ``I``.
     """
     if not is_cp(phi, tol):
@@ -508,19 +537,13 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     if k > phi.d_in:
         return _not_quasipure(factors, basis[:, 0], METHOD_NECESSARY, tol)
 
-    # necessary condition: all factor kernels coincide
-    nulls = [linalg.kernel_basis(f, tol) for f in factors]
-    for i, j in itertools.permutations(range(k), 2):
-        if nulls[i].shape[1] == 0:
-            continue
-        image = factors[j] @ nulls[i]
-        if linalg.max_abs(image) > tol.eps_eq * max(1.0, linalg.max_abs(factors[j])):
-            col = int(np.argmax(np.linalg.norm(image, axis=0)))
-            return _not_quasipure(factors, nulls[i][:, col],
-                                  METHOD_NECESSARY, tol)
-
-    stack = np.stack([f @ basis for f in factors])  # (k, d, m)
+    stack = np.stack(factors) @ basis  # (k, d, m)
     m = basis.shape[1]
+
+    # necessary condition: all factor kernels coincide
+    short = _short_factor_direction(stack, tol)
+    if short is not None:
+        return _not_quasipure(factors, basis @ short, METHOD_NECESSARY, tol)
 
     # step 1 on the reduced factors; m == d_out iff the basis is I, and
     # then f @ I equals f entry for entry: the rank taken above is this one

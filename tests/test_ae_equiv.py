@@ -311,6 +311,27 @@ def test_counterexample_determinism():
     assert np.array_equal(a[1], b[1])
 
 
+def test_counterexample_factorizes_the_map_once(monkeypatch):
+    # the dilation's factors are the minimal Kraus family the rank test
+    # reads: minimal_kraus runs once per construction
+    from cpmaps import ae_equiv, stinespring
+    calls = []
+    original = stinespring.minimal_kraus
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (ae_equiv, stinespring):
+        monkeypatch.setattr(module, "minimal_kraus", counted)
+    for phi, witness in counterexample_population()[:6]:
+        calls.clear()
+        out = counterexample_construct(phi, witness)
+        assert len(calls) == 1
+        if out is not None:
+            check_counterexample(phi, *out)
+
+
 def test_counterexample_draws_no_random_numbers(monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("counterexample_construct drew random numbers")

@@ -192,6 +192,29 @@ def test_partial_map_rejects_leaky_blocks():
         PartialCpMap(d_in=1, d_out=2, r=E11, blocks=((bad,),))
 
 
+def test_partial_map_validates_blocks_as_before():
+    eye, big = np.eye(2), np.eye(3)
+    r = np.eye(2)
+    with pytest.raises(DimensionMismatch, match=r"block \(1,1\) has shape \(3, 3\)"):
+        PartialCpMap(d_in=2, d_out=2, r=r, blocks=((eye, eye), (eye, big)))
+    with pytest.raises(DimensionMismatch, match=r"block \(0,0\) has shape \(3, 3\)"):
+        PartialCpMap(d_in=2, d_out=2, r=r, blocks=((big, big), (big, big)))
+    with pytest.raises(DimensionMismatch, match=r"block \(0,0\) has shape \(2, 3\)"):
+        PartialCpMap(d_in=2, d_out=2, r=r, blocks=np.zeros((2, 2, 2, 3)))
+    nan = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        PartialCpMap(d_in=2, d_out=2, r=r, blocks=((eye, eye), (nan, eye)))
+    with pytest.raises(ValueError, match="finite"):  # ragged: first bad block
+        PartialCpMap(d_in=2, d_out=2, r=r, blocks=((eye, eye), (nan, big)))
+    with pytest.raises(ValueError, match="2-d"):
+        PartialCpMap(d_in=1, d_out=2, r=r, blocks=((np.ones(2),),))
+    # the stacked column is a copy of the caller's blocks
+    given = np.eye(2, dtype=complex).reshape(1, 1, 2, 2)
+    beta = PartialCpMap(d_in=1, d_out=2, r=r, blocks=given)
+    given[0, 0, 0, 0] = 5.0
+    assert beta.blocks[0][0][0, 0] == 1.0
+
+
 def test_cp_completable_examples():
     assert cp_completable(PartialCpMap.from_map(flip_twirl_map(), E11))
     rng = np.random.default_rng(3)
@@ -241,6 +264,90 @@ def test_not_completable_carries_min_eigenvalue_and_kernel_leak():
     with pytest.raises(NotCompletable) as caught:
         minimal_block_completion(prob)
     assert caught.value.kernel_leak == pytest.approx(2.0)
+
+def test_not_completable_carries_the_exact_two_norm_leak():
+    # a two-dimensional kernel whose leak has distinct singular values, so
+    # the Frobenius norm used to pass the test first is not the 2-norm
+    rng = np.random.default_rng(75)
+    for _ in range(5):
+        a = np.diag([2.0, 1.0, 0.0, 0.0]).astype(complex)
+        c = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        corner = BlockCompletionProblem.from_blocks(a, c)
+        u = haar_unitary(rng, 7)
+        problem = BlockCompletionProblem(
+            p=u @ corner.p @ u.conj().T, a=u @ corner.a @ u.conj().T,
+            c=u @ corner.c @ u.conj().T)
+        want = np.linalg.norm(c[:, 2:], 2)
+        assert want < 0.99 * np.linalg.norm(c[:, 2:])
+        assert not block_completable(problem)
+        with pytest.raises(NotCompletable) as caught:
+            minimal_block_completion(problem)
+        assert caught.value.kernel_leak == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("size, completable", [(0.9e-9, True),
+                                                (1.1e-9, False)])
+def test_leak_cutoff_is_on_the_two_norm(size, completable):
+    # C null = size * I_2: Frobenius norm sqrt(2) size, above the cutoff
+    # eps_rank = 1e-9 in both cases; the 2-norm, size, decides
+    a = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    c = np.zeros((2, 3), dtype=complex)
+    c[:, 1:] = size * np.eye(2)
+    problem = BlockCompletionProblem.from_blocks(a, c)
+    assert block_completable(problem) is completable
+    if not completable:
+        with pytest.raises(NotCompletable) as caught:
+            minimal_block_completion(problem)
+        assert caught.value.kernel_leak == pytest.approx(size, rel=1e-12)
+
+
+def test_a_small_leak_is_passed_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(76)
+    phi = random_cp_map(4, 6, 3, rng=rng)
+    beta = PartialCpMap.from_map(phi, random_psd(rng, 6, rank=3))
+    calls = count_linalg_calls(monkeypatch, ["svd"])
+    norms = []
+    original = np.linalg.norm
+
+    def norm(x, ord=None, *args, **kwargs):
+        norms.append(ord)
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    assert cp_completable(beta)
+    # the one SVD is that of R; ker A (12 x 12, rank 3) leaks nothing, as
+    # its Frobenius norm shows without a 2-norm
+    assert calls == [("svd", (6, 6))]
+    assert norms == [None]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_completion_verdicts_are_scale_invariant(scale):
+    # ker A is 38-dimensional; at x1e6 its eigenvalues come out of eigh
+    # below -eps_psd by rounding alone, inside the relative slack of
+    # linalg.psd_check that the PSD test on A now uses
+    rng = np.random.default_rng(0)
+    d1, d2 = 6, 8
+    phi = random_cp_map(d1, d2, 5, rng=rng)
+    r = random_psd(rng, d2, rank=4)
+    verdicts = {}
+    for kind in ("feasible", "negative", "leak"):
+        choi = phi.choi
+        if kind != "feasible":
+            choi = _infeasible_choi(rng, choi, r, d1, d2, kind)
+        column = scale * choi @ np.kron(np.eye(d1), r)
+        blocks = column.reshape(d1, d2, d1, d2).swapaxes(1, 2)
+        beta = PartialCpMap(d_in=d1, d_out=d2, r=r, blocks=blocks)
+        verdicts[kind] = cp_completable(beta)
+        if verdicts[kind]:
+            alpha = minimal_cp_completion_choi(beta)
+            got = alpha.choi @ np.kron(np.eye(d1), r)
+            assert np.abs(got - column).max() <= 1e-9 * np.abs(column).max()
+        else:
+            with pytest.raises(NotCompletable):
+                minimal_cp_completion_choi(beta)
+    assert verdicts == {"feasible": True, "negative": False, "leak": False}
+
 
 def test_minimal_completion_identity_full_information():
     beta = PartialCpMap.from_map(identity_map(2), np.eye(2))
@@ -346,10 +453,11 @@ REFERENCE_RTOL = 1e-8
 def _reference_decide(p, a, c, tol):
     """``_decide`` as written on ``n x n`` operator-form blocks."""
     n = p.shape[0]
-    min_eig = float(np.linalg.eigvalsh(a)[0])
+    eigs = np.linalg.eigvalsh(a)
+    min_eig = float(eigs[0])
     null = linalg.kernel_basis(a + (np.eye(n) - p), tol)
     leak = float(np.linalg.norm(c @ null, ord=2)) if null.size else 0.0
-    completable = (min_eig >= -tol.eps_psd
+    completable = (min_eig >= -tol.eps_psd * max(1.0, np.abs(eigs).max())
                    and leak <= tol.eps_rank * max(1.0, linalg.max_abs(c)))
     return completable, min_eig, leak
 

@@ -168,6 +168,58 @@ def test_minimal_kraus_reduces_dependent_family_at_any_scale():
     assert status[1e6] == status[1.0]
 
 
+def test_kraus_and_choi_forms_share_one_rank_rule():
+    # nearly dependent factors: the stored family is reduced under the
+    # Choi-rank cutoff s^2 > eps_rank * s_max^2, as the Choi matrix is
+    d = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    by_kraus = CpMap.from_kraus([d, d + 1e-6 * np.eye(3)])
+    by_choi = CpMap.from_choi(by_kraus.choi, 3, 3)
+    verdicts = set()
+    for phi in (by_kraus, by_choi):
+        assert len(minimal_kraus(phi)) == choi_rank(phi) == 1
+        v = is_quasipure(phi)
+        verdicts.add((v.status, v.method))
+    assert verdicts == {("QuasiPure", "Pure")}
+    # a family well inside the cutoff is kept as given
+    kept = CpMap.from_kraus([d, d + 1e-3 * np.eye(3)])
+    assert len(minimal_kraus(kept)) == choi_rank(kept) == 2
+    assert all(a is b for a, b in zip(minimal_kraus(kept), kept.kraus))
+
+
+def test_kraus_to_choi_is_one_exactly_hermitian_gram_product():
+    rng = np.random.default_rng(11)
+    for d_in, d_out, k in ((1, 1, 1), (2, 3, 4), (5, 4, 3), (8, 12, 6)):
+        ks = random_kraus(rng, d_in, d_out, k)
+        choi = kraus_to_choi(ks)
+        outer = sum(np.outer(f.conj().reshape(-1), f.reshape(-1)) for f in ks)
+        assert np.abs(choi - outer).max() <= 1e-14 * np.abs(outer).max()
+        assert np.array_equal(choi, choi.conj().T)
+        assert np.array_equal(CpMap.from_kraus(ks).choi, choi)
+
+
+def test_factors_are_coerced_once_per_map(monkeypatch):
+    from cpmaps import linalg
+    rng = np.random.default_rng(12)
+    ks = [f.tolist() for f in random_kraus(rng, 3, 2, 4)]
+    seen = []
+    original = linalg.as_matrix
+
+    def counted(a):
+        seen.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(linalg, "as_matrix", counted)
+    phi = CpMap.from_kraus(ks)
+    assert seen == [(3, 2)] * 4
+    assert all(isinstance(f, np.ndarray) and f.dtype == complex
+               for f in phi.kraus)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="finite"):
+        CpMap.from_kraus([np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])])
+    with pytest.raises(ValueError, match="2-d"):
+        CpMap.from_kraus([np.ones(3)])
+
+
 def test_cp_verdicts_are_scale_invariant():
     # c phi for c in [1e-8, 1e8], phi given by Kraus factors: is_cp needs
     # no eigensolve, and quasi-purity reads the factors, not the scale

@@ -1,5 +1,6 @@
 """Tests for the quasi-purity decision pipeline and its oracles."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -46,6 +47,8 @@ from conftest import (
     haar_unitary,
     matrix_unit,
     polynomial_factors,
+    random_kraus,
+    random_unit,
 )
 
 
@@ -146,6 +149,70 @@ def test_differing_factor_kernels_is_necessary_violation():
     # e2 kills the first factor but not the second
     assert abs(np.vdot(v.witness, np.array([0.0, 1.0]))) == pytest.approx(1.0)
     assert witness_is_sound(phi, v.witness)
+
+
+def pairwise_kernel_witness(factors, tol=linalg.DEFAULT_TOL):
+    """The factor-kernel test run pairwise: an oracle for the batched one.
+
+    Takes every factor's own kernel basis and returns a basis vector of
+    some ``ker K_i`` that another factor does not annihilate, else None.
+    """
+    nulls = [linalg.kernel_basis(f, tol) for f in factors]
+    for i, j in itertools.permutations(range(len(factors)), 2):
+        if nulls[i].shape[1] == 0:
+            continue
+        image = factors[j] @ nulls[i]
+        if linalg.max_abs(image) > tol.eps_eq * max(1.0, linalg.max_abs(factors[j])):
+            return nulls[i][:, int(np.argmax(np.linalg.norm(image, axis=0)))]
+    return None
+
+
+def kernel_test_population():
+    """Maps with equal and with planted differing factor kernels.
+
+    Gaussian factors (square, tall and short), a common kernel planted in
+    all of them, and on top of it a kernel vector planted in one factor.
+    """
+    rng = np.random.default_rng(1107)
+    maps = []
+    for d_in, d_out, k in ((4, 3, 2), (6, 2, 3), (3, 3, 3), (2, 3, 2),
+                           (5, 4, 2), (3, 5, 3)):
+        factors = random_kraus(rng, d_in, d_out, k)
+        maps.append(factors)
+        common = random_unit(rng, d_out)
+        keep = np.eye(d_out) - np.outer(common, common.conj())
+        maps.append([f @ keep for f in factors])
+        extra = random_unit(rng, d_out)
+        extra -= np.vdot(common, extra) * common
+        extra /= np.linalg.norm(extra)
+        one = int(rng.integers(k))
+        maps.append([f @ keep @ (np.eye(d_out) - np.outer(extra, extra.conj()))
+                     if j == one else f @ keep for j, f in enumerate(factors)])
+    return [CpMap.from_kraus(factors) for factors in maps]
+
+
+def test_batched_kernel_test_agrees_with_the_pairwise_oracle():
+    # after the common-kernel reduction, one batched SVD of the K_j B
+    # decides what the k (k - 1) pairwise image checks decide
+    mismatches = 0
+    for phi in kernel_test_population():
+        factors = minimal_kraus(phi)
+        if len(factors) > phi.d_in:
+            continue
+        basis = quasipure._common_kernel_complement(factors, linalg.DEFAULT_TOL)
+        stack = np.stack(factors) @ basis
+        x = quasipure._short_factor_direction(stack, linalg.DEFAULT_TOL)
+        oracle = pairwise_kernel_witness(factors)
+        assert (x is None) == (oracle is None)
+        if x is not None:
+            mismatches += 1
+            assert witness_is_sound(phi, basis @ x)
+            assert witness_is_sound(phi, oracle)
+            v = is_quasipure(phi)
+            assert (v.status, v.method) == ("NotQuasiPure",
+                                            "NecessaryConditionViolated")
+            assert witness_is_sound(phi, v.witness)
+    assert mismatches >= 6
 
 
 def test_diagonal_pair_witness_from_exact_arithmetic():
