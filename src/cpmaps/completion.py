@@ -279,14 +279,13 @@ class PartialCpMap:
         column = np.empty((self.d_in * d, self.d_in * d), dtype=complex)
         try:
             stacked = np.asarray(self.blocks, dtype=complex)
-        except (TypeError, ValueError):  # ragged: named block by block below
+        except (TypeError, ValueError):  # ragged
             stacked = None
-        if stacked is not None and stacked.shape == (self.d_in, self.d_in, d, d):
-            if not np.all(np.isfinite(stacked)):
-                raise ValueError("matrix entries must be finite")
-            column.reshape(self.d_in, d, self.d_in, d)[...] = stacked.swapaxes(1, 2)
-        else:
-            _fill_block_by_block(column, self.blocks, self.d_in, d)
+        if stacked is None or stacked.shape != (self.d_in, self.d_in, d, d):
+            _name_bad_block(self.blocks, self.d_in, d)
+        if not np.all(np.isfinite(stacked)):
+            raise ValueError("matrix entries must be finite")
+        column.reshape(self.d_in, d, self.d_in, d)[...] = stacked.swapaxes(1, 2)
         blocks = column.reshape(self.d_in, d, self.d_in, d).swapaxes(1, 2)
         comp = np.eye(d, dtype=complex) - linalg.range_projection(r)
         scale = max(1.0, linalg.max_abs(r), linalg.max_abs(column))
@@ -317,18 +316,20 @@ class PartialCpMap:
         return np.einsum("ij,iajb->ab", x, self._column.reshape(d1, d2, d1, d2))
 
 
-def _fill_block_by_block(column: np.ndarray, blocks, d_in: int, d: int) -> None:
-    """Copy ``blocks[i][j]`` into ``column`` one at a time.
+def _name_bad_block(blocks, d_in: int, d: int) -> None:
+    """Raise for blocks that do not stack to ``(d_in, d_in, d, d)``.
 
-    The path for blocks that do not stack to ``(d_in, d_in, d, d)``: it
-    raises on the first bad block, naming it when its shape is wrong.
+    Names the first block that is not a finite ``d x d`` matrix; when every
+    block is one, the outer container has the wrong shape.
     """
     for i in range(d_in):
         for j in range(d_in):
             b = linalg.as_matrix(blocks[i][j])
             if b.shape != (d, d):
                 raise DimensionMismatch(f"block ({i},{j}) has shape {b.shape}")
-            column[i * d:(i + 1) * d, j * d:(j + 1) * d] = b
+    raise DimensionMismatch(
+        f"blocks do not form a {d_in} x {d_in} array of {d} x {d} blocks"
+    )
 
 
 def _times_blocks(column: np.ndarray, m: np.ndarray, d_in: int) -> np.ndarray:

@@ -13,8 +13,8 @@ A *witness* is an ``h0`` with ``0 < rank F(h0) < k`` for
 
 :func:`is_quasipure` first takes the rank of ``T`` on the family the map
 holds (its stored Kraus factors, else its minimal ones) when ``k >= 2``
-and ``k d_out <= d_in``: ``rank T == k d_out`` proves ``QuasiPure`` from
-that one SVD (step 1).  Otherwise it settles ``k == 1`` (pure), reduces
+and ``k d_out <= d_in``: ``rank T == k d_out`` with ``sigma_min(T)^2 >
+eps_rank sigma_max(T)^2`` proves ``QuasiPure`` from that one SVD (step 1).  Otherwise it settles ``k == 1`` (pure), reduces
 modulo the common kernel (``K_j B`` for an orthonormal basis ``B`` of
 its complement, ``m`` columns) and checks two necessary conditions, each
 violation yielding a witness.  One is ``k <= d_in``.  The other is that
@@ -22,7 +22,9 @@ the factor kernels coincide: after the reduction they meet in ``0``, so
 they coincide iff every ``K_j B`` is injective, which one batched SVD of
 the ``(k, d_in, m)`` stack decides.  A short ``K_j B`` sends its last
 right singular vector ``x`` to zero while some other factor does not,
-so ``B x`` is the witness.  Then:
+so ``B x`` is the witness once it passes the rank window; a factor
+short only by its own scale, with ``F(B x)`` still of rank ``k``, is
+left to the steps below.  Then:
 
 1. ``rank T == k m`` proves ``QuasiPure``: no nonzero tensor is sent to
    zero.  The rank counts singular values above ``eps_rank`` times the
@@ -172,24 +174,30 @@ def _common_kernel_complement(factors, tol: Tolerance) -> np.ndarray:
     return linalg.kernel_basis(null.conj().T, tol)
 
 
-def _short_factor_direction(stack, tol: Tolerance) -> Optional[np.ndarray]:
-    """A unit ``x`` with ``K_j B x = 0`` for some ``j``, or None.
+def _short_factor_witness(factors, stack, basis,
+                          tol: Tolerance) -> Optional[np.ndarray]:
+    """A witness ``B x`` with ``K_j B x = 0`` for some ``j``, or None.
 
     ``stack`` holds the reduced factors ``K_j B`` (``k x d x m``).  One
     batched SVD gives every factor's rank; a factor is short when its
     smallest singular value is at most ``eps_rank`` times its largest (the
-    cutoff of :func:`linalg.numerical_rank`), or when ``d < m``.  The
-    direction comes from the shortest factor, by that ratio.
+    cutoff of :func:`linalg.numerical_rank`), or when ``d < m``.  Short
+    factors are tried shortest first, by that ratio, and ``B x`` for the
+    last right singular vector ``x`` is kept only when it passes the rank
+    window: a factor short by its own scale can still leave ``F(B x)`` of
+    rank ``k`` (its image is small, not zero, next to the others), and
+    then the steps after this test decide.
     """
     _, d, m = stack.shape
     _, s, vh = np.linalg.svd(stack, full_matrices=d < m)
-    j = 0
-    if d >= m:
-        ratio = s[:, -1] / s[:, 0]
-        j = int(np.argmin(ratio))
+    ratio = s[:, -1] / s[:, 0] if d >= m else np.zeros(len(stack))
+    for j in np.argsort(ratio, kind="stable"):
         if ratio[j] > tol.eps_rank:
-            return None
-    return vh[j, -1].conj()
+            break
+        h = basis @ vh[j, -1].conj()
+        if _is_witness(factors, h, tol):
+            return h
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +509,14 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     so ``k > d_in`` cannot occur either, and a wider ``T`` is not
     factorized here.  The held family is then exactly independent, a
     minimal family of the map as given, and no nonzero ``a (x) h`` is sent
-    to zero: ``QuasiPure`` is proved.  :func:`minimal_kraus` may still
-    return a shorter family, since it keeps a factor only when
-    ``s^2 > eps_rank * s_max^2`` (the Choi-rank rule) while ``T`` passes
-    at ``r > eps_rank``: the reduced family is that of a map within
-    ``eps_rank * ||Choi||`` of this one.  When ``T`` is not injective the
-    pipeline runs as described, and reuses the rank while
-    the factors are the ones it was taken on and the basis is ``I``.
+    to zero: ``QuasiPure`` is proved.  The early return asks for ``r^2 >
+    eps_rank`` as well.  The stacked factor vectors then have ``s^2 >
+    eps_rank * s_max^2``, so :func:`minimal_kraus` keeps the family under
+    its Choi-rank rule, and the same map given by its Choi matrix, whose
+    minimal factors mix these by a unitary and leave the singular values
+    of ``T`` alone, returns here too.  For a smaller ``r`` the pipeline
+    runs on the reduced family, which may be shorter.  When the family is
+    not reduced, the rank of ``T`` is reused while the basis is ``I``.
     """
     if not is_cp(phi, tol):
         raise NotCP("quasi-purity is defined for completely positive maps")
@@ -519,8 +528,9 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     columns = len(given) * phi.d_out
     flat_rank = None
     if len(given) >= 2 and columns <= phi.d_in:  # else T cannot be injective
-        flat_rank = linalg.numerical_rank(np.hstack(given), tol)
-        if flat_rank == columns:
+        s = np.linalg.svd(np.hstack(given), compute_uv=False)
+        flat_rank = int(np.count_nonzero(s > tol.eps_rank * s[0]))
+        if flat_rank == columns and s[-1] ** 2 > tol.eps_rank * s[0] ** 2:
             return QuasiPurityVerdict(status=QUASI_PURE,
                                       method=METHOD_EXACT_PENCIL)
 
@@ -541,9 +551,9 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     m = basis.shape[1]
 
     # necessary condition: all factor kernels coincide
-    short = _short_factor_direction(stack, tol)
+    short = _short_factor_witness(factors, stack, basis, tol)
     if short is not None:
-        return _not_quasipure(factors, basis @ short, METHOD_NECESSARY, tol)
+        return _not_quasipure(factors, short, METHOD_NECESSARY, tol)
 
     # step 1 on the reduced factors; m == d_out iff the basis is I, and
     # then f @ I equals f entry for entry: the rank taken above is this one

@@ -208,6 +208,11 @@ def test_partial_map_validates_blocks_as_before():
         PartialCpMap(d_in=2, d_out=2, r=r, blocks=((eye, eye), (nan, big)))
     with pytest.raises(ValueError, match="2-d"):
         PartialCpMap(d_in=1, d_out=2, r=r, blocks=((np.ones(2),),))
+    # every block well formed, but more of them than d_in x d_in
+    with pytest.raises(DimensionMismatch, match="1 x 1 array of 2 x 2 blocks"):
+        PartialCpMap(d_in=1, d_out=2, r=r, blocks=((eye, eye), (eye, eye)))
+    with pytest.raises(DimensionMismatch, match="1 x 1 array of 2 x 2 blocks"):
+        PartialCpMap(d_in=1, d_out=2, r=r, blocks=((eye, big),))
     # the stacked column is a copy of the caller's blocks
     given = np.eye(2, dtype=complex).reshape(1, 1, 2, 2)
     beta = PartialCpMap(d_in=1, d_out=2, r=r, blocks=given)

@@ -180,6 +180,17 @@ def test_kraus_and_choi_forms_share_one_rank_rule():
         v = is_quasipure(phi)
         verdicts.add((v.status, v.method))
     assert verdicts == {("QuasiPure", "Pure")}
+    # an injective T = [K_1 | K_2] proves QuasiPure from the held family
+    # only when minimal_kraus keeps it: here sigma_min(T) / sigma_max(T)
+    # is about 5e-7, above eps_rank, while s^2 of the factor vectors is not
+    pair = CpMap.from_kraus([np.array([[1.0], [0.0]]),
+                             np.array([[1.0], [1e-6]])])
+    verdicts = set()
+    for phi in (pair, CpMap.from_choi(pair.choi, 2, 1)):
+        assert len(minimal_kraus(phi)) == choi_rank(phi) == 1
+        v = is_quasipure(phi)
+        verdicts.add((v.status, v.method))
+    assert verdicts == {("QuasiPure", "Pure")}
     # a family well inside the cutoff is kept as given
     kept = CpMap.from_kraus([d, d + 1e-3 * np.eye(3)])
     assert len(minimal_kraus(kept)) == choi_rank(kept) == 2

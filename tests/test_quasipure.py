@@ -188,7 +188,25 @@ def kernel_test_population():
         one = int(rng.integers(k))
         maps.append([f @ keep @ (np.eye(d_out) - np.outer(extra, extra.conj()))
                      if j == one else f @ keep for j, f in enumerate(factors)])
+    maps.append(near_singular_factors(0.1))
     return [CpMap.from_kraus(factors) for factors in maps]
+
+
+def near_singular_factors(c):
+    """Two factors short by their own scale, with no kernel mismatch.
+
+    Each ``K_j`` has singular values ``c`` and ``1e-10 c``, so it is short
+    within ``eps_rank``; their small directions differ by an angle of
+    ``5e-9``, and ``F`` at either one has two independent columns.
+    """
+    theta = 5e-9
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    k1 = np.zeros((4, 2), dtype=complex)
+    k1[:2] = c * np.diag([1.0, 1e-10])
+    k2 = np.zeros((4, 2), dtype=complex)
+    k2[2:] = c * np.diag([1.0, 1e-10]) @ rot
+    return [k1, k2]
 
 
 def test_batched_kernel_test_agrees_with_the_pairwise_oracle():
@@ -201,18 +219,34 @@ def test_batched_kernel_test_agrees_with_the_pairwise_oracle():
             continue
         basis = quasipure._common_kernel_complement(factors, linalg.DEFAULT_TOL)
         stack = np.stack(factors) @ basis
-        x = quasipure._short_factor_direction(stack, linalg.DEFAULT_TOL)
+        h = quasipure._short_factor_witness(factors, stack, basis,
+                                            linalg.DEFAULT_TOL)
         oracle = pairwise_kernel_witness(factors)
-        assert (x is None) == (oracle is None)
-        if x is not None:
+        assert (h is None) == (oracle is None)
+        if h is not None:
             mismatches += 1
-            assert witness_is_sound(phi, basis @ x)
+            assert witness_is_sound(phi, h)
             assert witness_is_sound(phi, oracle)
             v = is_quasipure(phi)
             assert (v.status, v.method) == ("NotQuasiPure",
                                             "NecessaryConditionViolated")
             assert witness_is_sound(phi, v.witness)
     assert mismatches >= 6
+
+
+def test_short_factor_without_a_witness_is_left_to_the_later_steps():
+    # a factor short by its own scale is not yet a kernel mismatch: F at
+    # its small direction has rank k here, so no witness may be reported
+    for c in (0.1, 1.0, 10.0):
+        factors = near_singular_factors(c)
+        basis = np.eye(2, dtype=complex)
+        stack = np.stack(factors)
+        assert quasipure._short_factor_witness(factors, stack, basis,
+                                               linalg.DEFAULT_TOL) is None
+        v = is_quasipure(CpMap.from_kraus(factors))
+        assert v.method != "NecessaryConditionViolated"
+        assert v.witness is None or witness_is_sound(
+            CpMap.from_kraus(factors), v.witness)
 
 
 def test_diagonal_pair_witness_from_exact_arithmetic():
