@@ -1,17 +1,18 @@
-"""Deciding quasi-purity: pencil, certificate, witnesses and the grid oracle.
+"""Deciding quasi-purity: pencil, certificate and witnesses.
 
 A CP map with minimal Kraus family {K_1, ..., K_k} is quasi-pure when no
 direction h makes the vectors K_1 h, ..., K_k h linearly dependent without
 all vanishing.  A direction that does is a witness: it certifies that part
 of the map can be split off.  When the smaller of k and the number of
 directions is 2 the witness set is the root set of a matrix pencil; beyond
-that a Lipschitz certificate clears projective space cell by cell.  An
-independent brute-force grid oracle cross-checks the verdicts on small maps.
+that a Lipschitz certificate clears projective space cell by cell.  The
+verdict is a fact about the map, so small random maps given by their Kraus
+factors and by their Choi matrix get the same one.
 """
 
 import numpy as np
 
-from cpmaps import grid_oracle, is_quasipure, minimal_kraus
+from cpmaps import CpMap, is_quasipure, minimal_kraus
 from cpmaps.gallery import (
     diagonal_pair_map,
     flip_twirl_map,
@@ -76,18 +77,15 @@ print(f"\nrandom map M_4 -> M_2, k = 3:")
 print(f"  {verdict.status} via {verdict.method} "
       f"({verdict.samples_used} cells), is_proof={verdict.is_proof}")
 
-# The grid oracle agrees, with its own Lipschitz certificate.
-cert = grid_oracle(hard, grid_density=200)
-print(f"  grid oracle: {cert.status} via {cert.method} (a certificate)")
-
 # ---------------------------------------------------------------------------
-# 4. Cross-checking the pencil against the grid on small random maps.
+# 4. The same map given by its Choi matrix gets the same verdict.
 # ---------------------------------------------------------------------------
 rng = np.random.default_rng(12)
 agree = 0
 for _ in range(10):
     m = random_cp_map(2, 2, int(rng.integers(1, 3)), rng=rng)
-    if is_quasipure(m).status == grid_oracle(m).status:
+    as_choi = CpMap.from_choi(m.choi, m.d_in, m.d_out)
+    if is_quasipure(m).status == is_quasipure(as_choi).status:
         agree += 1
-print(f"\npencil vs grid oracle on 10 random small maps: {agree}/10 agree")
+print(f"\nKraus form vs Choi form on 10 random small maps: {agree}/10 agree")
 print("\nQuasi-purity decisions and cross-checks complete.")

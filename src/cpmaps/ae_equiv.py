@@ -198,14 +198,12 @@ class RigidityVerdict:
 
 def rigidity_check(phi: CpMap, psi: CpMap, r,
                    tol: Tolerance = DEFAULT_TOL, *,
-                   verdict: Optional[QuasiPurityVerdict] = None,
                    budget: int = 2000) -> RigidityVerdict:
     """Machine-check the hypotheses that force ``phi = psi``, then compare.
 
     Hypotheses (HypothesisFailed with the culprit's name when violated):
 
-    * ``phi`` is quasi-pure with a proof-grade verdict (computed here
-      unless a verdict is supplied);
+    * ``phi`` is quasi-pure with a proof-grade verdict;
     * ``phi(I) = psi(I)``;
     * the maps are R-equivalent;
     * ``phi(.) R`` is not identically zero.
@@ -220,8 +218,7 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
         raise NotCP("rigidity concerns completely positive maps")
     ctx = _coerce_context(r)
 
-    if verdict is None:
-        verdict = is_quasipure(phi, tol, budget=budget)
+    verdict = is_quasipure(phi, tol, budget=budget)
     if not (verdict.status == QUASI_PURE and verdict.is_proof):
         raise HypothesisFailed(
             "quasi-purity",

@@ -59,11 +59,11 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _tolerance_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-rank", type=float, default=1e-9,
+    parser.add_argument("--tol-rank", type=float, default=Tolerance.eps_rank,
                         metavar="EPS", help="relative rank cutoff")
-    parser.add_argument("--tol-psd", type=float, default=1e-10,
+    parser.add_argument("--tol-psd", type=float, default=Tolerance.eps_psd,
                         metavar="EPS", help="PSD eigenvalue slack")
-    parser.add_argument("--tol-eq", type=float, default=1e-9,
+    parser.add_argument("--tol-eq", type=float, default=Tolerance.eps_eq,
                         metavar="EPS", help="entrywise equality slack")
 
 

@@ -36,10 +36,6 @@ class NotDominated(ToolkitError):
     """The second map is not dominated by the first in the CP order."""
 
 
-class TooLarge(ToolkitError):
-    """The instance exceeds the size limits of a brute-force routine."""
-
-
 class InputNotReduced(ToolkitError):
     """The factor pair still has a common kernel; reduce it first."""
 
@@ -74,10 +70,6 @@ class RNotProjection(ToolkitError):
 
 class WitnessInvalid(ToolkitError):
     """The supplied vector does not witness failure of quasi-purity."""
-
-
-class InconclusiveQuasiPurity(ToolkitError):
-    """A routine needed a proof-grade quasi-purity verdict but got none."""
 
 
 class MalformedDocument(ToolkitError):

@@ -37,7 +37,6 @@ __all__ = [
     "ranked_svd",
     "range_projection",
     "kernel_basis",
-    "close",
 ]
 
 #: Hermiticity slack: a matrix within this (scale-relative) distance of its
@@ -85,28 +84,20 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when ``a`` and ``b`` agree entrywise within ``eps_eq``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    return max_abs(a - b) <= tol.eps_eq
-
-
-def require_hermitian(m, *, residual: float = HERMITIAN_RESIDUAL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return the Hermitian part of ``m`` if it is close enough to Hermitian.
 
-    The residual ``max_abs(m - m*)`` is compared against ``residual`` scaled
-    by ``max(1, max_abs(m))`` so that well-conditioned large matrices are not
-    rejected for harmless rounding.  Beyond that, NonHermitianInput is raised
-    rather than silently averaging away a real asymmetry.
+    The residual ``max_abs(m - m*)`` is compared against
+    ``HERMITIAN_RESIDUAL`` scaled by ``max(1, max_abs(m))`` so that
+    well-conditioned large matrices are not rejected for harmless rounding.
+    Beyond that, NonHermitianInput is raised rather than silently averaging
+    away a real asymmetry.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix is not square: shape {m.shape}")
     gap = max_abs(m - m.conj().T)
-    if gap > residual * max(1.0, max_abs(m)):
+    if gap > HERMITIAN_RESIDUAL * max(1.0, max_abs(m)):
         raise NonHermitianInput(
             f"matrix is not Hermitian: ||M - M*||_max = {gap:.3e}"
         )

@@ -53,8 +53,8 @@ left to the steps below.  Then:
    ``Inconclusive``.
 
 Tags: ``Pure``, ``NecessaryConditionViolated``, ``ExactPencil`` (steps 1
-and 2), ``LipschitzCertificate`` (step 3), ``GridOracle``; each
-``QuasiPure`` is proof-grade, each witness re-verified.
+and 2), ``LipschitzCertificate`` (step 3); each ``QuasiPure`` is
+proof-grade, each witness re-verified.
 """
 
 from __future__ import annotations
@@ -69,14 +69,11 @@ import numpy as np
 from . import linalg
 from .cp_map import CpMap, is_cp, minimal_kraus
 from .errors import (
-    InconclusiveQuasiPurity,
     InputNotReduced,
     NotCP,
-    TooLarge,
     ZeroMap,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .stinespring import map_from_contraction, minimal_stinespring
 
 __all__ = [
     "QUASI_PURE",
@@ -86,12 +83,9 @@ __all__ = [
     "METHOD_EXACT_PENCIL",
     "METHOD_NECESSARY",
     "METHOD_CERTIFICATE",
-    "METHOD_GRID",
     "QuasiPurityVerdict",
     "is_quasipure",
     "exact_pencil_k2",
-    "grid_oracle",
-    "domination_preserves_quasipurity_check",
 ]
 
 QUASI_PURE = "QuasiPure"
@@ -102,10 +96,9 @@ METHOD_PURE = "Pure"
 METHOD_EXACT_PENCIL = "ExactPencil"
 METHOD_NECESSARY = "NecessaryConditionViolated"
 METHOD_CERTIFICATE = "LipschitzCertificate"
-METHOD_GRID = "GridOracle"
 
 _PROOF_METHODS = frozenset({METHOD_PURE, METHOD_EXACT_PENCIL,
-                            METHOD_CERTIFICATE, METHOD_GRID})
+                            METHOD_CERTIFICATE})
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +160,16 @@ def _not_quasipure(factors, h0, method: str, tol: Tolerance,
 
 
 def _common_kernel_complement(factors, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthocomplement of cap_j ker K_j."""
-    null = linalg.kernel_basis(np.vstack(factors), tol)
-    if null.shape[1] == 0:
-        return np.eye(factors[0].shape[1], dtype=complex)
-    return linalg.kernel_basis(null.conj().T, tol)
+    """Orthonormal basis (columns) of the orthocomplement of cap_j ker K_j.
+
+    The leading right singular vectors of the stacked factors span it.  A
+    trivial common kernel gives ``I`` itself, so the reduced factors are
+    the given ones entry for entry.
+    """
+    _, _, vh, r = linalg.ranked_svd(np.vstack(factors), tol)
+    if r == vh.shape[1]:
+        return np.eye(r, dtype=complex)
+    return vh[:r].conj().T
 
 
 def _short_factor_witness(factors, stack, basis,
@@ -580,136 +578,3 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     # step 3 (and the proof behind a floating-point pencil)
     return _lipschitz_certificate(factors, stack, basis, side, over_a,
                                   budget, tol)
-
-
-# ---------------------------------------------------------------------------
-# brute-force grid oracle
-
-
-def _grid_points(m: int, density: int) -> np.ndarray:
-    if m == 1:
-        return np.ones((1, 1), dtype=complex)
-    thetas = np.linspace(0.0, np.pi / 2.0, density)
-    phases = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phases, indexing="ij")
-    return np.stack([np.cos(tt).ravel().astype(complex),
-                     (np.exp(1j * pp) * np.sin(tt)).ravel()], axis=1)
-
-
-def grid_oracle(phi: CpMap, grid_density: int = 200,
-                tol: Tolerance = DEFAULT_TOL) -> QuasiPurityVerdict:
-    """Brute-force quasi-purity scan over a projective grid of directions.
-
-    Only meant for ``d_out <= 2`` and ``k <= 3`` (TooLarge otherwise); this
-    is the independent oracle the exact pencil is validated against, so it
-    deliberately shares none of the pencil machinery.  After reducing the
-    common kernel, it scans magnitude/phase grid points on the projective
-    space of directions:
-
-    * any grid point inside the rank window is a verified witness;
-    * points whose k-th singular value dips below a Lipschitz threshold
-      (singular values of ``F(h)`` are 1-Lipschitz in ``h`` against the
-      aggregate factor norm) are polished and re-verified;
-    * if the scan minimum clears the Lipschitz margin, no direction
-      anywhere on the sphere can be singular and the verdict is a
-      certificate, not a sample.
-    """
-    if not is_cp(phi, tol):
-        raise NotCP("quasi-purity is defined for completely positive maps")
-    if phi.is_zero(tol):
-        raise ZeroMap("quasi-purity is undefined for the zero map")
-    factors = minimal_kraus(phi, tol)
-    k = len(factors)
-    if phi.d_out > 2 or k > 3:
-        raise TooLarge(
-            f"grid oracle supports d_out <= 2 and k <= 3, got "
-            f"d_out={phi.d_out}, k={k}"
-        )
-    if grid_density < 8:
-        raise ValueError("grid density must be at least 8")
-
-    basis = _common_kernel_complement(factors, tol)
-    m = basis.shape[1]
-    stack = np.stack([f @ basis for f in factors])  # (k, d1, m)
-    pts = _grid_points(m, grid_density)
-
-    fs = np.einsum("jdm,nm->ndj", stack, pts)
-    svals = np.linalg.svd(fs, compute_uv=False)  # (N, min(d1, k)) descending
-    smax = svals[:, 0]
-    ranks = np.sum(svals > tol.eps_rank * smax[:, None], axis=1)
-
-    window = (ranks > 0) & (ranks < k)
-    if np.any(window):
-        idx = int(np.argmax(window))
-        h = basis @ pts[idx]
-        return _not_quasipure(factors, h, METHOD_GRID, tol)
-
-    if k > phi.d_in:
-        # rank can never reach k; any direction with a nonzero image is a
-        # witness, and after reduction every direction has a nonzero image
-        h = basis @ pts[0]
-        return _not_quasipure(factors, h, METHOD_GRID, tol)
-
-    if m == 1:
-        # one projective direction -- the scan above was already exhaustive
-        return QuasiPurityVerdict(status=QUASI_PURE, method=METHOD_GRID)
-
-    lipschitz = float(np.sqrt(sum(
-        np.linalg.norm(r, ord=2) ** 2 for r in stack)))
-    dtheta = (np.pi / 2.0) / (grid_density - 1)
-    dphase = (2.0 * np.pi) / grid_density
-    covering = 0.5 * (dtheta + dphase)
-    margin = lipschitz * covering
-
-    sigma_k = svals[:, k - 1]
-    suspicious = np.nonzero(sigma_k <= 4.0 * margin)[0]
-    order = suspicious[np.argsort(sigma_k[suspicious])][:16]
-    for idx in order:
-        h = _refine_candidate(stack, pts[idx] / np.linalg.norm(pts[idx]))
-        lifted = basis @ h
-        if _is_witness(factors, lifted, tol):
-            return _not_quasipure(factors, lifted, METHOD_GRID, tol)
-
-    if float(np.min(sigma_k)) > margin:
-        return QuasiPurityVerdict(status=QUASI_PURE, method=METHOD_GRID)
-    return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_GRID)
-
-
-# ---------------------------------------------------------------------------
-# order-theoretic consistency harness
-
-
-def domination_preserves_quasipurity_check(
-        phi: CpMap, trials: int = 20, tol: Tolerance = DEFAULT_TOL, *,
-        seed: int = 0, budget: int = 2000) -> bool:
-    """Check that maps dominated by a quasi-pure map stay quasi-pure.
-
-    ``phi`` must itself carry a proof-grade quasi-pure verdict, otherwise
-    InconclusiveQuasiPurity is raised (callers typically convert this to a
-    test skip).  Each trial draws a random positive contraction in the
-    commutant factor, forms the dominated map, and checks its verdict;
-    inconclusive verdicts on the dominated side are skipped, a single
-    NotQuasiPure makes the whole check fail.
-    """
-    base = is_quasipure(phi, tol, budget=budget)
-    if not (base.status == QUASI_PURE and base.is_proof):
-        raise InconclusiveQuasiPurity(
-            f"base map verdict is {base.status} ({base.method})"
-        )
-    triple = minimal_stinespring(phi, tol)
-    k = triple.multiplicity
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        h = g @ g.conj().T
-        top = float(np.linalg.eigvalsh(h)[-1])
-        if top <= 0.0:
-            continue
-        d = h / top * rng.uniform(0.2, 1.0)
-        dominated = map_from_contraction(triple, d)
-        if dominated.is_zero(tol):
-            continue
-        verdict = is_quasipure(dominated, tol, budget=budget)
-        if verdict.status == NOT_QUASI_PURE:
-            return False
-    return True

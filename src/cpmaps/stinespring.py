@@ -186,10 +186,19 @@ def cyclic_projection(triple: StinespringTriple, h0,
 
 
 def dominates(phi: CpMap, psi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``phi - psi`` is CP, i.e. the Choi difference is PSD."""
+    """True iff ``phi - psi`` is CP, i.e. the Choi difference is PSD.
+
+    The difference rounds at the scale of the operands, not at its own, so
+    its smallest eigenvalue may reach ``eps_psd * max(1, s)`` below zero,
+    ``s`` the largest spectral norm of the two Choi matrices and of their
+    difference.
+    """
     if (phi.d_in, phi.d_out) != (psi.d_in, psi.d_out):
         raise DimensionMismatch("maps act on different algebras")
-    return linalg.psd_check(phi.choi - psi.choi, tol)
+    w = np.linalg.eigvalsh(linalg.require_hermitian(phi.choi - psi.choi))
+    scale = max(float(np.abs(w).max()), np.linalg.norm(phi.choi, 2),
+                np.linalg.norm(psi.choi, 2))
+    return bool(w[0] >= -tol.eps_psd * max(1.0, scale))
 
 
 @dataclass(frozen=True, eq=False)

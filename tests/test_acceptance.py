@@ -19,7 +19,6 @@ from cpmaps import (
     cyclic_projection,
     dominates,
     forced_equality_scan,
-    grid_oracle,
     is_cp,
     is_quasipure,
     kraus_to_choi,
@@ -55,6 +54,7 @@ from conftest import (
     random_unit,
     run_cli,
 )
+from oracles import grid_oracle
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 

@@ -10,16 +10,12 @@ import pytest
 
 from cpmaps import (
     CpMap,
-    InconclusiveQuasiPurity,
     InputNotReduced,
     NotCP,
-    TooLarge,
     ZeroMap,
     apply,
     cyclic_projection,
-    domination_preserves_quasipurity_check,
     exact_pencil_k2,
-    grid_oracle,
     is_quasipure,
     map_from_contraction,
     map_from_dilation,
@@ -50,6 +46,7 @@ from conftest import (
     random_kraus,
     random_unit,
 )
+from oracles import domination_preserves_quasipurity_check, grid_oracle
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -392,6 +389,24 @@ def test_flattening_rank_is_taken_once(monkeypatch, phi, verdict):
     assert calls.count(("svd", (phi.d_in, 3 * phi.d_out))) == 1
 
 
+def test_common_kernel_complement_takes_one_svd(monkeypatch):
+    # the leading right singular vectors of the stacked factors span the
+    # complement of their common kernel; a trivial kernel gives I
+    rng = np.random.default_rng(21)
+    q = haar_unitary(rng, 4)[:, :2]
+    factors = [k @ q @ q.conj().T for k in random_kraus(rng, 5, 4, 3)]
+    calls = count_linalg_calls(monkeypatch, ["svd"])
+    basis = quasipure._common_kernel_complement(factors, linalg.DEFAULT_TOL)
+    assert calls == [("svd", (15, 4))]
+    assert basis.shape == (4, 2)
+    assert np.allclose(basis.conj().T @ basis, np.eye(2))
+    assert np.allclose(basis @ basis.conj().T, q @ q.conj().T)
+    full = random_kraus(rng, 5, 4, 2)
+    assert np.array_equal(
+        quasipure._common_kernel_complement(full, linalg.DEFAULT_TOL),
+        np.eye(4))
+
+
 def test_decisions_draw_no_random_numbers(monkeypatch):
     maps = [load_map("inconclusive_map.json"),
             planted_witness_map(3, 3, 3, seed=2)[0]]
@@ -595,11 +610,11 @@ def test_grid_oracle_examples():
 
 
 def test_grid_oracle_scale_limits():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match="d_out=3, k=1"):
         grid_oracle(identity_map(3))  # d_out = 3
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match="d_out=2, k=4"):
         grid_oracle(random_cp_map(3, 2, 4, seed=0))  # k = 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 8"):
         grid_oracle(flip_twirl_map(), grid_density=4)
 
 
@@ -665,7 +680,7 @@ def test_domination_preserves_quasipurity_on_pure_map():
 
 
 def test_domination_check_requires_proof_grade_base():
-    with pytest.raises(InconclusiveQuasiPurity):
+    with pytest.raises(ValueError, match="NotQuasiPure"):
         domination_preserves_quasipurity_check(flip_twirl_map(), trials=2)
 
 

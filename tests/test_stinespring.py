@@ -10,6 +10,7 @@ from cpmaps import (
     DimensionMismatch,
     NotCP,
     NotDominated,
+    PartialCpMap,
     ZeroMap,
     apply,
     cyclic_projection,
@@ -19,6 +20,7 @@ from cpmaps import (
     map_from_contraction,
     map_from_dilation,
     maps_close,
+    minimal_cp_completion_choi,
     minimal_stinespring,
     radon_nikodym,
     representation,
@@ -30,6 +32,7 @@ from cpmaps.gallery import (
     conjugation_map,
     flip_twirl_map,
     identity_map,
+    random_cp_map,
     trace_state_map,
     transpose_map,
 )
@@ -188,6 +191,19 @@ def test_dominates_examples():
     assert not dominates(identity_map(2), transpose_map(2))
     with pytest.raises(DimensionMismatch):
         dominates(identity_map(2), identity_map(3))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e6, 1e8])
+def test_dominates_reads_rounding_at_the_operands_scale(c):
+    # the minimal completion of phi(.) R equals phi here, and their Choi
+    # difference is rounding at the operands' scale (eigenvalues of order
+    # 1e-16 c), which the difference's own scale mistook for a violation
+    # from c = 1e6 on; a map 0.1% larger is not dominated at any scale
+    phi = c * random_cp_map(4, 6, 3)
+    r = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    alpha = minimal_cp_completion_choi(PartialCpMap.from_map(phi, r))
+    assert dominates(phi, alpha)
+    assert not dominates(phi, (1.0 + 1e-3) * phi)
 
 
 def test_radon_nikodym_scalar_and_identity():
