@@ -38,7 +38,7 @@ from .completion import (
     minimal_cp_completion_choi,
     minimal_cp_completion_stinespring,
 )
-from .cp_map import CpMap, apply, is_cp, minimal_kraus
+from .cp_map import CpMap, apply, is_cp, maps_close, minimal_kraus
 from .errors import (
     DimensionMismatch,
     HypothesisFailed,
@@ -120,8 +120,7 @@ def support_projection(xi: CpMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     for k in factors:
         gram += k @ k.conj().T
     p = linalg.range_projection(gram, tol)
-    scale = max(1.0, linalg.max_abs(xi.choi))
-    if linalg.max_abs(apply(xi, p) - xi.unit()) > 1e-8 * scale:
+    if not linalg.negligible(apply(xi, p) - xi.unit(), tol, xi.unit()):
         raise NotCP("internal error: the support projection P fails "
                     "xi(P) = xi(I)")
     return p
@@ -152,8 +151,7 @@ def r_equivalent(phi: CpMap, psi: CpMap,
         raise DimensionMismatch("comparison operator has the wrong dimension")
     diff = phi.choi - psi.choi
     masked = _times_blocks(diff, p, phi.d_in)
-    scale = max(1.0, linalg.max_abs(phi.choi), linalg.max_abs(psi.choi))
-    return linalg.max_abs(masked) <= tol.eps_eq * scale
+    return linalg.negligible(masked, tol, phi.choi, psi.choi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +206,10 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
     * the maps are R-equivalent;
     * ``phi(.) R`` is not identically zero.
 
-    Under these the maps must agree outright; a ``CounterexampleFound``
-    status would indicate a defect in this package, not new mathematics.
-    ``r`` may also be a context, whose projection is then reused.
+    Under these the maps must agree outright, by :func:`maps_close`; a
+    ``CounterexampleFound`` status would indicate a defect in this package,
+    not new mathematics.  ``r`` may also be a context, whose projection is
+    then reused.
     """
     if (phi.d_in, phi.d_out) != (psi.d_in, psi.d_out):
         raise DimensionMismatch("maps act on different algebras")
@@ -226,20 +225,20 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
             f"({verdict.method})",
         )
 
-    scale = max(1.0, linalg.max_abs(phi.choi), linalg.max_abs(psi.choi))
-    if linalg.max_abs(phi.unit() - psi.unit()) > tol.eps_eq * scale:
+    units = phi.unit(), psi.unit()
+    if not linalg.negligible(units[0] - units[1], tol, *units):
         raise HypothesisFailed("unit-values", "phi(I) != psi(I)")
 
     if not r_equivalent(phi, psi, ctx, tol):
         raise HypothesisFailed("r-equivalence", "phi(X) R != psi(X) R")
 
     masked = _times_blocks(phi.choi, ctx.projection(tol), phi.d_in)
-    if linalg.max_abs(masked) <= tol.eps_eq * scale:
+    if linalg.negligible(masked, tol, phi.choi):
         raise HypothesisFailed("vanishes-on-r", "phi(.) R is identically zero")
 
+    status = (THEOREM_HOLDS if maps_close(phi, psi, tol)
+              else COUNTEREXAMPLE_FOUND)
     deviation = linalg.max_abs(phi.choi - psi.choi)
-    status = THEOREM_HOLDS if deviation <= max(10 * tol.eps_eq * scale, 1e-8) \
-        else COUNTEREXAMPLE_FOUND
     return RigidityVerdict(status=status, max_deviation=float(deviation),
                            quasipurity=verdict)
 
@@ -269,7 +268,7 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap,
     phi_t = phi.choi.reshape(phi.d_in, phi.d_out, phi.d_in, phi.d_out)
     xi_t = xi.choi.reshape(xi.d_in, xi.d_out, xi.d_in, xi.d_out)
     composed = np.einsum("iajb,acbe->icje", phi_t, xi_t)
-    if linalg.max_abs(composed) <= tol.eps_eq * max(1.0, linalg.max_abs(xi.choi)):
+    if linalg.negligible(composed, tol, xi.choi):
         raise HypothesisFailed("vanishes-on-r", "xi . phi is identically zero")
     return rigidity_check(phi, psi, ctx, tol, budget=budget)
 
@@ -308,11 +307,12 @@ def counterexample_construct(phi: CpMap, witness,
     Returns ``(psi, R)`` on success, and None when no admissible twist
     moves the map at this witness: every ``B_ij`` is a scalar (always so
     when ``rank S = 1``, and when a cyclic ``h0`` leaves nothing to
-    twist), or the candidate moves ``alpha`` by no more than ``1e-5`` of
-    its size, or fails a postcondition.  Raises WitnessInvalid when
-    ``phi(I) h0 = 0``, when the compression fails to annihilate the
+    twist), or the candidate leaves ``phi`` equal to itself by
+    :func:`maps_close`, or fails a postcondition.  Raises WitnessInvalid
+    when ``phi(I) h0 = 0``, when the compression fails to annihilate the
     witness numerically, or when the map is provably quasi-pure (no
-    witness exists at all).
+    witness exists at all).  Every equality here is the package's one
+    rule, :func:`linalg.negligible`.
     """
     if not is_cp(phi, tol):
         raise NotCP("counterexamples start from a completely positive map")
@@ -323,7 +323,7 @@ def counterexample_construct(phi: CpMap, witness,
     if norm == 0:
         raise WitnessInvalid("the zero vector cannot witness anything")
     h0 = h0 / norm
-    if np.linalg.norm(phi.unit() @ h0) <= tol.eps_eq:
+    if linalg.negligible(phi.unit() @ h0, tol, phi.unit()):
         raise WitnessInvalid("phi(I) annihilates the witness")
 
     # one factorization: the triple's factors are minimal_kraus(phi)
@@ -350,7 +350,7 @@ def counterexample_construct(phi: CpMap, witness,
         raise WitnessInvalid("the witness generates a cyclic subspace; "
                              "no dominated map vanishes on it")
     s = alpha.unit()
-    if np.linalg.norm(s @ h0) > 1e-8 * max(1.0, linalg.max_abs(s)):
+    if not linalg.negligible(s @ h0, tol, s):
         raise WitnessInvalid("the compression does not annihilate the witness")
 
     w, u = linalg.eigh(s)
@@ -370,7 +370,6 @@ def counterexample_construct(phi: CpMap, witness,
     # alpha(E_ij) for every matrix unit: the blocks of its Choi matrix
     alpha_units = alpha.choi.reshape(
         phi.d_in, phi.d_out, phi.d_in, phi.d_out).swapaxes(1, 2)
-    scale = max(1.0, linalg.max_abs(alpha_units))
 
     # every B_ij on ran S, and its squared Frobenius distance to the
     # scalars, ||B||^2 - |tr B|^2 / r
@@ -389,9 +388,6 @@ def counterexample_construct(phi: CpMap, witness,
     swap = np.eye(rank_s) - np.outer(v, v.conj())
     z = s_inv_half @ swap @ s_half.conj().T
 
-    moved = linalg.max_abs(z.conj().T @ alpha_units @ z - alpha_units)
-    if moved <= 1e-5 * scale:
-        return None
     twisted = CpMap.from_kraus(
         [k @ z for k in alpha.kraus], phi.d_in, phi.d_out
     )
@@ -399,10 +395,11 @@ def counterexample_construct(phi: CpMap, witness,
     r = np.outer(h0, h0.conj())
     # final validation of the promised postconditions
     if (not is_cp(psi, tol)
-            or linalg.max_abs(psi.unit() - phi.unit()) > 1e-8 * scale
+            or not linalg.negligible(psi.unit() - phi.unit(), tol,
+                                     psi.unit(), phi.unit())
             or not r_equivalent(phi, psi,
                                 EquivalenceContext.from_operator(r), tol)
-            or linalg.max_abs(phi.choi - psi.choi) <= 1e-6):
+            or maps_close(phi, psi, tol)):
         return None
     return psi, r
 
@@ -427,6 +424,5 @@ def forced_equality_scan(phi: CpMap, r, *,
     beta = PartialCpMap.from_map(phi, r)
     via_choi = minimal_cp_completion_choi(beta, tol)
     via_stine = minimal_cp_completion_stinespring(beta, phi, tol)
-    scale = max(1.0, linalg.max_abs(phi.choi))
-    return (linalg.max_abs(via_choi.choi - via_stine.choi) <= 1e-8 * scale
-            and linalg.max_abs(via_choi.choi - phi.choi) <= 1e-8 * scale)
+    return (maps_close(via_choi, via_stine, tol)
+            and maps_close(via_choi, phi, tol))

@@ -84,7 +84,7 @@ __all__ = [
 
 def _check_projection(p: np.ndarray, what: str) -> np.ndarray:
     p = linalg.require_hermitian(p)
-    if linalg.max_abs(p @ p - p) > 1e-9 * max(1.0, linalg.max_abs(p)):
+    if not linalg.negligible(p @ p - p, DEFAULT_TOL, p):
         raise RNotProjection(f"{what} is not an orthogonal projection")
     return p
 
@@ -110,10 +110,9 @@ class BlockCompletionProblem:
         if a.shape != (n, n) or c.shape != (n, n):
             raise DimensionMismatch("blocks must match the splitting dimension")
         comp = np.eye(n, dtype=complex) - p
-        scale = max(1.0, linalg.max_abs(a), linalg.max_abs(c))
-        if linalg.max_abs(p @ a @ p - a) > 1e-9 * scale:
+        if not linalg.negligible(p @ a @ p - a, DEFAULT_TOL, a):
             raise DimensionMismatch("diagonal block is not supported on ran P")
-        if linalg.max_abs(comp @ c @ p - c) > 1e-9 * scale:
+        if not linalg.negligible(comp @ c @ p - c, DEFAULT_TOL, c):
             raise DimensionMismatch(
                 "off-diagonal block must map ran P into its complement"
             )
@@ -288,11 +287,9 @@ class PartialCpMap:
         column.reshape(self.d_in, d, self.d_in, d)[...] = stacked.swapaxes(1, 2)
         blocks = column.reshape(self.d_in, d, self.d_in, d).swapaxes(1, 2)
         comp = np.eye(d, dtype=complex) - linalg.range_projection(r)
-        scale = max(1.0, linalg.max_abs(r), linalg.max_abs(column))
-        leaks = np.abs(blocks @ comp).max(axis=(2, 3), initial=0.0)
-        bad = np.argwhere(leaks > 1e-9 * scale)
-        if bad.size:
-            i, j = bad[0]
+        leaks = blocks @ comp
+        if not linalg.negligible(leaks, DEFAULT_TOL, column):
+            i, j = np.unravel_index(np.abs(leaks).argmax(), leaks.shape)[:2]
             raise MalformedPartialMap(f"block ({i},{j}) does not lie in M_d . R")
         # the blocks are views into the column
         object.__setattr__(self, "blocks", tuple(tuple(row) for row in blocks))
@@ -369,8 +366,7 @@ def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> _Split:
         blocked = (u @ blocked.reshape(d1, d2, n)).reshape(n, n)
         return _times_blocks(blocked, u.conj().T, d1)
 
-    hermitian = (linalg.max_abs(a - a.conj().T)
-                 <= 1e-9 * max(1.0, linalg.max_abs(a)))
+    hermitian = linalg.negligible(a - a.conj().T, tol, a)
     a = (a + a.conj().T) / 2.0
     if not hermitian:
         _, min_eig, leak, _ = _decide(a, c, tol, exact=True)
@@ -417,9 +413,8 @@ def _seed_completes(beta: PartialCpMap, seed: CpMap, tol: Tolerance) -> bool:
         return False
     if seed.kraus is not None and not is_cp(seed, tol):
         return False
-    scale = max(1.0, linalg.max_abs(seed.choi), linalg.max_abs(beta.r))
     got = _times_blocks(seed.choi, beta.r, beta.d_in)
-    return linalg.max_abs(got - beta._column) <= 1e-7 * scale
+    return linalg.negligible(got - beta._column, tol, got, beta._column)
 
 
 def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,

@@ -111,8 +111,8 @@ class CpMap:
             raise DimensionMismatch(
                 f"Choi matrix has shape {choi.shape}, expected {(n, n)}"
             )
-        if rebuilt is not None and linalg.max_abs(
-                rebuilt - choi) > 1e-9 * max(1.0, linalg.max_abs(choi)):
+        if rebuilt is not None and not linalg.negligible(
+                rebuilt - choi, DEFAULT_TOL, rebuilt, choi):
             raise DimensionMismatch(
                 "stored Kraus factors and Choi matrix disagree"
             )
@@ -207,7 +207,7 @@ class CpMap:
         return apply(self, np.eye(self.d_in, dtype=complex))
 
     def is_zero(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return linalg.max_abs(self.choi) <= tol.eps_eq
+        return linalg.negligible(self.choi, tol)
 
 
 def apply(phi: CpMap, x) -> np.ndarray:
@@ -341,10 +341,10 @@ def choi_rank(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def maps_close(phi: CpMap, psi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Equality of maps, measured entrywise on the Choi matrices."""
+    """Equality of maps: :func:`linalg.negligible` on the Choi difference."""
     if (phi.d_in, phi.d_out) != (psi.d_in, psi.d_out):
         return False
-    return linalg.max_abs(phi.choi - psi.choi) <= tol.eps_eq
+    return linalg.negligible(phi.choi - psi.choi, tol, phi.choi, psi.choi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +387,7 @@ def _eb_form(factors: list, d_in: int, d_out: int, tol: Tolerance):
         v = vh[0, :].conj()
         if common_v is None:
             common_v = v
-        elif abs(abs(np.vdot(common_v, v)) - 1.0) > 1e-9:
+        elif not linalg.negligible(abs(np.vdot(common_v, v)) - 1.0, tol):
             return None
     # pin the phase of v: first significant entry real positive
     idx = int(np.argmax(np.abs(common_v)))
@@ -401,7 +401,7 @@ def _eb_form(factors: list, d_in: int, d_out: int, tol: Tolerance):
     # block (i, j) is rho[j, i] |v><v|
     expected = np.kron(rho.T, np.outer(common_v, common_v.conj()))
     got = kraus_to_choi(factors, d_in, d_out)
-    if linalg.max_abs(expected - got) > 1e-8 * max(1.0, linalg.max_abs(rho)):
+    if not linalg.negligible(expected - got, tol, expected, got):
         return None
     return rho, common_v
 
@@ -412,7 +412,8 @@ def classify(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> MapClass:
         raise NotCP("classify requires a completely positive map")
     rank = choi_rank(phi, tol)
     factors = minimal_kraus(phi, tol)
-    unital = linalg.max_abs(phi.unit() - np.eye(phi.d_out)) <= tol.eps_eq
+    # the operand I is the floor of the rule
+    unital = linalg.negligible(phi.unit() - np.eye(phi.d_out), tol)
     eb = _eb_form(factors, phi.d_in, phi.d_out, tol)
     return MapClass(
         d_in=phi.d_in,

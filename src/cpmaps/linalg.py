@@ -1,15 +1,34 @@
-"""Dense complex linear algebra with explicit rank/positivity tolerances.
+"""Dense complex linear algebra and the package's one tolerance model.
 
-Every floating-point judgement the package makes (is this matrix PSD? what
-is its rank? are these two operators equal?) funnels through this module so
-that the conventions live in exactly one place:
+Every floating-point judgement the package makes (what is this matrix's
+rank? is it PSD? are these two operators equal?) funnels through this
+module and reads the caller's :class:`Tolerance`:
 
-* rank cutoffs are *relative*: a singular value (or eigenvalue magnitude)
-  counts as zero when it is below ``eps_rank`` times the largest one;
-* positivity is checked on the smallest eigenvalue, against ``-eps_psd``
-  times the largest eigenvalue magnitude (or times 1, when that is
-  smaller);
-* operator equality is measured in the max-entry norm against ``eps_eq``.
+* **rank** is relative: a singular value (or eigenvalue magnitude) counts
+  as zero when it is at most ``eps_rank`` times the largest one;
+* **equality** is :func:`negligible`: a difference ``x`` counts as zero
+  when ``max |x| <= eps_eq * max(1, max |operand|)``, the operands being
+  the quantities ``x`` was formed from (for ``a - b``, ``a`` and ``b``);
+* **positivity** is :func:`_psd_slack`: the smallest eigenvalue of a
+  Hermitian matrix may reach ``eps_psd * max(1, max |lambda|)`` below
+  zero.  A difference whose operands are named reads it at their scale
+  alone, ``eps_psd * max(max |lambda|, ||operand||_2)``, with no floor
+  (:func:`stinespring.dominates`).
+
+The floor ``max(1, .)`` stands in for the operands a lone matrix does not
+name, such as a Choi matrix handed in or a zero test.  It also keeps the
+equality rule and the zero test one rule: ``negligible(a - 0, tol, a, 0)``
+is ``negligible(a, tol)``.  The price is that a map whose entries are all
+below ``eps_eq`` reads as zero.  The PSD order drops the floor once both
+operands are named, so ``dominates(c phi, c psi)`` is the same for every
+``c > 0``; with the floor, a map below ``eps_psd`` would dominate one twice
+its size.
+
+Three constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
+(how far from Hermitian an input may be before it is rejected rather than
+symmetrized), the stopping rules of the quasi-purity polishers (iteration
+constants, not judgements), and the ``0.5`` that splits the eigenvalues of
+a splitting projection in :mod:`completion` (they are 0 or 1).
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex`` dtype.  The
 helpers here never mutate their inputs.
@@ -28,6 +47,7 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "max_abs",
+    "negligible",
     "require_hermitian",
     "eigh",
     "psd_check",
@@ -51,7 +71,8 @@ class Tolerance:
     :param eps_rank: relative singular-value cutoff for rank decisions.
     :param eps_psd: slack allowed below zero for PSD checks, relative to
         ``max(1, max |lambda|)`` of the matrix tested.
-    :param eps_eq: max-entry-norm threshold for operator equality.
+    :param eps_eq: max-entry-norm threshold for operator equality,
+        relative to ``max(1, max |operand|)`` (:func:`negligible`).
     """
 
     eps_rank: float = 1e-9
@@ -82,6 +103,17 @@ def max_abs(a) -> float:
     """Max-entry norm ``max_ij |a_ij|`` (zero for an empty array)."""
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def negligible(x, tol: Tolerance, *operands) -> bool:
+    """Whether ``x`` is zero at the scale of the ``operands`` it was formed
+    from: ``max |x| <= eps_eq * max(1, max |operand|)``.
+
+    This is the package's one equality rule; ``a`` equals ``b`` when
+    ``negligible(a - b, tol, a, b)``.
+    """
+    scale = max([1.0, *(max_abs(a) for a in operands)])
+    return max_abs(x) <= tol.eps_eq * scale
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -115,10 +147,13 @@ def eigh(m):
     return w, u
 
 
-def _psd_slack(w: np.ndarray, tol: Tolerance) -> float:
+def _psd_slack(w: np.ndarray, tol: Tolerance, *norms: float) -> float:
     """How far below zero the (nonempty) eigenvalues ``w`` of a PSD matrix
-    may reach: ``eps_psd * max(1, max |w|)``."""
-    return tol.eps_psd * max(1.0, float(np.abs(w).max()))
+    may reach: ``eps_psd * max(1, max |w|)`` for a lone matrix, and
+    ``eps_psd * max(max |w|, *norms)`` for a difference of operands whose
+    spectral norms are ``norms``."""
+    top = float(np.abs(w).max())
+    return tol.eps_psd * (max(top, *norms) if norms else max(1.0, top))
 
 
 def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -124,8 +124,8 @@ def decode_map(doc) -> CpMap:
             phi = CpMap.from_kraus(factors, d_in, d_out)
             if choi_doc is not None:
                 choi = decode_matrix(choi_doc, "choi")
-                if choi.shape != phi.choi.shape or linalg.max_abs(
-                        choi - phi.choi) > 1e-8 * max(1.0, linalg.max_abs(choi)):
+                if choi.shape != phi.choi.shape or not linalg.negligible(
+                        choi - phi.choi, linalg.DEFAULT_TOL, choi, phi.choi):
                     raise MalformedDocument(
                         "'kraus' and 'choi' describe different maps"
                     )

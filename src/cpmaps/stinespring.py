@@ -12,8 +12,8 @@ vectors ``pi(X) V h`` span the whole dilation space.
 The commutant of ``pi(M_{d1})`` is ``I_{d1} (x) M_k``, so a map dominated by
 ``phi`` corresponds to a unique positive contraction ``D`` in ``M_k`` via
 ``psi(X) = V* (X (x) D) V`` -- the Radon-Nikodym derivative of ``psi`` with
-respect to ``phi``.  :func:`radon_nikodym` recovers ``D`` by solving the
-linear system this identity induces on matrix units.
+respect to ``phi``.  :func:`radon_nikodym` recovers ``D`` from the Choi
+form of this identity, ``Choi(psi) = W D W*``.
 """
 
 from __future__ import annotations
@@ -189,16 +189,16 @@ def dominates(phi: CpMap, psi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``phi - psi`` is CP, i.e. the Choi difference is PSD.
 
     The difference rounds at the scale of the operands, not at its own, so
-    its smallest eigenvalue may reach ``eps_psd * max(1, s)`` below zero,
-    ``s`` the largest spectral norm of the two Choi matrices and of their
-    difference.
+    its smallest eigenvalue may reach ``eps_psd * s`` below zero, ``s``
+    the largest spectral norm of the two Choi matrices and of their
+    difference (:func:`linalg._psd_slack` with both operands named, so
+    with no floor: the verdict is the same at every scale).
     """
     if (phi.d_in, phi.d_out) != (psi.d_in, psi.d_out):
         raise DimensionMismatch("maps act on different algebras")
     w = np.linalg.eigvalsh(linalg.require_hermitian(phi.choi - psi.choi))
-    scale = max(float(np.abs(w).max()), np.linalg.norm(phi.choi, 2),
-                np.linalg.norm(psi.choi, 2))
-    return bool(w[0] >= -tol.eps_psd * max(1.0, scale))
+    return bool(w[0] >= -linalg._psd_slack(w, tol, np.linalg.norm(phi.choi, 2),
+                                           np.linalg.norm(psi.choi, 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,32 +223,33 @@ def radon_nikodym(phi: CpMap, psi: CpMap,
     In Choi form the system reads ``Choi(psi) = W D W*`` where the columns
     of ``W`` are the flattened conjugate Kraus factors of ``phi``; since a
     minimal family is linearly independent, ``W`` has full column rank and
-    ``D`` is unique.  The least-squares residual is checked against
-    ``eps_eq`` and the recovered ``D`` is validated to be a positive
-    contraction within ``eps_psd``.
+    ``D = W^+ Choi(psi) W^+*``.  With the thin QR ``W = Q T`` that is
+    ``D = T^-1 G T^-*`` for ``G = Q* Choi(psi) Q``.  The residual
+    ``Q G Q* - Choi(psi)`` must be :func:`linalg.negligible`, and ``D`` is
+    a positive contraction iff ``G`` and ``T T* - G = Q* (Choi(phi) -
+    Choi(psi)) Q`` are PSD: both are judged at the scale of the Choi
+    matrices, where the rounding lives, not at ``D``'s, which the
+    conditioning of ``W`` inflates.
 
     Raises NotDominated when ``psi`` is not dominated by ``phi``.
     """
     if not dominates(phi, psi, tol):
         raise NotDominated("psi is not dominated by phi")
     triple = minimal_stinespring(phi, tol)
-    k = triple.multiplicity
     w = np.stack([f.conj().reshape(-1) for f in triple.kraus], axis=1)
-    system = np.kron(w.conj(), w)  # maps vec_F(D) to vec_F(W D W*)
-    rhs = psi.choi.reshape(-1, order="F")
-    sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    d = sol.reshape((k, k), order="F")
-    d = (d + d.conj().T) / 2.0
-    scale = max(1.0, linalg.max_abs(phi.choi))
-    residual = linalg.max_abs(w @ d @ w.conj().T - psi.choi)
-    if residual > 10 * tol.eps_eq * scale:
-        raise NotDominated(
-            f"no commutant factor reproduces psi: residual {residual:.3e}"
-        )
-    eigs = np.linalg.eigvalsh(d)
-    if eigs.size and (eigs[0] < -10 * tol.eps_psd or eigs[-1] > 1.0 + 1e-6):
-        raise NotDominated(
-            f"recovered factor is not a positive contraction: "
-            f"spectrum in [{eigs[0]:.3e}, {eigs[-1]:.6f}]"
-        )
-    return RnDerivative(matrix=d, triple=triple)
+    q, t = np.linalg.qr(w)
+    g = q.conj().T @ psi.choi @ q
+    residual = q @ g @ q.conj().T - psi.choi
+    if not linalg.negligible(residual, tol, phi.choi, psi.choi):
+        raise NotDominated(f"no commutant factor reproduces psi: residual "
+                           f"{linalg.max_abs(residual):.3e}")
+    low = np.linalg.eigvalsh(g)
+    high = np.linalg.eigvalsh(t @ t.conj().T - g)
+    if (low[0] < -linalg._psd_slack(low, tol)
+            or high[0] < -linalg._psd_slack(high, tol, np.linalg.norm(
+                phi.choi, 2), np.linalg.norm(psi.choi, 2))):
+        raise NotDominated("recovered factor is not a positive contraction: "
+                           f"Q* Choi(psi) Q has eigenvalue {low[0]:.3e}, "
+                           f"Q* Choi(phi - psi) Q {high[0]:.3e}")
+    d = np.linalg.solve(t, np.linalg.solve(t, g).conj().T)
+    return RnDerivative(matrix=(d + d.conj().T) / 2.0, triple=triple)

@@ -312,6 +312,25 @@ def test_complete_splits_and_decides_once(monkeypatch, capsys, beta_file,
     assert calls == {"_split_blocks": 1, "_decide": 1}
 
 
+def test_complete_reads_the_callers_eq_tolerance(tmp_path):
+    # beta(E_12) gains 1e-7 E_11, which lies in M_2 . E_11 but leaves the
+    # known compression Hermitian only to 1e-7: the default eps_eq = 1e-9
+    # rejects the data, --tol-eq 1e-6 completes it by both routes
+    doc = json.loads((DATA / "special_partial.json").read_text())
+    doc["blocks"][0][1][0][0] = [1e-7, 0.0]
+    path = tmp_path / "near_hermitian_partial.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("complete", str(path), "e11_operator.json")
+    assert code == 1, err
+    assert not json.loads(out)["completable"]
+    code, out, err = run_cli("complete", str(path), "e11_operator.json",
+                             "--tol-eq", "1e-6")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["completable"]
+    assert report["route_discrepancy"] < 1e-12
+
+
 @pytest.mark.parametrize("context", [("--xi", "eb_map.json"),
                                      ("--r", "e11_operator.json")])
 def test_aeq_computes_its_projection_once(monkeypatch, capsys, context):

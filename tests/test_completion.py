@@ -393,14 +393,22 @@ def test_stinespring_route_requires_genuine_seed():
 
 
 
-def test_stinespring_route_rejects_seed_off_by_more_than_1e_7():
+def test_stinespring_route_rejects_seed_off_by_more_than_eps_eq():
     phi = flip_twirl_map()
     beta = PartialCpMap.from_map(phi, E11)
-    # phi + t id changes beta(E_11) by t E_11 and stays CP
-    with pytest.raises(SeedNotACompletion):
-        minimal_cp_completion_stinespring(beta, phi + 1e-6 * identity_map(2))
+    # phi + t id changes beta(E_11) by t E_11 and stays CP; the data has
+    # scale 1, so the seed completes it when t <= eps_eq (t = eps_eq itself
+    # sits on the boundary, where rounding decides)
+    for t in (1e-6, 1e-8):
+        with pytest.raises(SeedNotACompletion):
+            minimal_cp_completion_stinespring(beta, phi + t * identity_map(2))
     alpha = minimal_cp_completion_stinespring(beta,
-                                              phi + 1e-9 * identity_map(2))
+                                              phi + 1e-10 * identity_map(2))
+    assert np.abs(alpha.choi - phi.choi).max() < 1e-8
+    # the caller's eps_eq is the rule
+    loose = linalg.Tolerance(eps_eq=1e-7)
+    alpha = minimal_cp_completion_stinespring(
+        beta, phi + 1e-8 * identity_map(2), loose)
     assert np.abs(alpha.choi - phi.choi).max() < 1e-8
 
 def test_routes_agree_on_random_instances():

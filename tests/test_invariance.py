@@ -1,0 +1,74 @@
+"""Quasi-purity is a property of the map, not of how it is written down.
+
+Hypothesis draws small maps (``d_in <= 5``, ``d_out <= 3``, ``k <= 3``),
+some with a witness planted at ``e_1``, and decides each one in five
+forms: its Kraus factors, its Choi matrix, a unitary mixing of the family,
+the factors ``U K_j V`` for unitaries ``U`` and ``V``, and the map scaled
+by ``c`` in ``[1e-4, 1e4]``.  No two decided statuses may contradict, and
+every witness, carried back to the original coordinates, passes the rank
+window ``0 < rank [K_1 h | ... | K_k h] < k`` of the original map.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cpmaps import CpMap, is_quasipure, linalg, minimal_kraus
+from cpmaps.quasipure import INCONCLUSIVE
+
+from conftest import haar_unitary
+
+BUDGET = 300
+
+
+def draw_factors(rng, d_in, d_out, k, planted):
+    """``k`` complex Gaussian factors; when ``planted``, every factor sends
+    ``e_1`` into one line, so ``e_1`` is a witness once ``k >= 2``."""
+    factors = [rng.normal(size=(d_in, d_out))
+               + 1j * rng.normal(size=(d_in, d_out)) for _ in range(k)]
+    if planted:
+        w = rng.normal(size=d_in) + 1j * rng.normal(size=d_in)
+        for f in factors:
+            f[:, 0] = complex(rng.normal(), rng.normal()) * w
+    return factors
+
+
+def five_forms(factors, rng, c):
+    """``{form: (map, carry)}``; ``carry`` takes a witness of the form to
+    one of the original map."""
+    d_in, d_out = factors[0].shape
+    phi = CpMap.from_kraus(factors)
+    u, v, mix = (haar_unitary(rng, n) for n in (d_in, d_out, len(factors)))
+    same = lambda h: h  # noqa: E731
+    return {
+        "kraus": (phi, same),
+        "choi": (CpMap.from_choi(phi.choi, d_in, d_out), same),
+        "mixed": (CpMap.from_kraus(
+            [sum(m * f for m, f in zip(row, factors)) for row in mix]), same),
+        # F'(h) = [U K_j V h] = U F(V h)
+        "rotated": (CpMap.from_kraus([u @ f @ v for f in factors]),
+                    lambda h: v @ h),
+        "scaled": (c * phi, same),
+    }
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d_in=st.integers(1, 5), d_out=st.integers(1, 3), k=st.integers(1, 3),
+       planted=st.booleans(), log_c=st.floats(-4.0, 4.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quasipurity_does_not_depend_on_the_form(d_in, d_out, k, planted,
+                                                 log_c, seed):
+    rng = np.random.default_rng(seed)
+    factors = draw_factors(rng, d_in, d_out, k, planted)
+    forms = five_forms(factors, rng, 10.0 ** log_c)
+    verdicts = {name: (is_quasipure(phi, budget=BUDGET), carry)
+                for name, (phi, carry) in forms.items()}
+    decided = {v.status for v, _ in verdicts.values()
+               if v.status != INCONCLUSIVE}
+    assert len(decided) <= 1, {n: v.status for n, (v, _) in verdicts.items()}
+    original = minimal_kraus(forms["kraus"][0])
+    for name, (verdict, carry) in verdicts.items():
+        if verdict.witness is None:
+            continue
+        h = carry(verdict.witness)
+        rank = linalg.numerical_rank(np.column_stack([f @ h for f in original]))
+        assert 0 < rank < len(original), name

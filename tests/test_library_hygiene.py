@@ -2,7 +2,10 @@
 
 Random draws belong only in the gallery's seeded examples and in the
 random rows of the ``cpmaps demo`` table; every other verdict is a
-function of its input.  And no module imports a name it never uses.
+function of its input.  No module imports a name it never uses.  And no
+module outside ``linalg`` sets a threshold of its own: every equality,
+PSD and rank judgement reads the caller's ``Tolerance`` through
+``linalg``.
 """
 
 import ast
@@ -83,6 +86,59 @@ def used_names(module):
     return used
 
 
+TOLERANCE_FIELDS = ("eps_rank", "eps_psd", "eps_eq")
+
+#: ``(module, top-level definition)`` whose small literals are no
+#: judgements: the polishers' stopping rules, and the thresholds printed in
+#: the byte-stable ``cpmaps demo`` report
+THRESHOLD_OWNERS = {("quasipure.py", "_polish_root"),
+                    ("quasipure.py", "_refine_candidate"),
+                    ("cli.py", "_demo_rows")}
+
+
+def _number(node):
+    """The value of a numeric literal, signed or not, else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if (isinstance(node, ast.Constant) and not isinstance(node.value, bool)
+            and isinstance(node.value, (int, float))):
+        return node.value
+    return None
+
+
+def literal_thresholds(tree):
+    """``(line, top-level definition)`` of each float literal in
+    ``(0, 1e-3)`` and of each numeric multiple of a ``Tolerance`` field."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant):
+                hit = (isinstance(node.value, float)
+                       and 0.0 < node.value < 1e-3)
+            elif isinstance(node, ast.BinOp) and isinstance(
+                    node.op, (ast.Mult, ast.Div)):
+                hit = any(_number(a) is not None
+                          and isinstance(b, ast.Attribute)
+                          and b.attr in TOLERANCE_FIELDS
+                          for a, b in ((node.left, node.right),
+                                       (node.right, node.left)))
+            else:
+                hit = False
+            if hit:
+                found.append((node.lineno, owner))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_no_threshold_outside_linalg(path):
+    stray = [f"{path.name}:{line} in {owner}"
+             for line, owner in literal_thresholds(parse(path))
+             if (path.name, owner) not in THRESHOLD_OWNERS]
+    assert stray == []
+
+
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_random_draws_only_in_gallery_and_the_demo_table(path):
     def allowed(owner):
@@ -116,3 +172,13 @@ def test_the_checks_see_what_they_look_for():
                      "def g(x: 'Optional[int]') -> None:\n    pass\n")
     assert random_uses(tree) == []
     assert set(imported_names(tree)) <= used_names(tree)
+
+
+def test_the_threshold_scan_sees_what_it_looks_for():
+    # a literal threshold and two multiples of a field are flagged; a
+    # field times a variable, 0.5, 1e-3 and 0.0 are not
+    tree = ast.parse("def h(x, tol):\n"
+                     "    a = x <= 1e-8 * max(1.0, x)\n"
+                     "    b = x < -10 * tol.eps_psd or x > tol.eps_eq / 2\n"
+                     "    return a, b, 0.5, 1e-3, x * tol.eps_rank, 0.0\n")
+    assert literal_thresholds(tree) == [(2, "h"), (3, "h"), (3, "h")]

@@ -33,6 +33,7 @@ from cpmaps.gallery import (
     flip_twirl_map,
     identity_map,
     random_cp_map,
+    random_positive_contraction,
     trace_state_map,
     transpose_map,
 )
@@ -206,6 +207,15 @@ def test_dominates_reads_rounding_at_the_operands_scale(c):
     assert not dominates(phi, (1.0 + 1e-3) * phi)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-8, 1e-10, 1e-11, 1e-12])
+def test_dominates_reads_small_maps_at_their_own_scale(c):
+    # with both operands named the PSD slack has no floor: an absolute
+    # eps_psd would let a map below it dominate one twice its size
+    phi = random_cp_map(4, 6, 3)
+    assert not dominates(c * phi, 2.0 * c * phi)
+    assert dominates(2.0 * c * phi, c * phi)
+
+
 def test_radon_nikodym_scalar_and_identity():
     phi = flip_twirl_map()
     rn = radon_nikodym(phi, 0.3 * phi)
@@ -239,6 +249,19 @@ def test_radon_nikodym_round_trip_random():
         rn = radon_nikodym(phi, psi)
         assert np.abs(rn.matrix - d).max() < 1e-8
         assert maps_close(rn.reconstruct(), psi)
+
+
+def test_radon_nikodym_at_full_choi_rank_on_m6():
+    # Choi rank 36 on M_6: W is 36 x 36, and the Kronecker form of
+    # Choi(psi) = W D W* would be a 1296 x 1296 system
+    phi = random_cp_map(6, 6, 36, seed=3)
+    t = minimal_stinespring(phi)
+    assert t.multiplicity == 36
+    d = random_positive_contraction(36, seed=4)
+    psi = map_from_contraction(t, d)
+    rn = radon_nikodym(phi, psi)
+    assert np.abs(rn.matrix - d).max() < 1e-10
+    assert maps_close(rn.reconstruct(), psi)
 
 
 def test_radon_nikodym_rejects_non_dominated():
