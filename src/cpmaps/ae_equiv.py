@@ -354,8 +354,7 @@ def counterexample_construct(phi: CpMap, witness,
         raise WitnessInvalid("the compression does not annihilate the witness")
 
     w, u = linalg.eigh(s)
-    cut = tol.eps_rank * max(np.abs(w)) if w.size else 0.0
-    pos = w > cut
+    pos = linalg.kept(w, tol)
     rank_s = int(np.count_nonzero(pos))
     if rank_s == 0:
         raise WitnessInvalid("the compression has zero unit value")

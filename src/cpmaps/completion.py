@@ -174,33 +174,35 @@ def _compress(problem: BlockCompletionProblem) -> _Split:
 
 def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
             exact: bool = False):
-    """``(completable, min eigenvalue of A, leak, eigh(A))``.
+    """``(completable, min eigenvalue of A, leak, kept eigenpairs of A)``.
 
-    ``A >= 0`` and ``ker A <= ker C`` read as: the eigenvalue is at least
-    ``-eps_psd * max(1, max |lambda|)`` (the slack of
-    :func:`linalg.psd_check`) and the leak ``||C|_{ker A}||_2`` at most
-    ``eps_rank`` times the size of ``C``.  The kernel is the eigenspace of
-    ``|lambda| <= eps_rank * top``; the eigendecomposition is returned for
-    ``A^+``.  Since ``||X||_2 <= ||X||_F``, a Frobenius norm below the
-    cutoff passes the leak test; then, unless ``exact`` is set, the leak
-    returned is that Frobenius norm.  Otherwise it is the 2-norm.
+    ``A >= 0`` and ``ker A <= ker C`` are read at the data's own scale
+    ``s = max(max |lambda(A)|, max |C|)``, with no floor: the eigenvalue
+    is at least ``-eps_psd * s`` (:func:`linalg._psd_slack` with ``s``
+    named), ``ker A`` is spanned by the eigenvectors whose ``|lambda|``
+    the rank rule :func:`linalg.kept` drops at ``s``, and the leak
+    ``||C|_{ker A}||_2`` must be dropped by that rule at ``s`` too.  The
+    eigenpairs it keeps are returned for ``A^+``.  Since ``||X||_2 <=
+    ||X||_F``, a Frobenius norm the rule drops passes the leak test; then,
+    unless ``exact`` is set, the leak returned is that Frobenius norm.
+    Otherwise it is the 2-norm.
     """
     w, v = np.linalg.eigh(a)
     min_eig = float(w[0]) if w.size else 0.0
-    top = float(np.abs(w).max()) if w.size else 0.0
     if c.shape[0]:
         # P != I: as an n x n operator A also has the eigenvalue 0 on
-        # ran(P)^perp, and its kernel in ran P is the kernel of A + (1 - P),
-        # whose largest singular value is at least 1
+        # ran(P)^perp
         min_eig = min(min_eig, 0.0)
-        top = max(1.0, top)
-    psd = w.size == 0 or min_eig >= -linalg._psd_slack(w, tol)
-    null_leak = c @ v[:, np.abs(w) <= tol.eps_rank * top]
-    cutoff = tol.eps_rank * max(1.0, linalg.max_abs(c))
+    scale = max(linalg.max_abs(w), linalg.max_abs(c))
+    psd = w.size == 0 or min_eig >= -linalg._psd_slack(w, tol, scale)
+    keep = linalg.kept(np.abs(w), tol, scale)
+    null_leak = c @ v[:, ~keep]
     leak = float(np.linalg.norm(null_leak))
-    if null_leak.size and (exact or not psd or leak > cutoff):
+    if null_leak.size and (exact or not psd
+                           or linalg.kept([leak], tol, scale)[0]):
         leak = float(np.linalg.norm(null_leak, ord=2))
-    return psd and leak <= cutoff, min_eig, leak, (w, v)
+    completable = psd and not linalg.kept([leak], tol, scale)[0]
+    return completable, min_eig, leak, (w[keep], v[:, keep])
 
 
 def _least_completion(split: _Split, tol: Tolerance) -> np.ndarray:
@@ -212,15 +214,14 @@ def _least_completion(split: _Split, tol: Tolerance) -> np.ndarray:
     completable, min_eig, leak, (w, v) = _decide(split.a, split.c, tol)
     if not completable:
         raise NotCompletable(min_eig, leak)
-    # A^+ with the cutoff of linalg.pseudo_inverse
-    keep = np.abs(w) > tol.eps_rank * (float(np.abs(w).max()) if w.size else 0.0)
-    cv = split.c @ v[:, keep]
+    # A^+ inverts the eigenvalues the decision kept
+    cv = split.c @ v
     m = split.a.shape[0]
     full = np.empty((m + split.c.shape[0],) * 2, dtype=complex)
     full[:m, :m] = split.a
     full[m:, :m] = split.c
     full[:m, m:] = split.c.conj().T
-    full[m:, m:] = (cv / w[keep]) @ cv.conj().T
+    full[m:, m:] = (cv / w) @ cv.conj().T
     full = split.lift(full)
     return (full + full.conj().T) / 2.0
 

@@ -264,7 +264,8 @@ def choi_to_kraus(choi, d_in: int, d_out: int,
                   tol: Tolerance = DEFAULT_TOL) -> list:
     """Minimal Kraus factors of a PSD Choi matrix.
 
-    Eigenvectors with eigenvalue above the relative rank cutoff are scaled
+    Eigenvectors whose eigenvalue the rank rule :func:`linalg.kept` keeps
+    are scaled
     by the square root of their eigenvalue and reshaped; the resulting
     factors are linearly independent, mutually orthogonal in the trace
     inner product, and their number equals the Choi rank.  Raises NotPSD
@@ -280,10 +281,7 @@ def choi_to_kraus(choi, d_in: int, d_out: int,
     w, u = np.linalg.eigh(choi)
     if w.size and w[0] < -linalg._psd_slack(w, tol):
         raise NotPSD(f"Choi matrix has eigenvalue {w[0]:.3e}")
-    top = float(np.max(w)) if w.size else 0.0
-    if top <= 0.0:
-        return []
-    keep = np.nonzero(w > tol.eps_rank * top)[0]
+    keep = np.nonzero(linalg.kept(w, tol))[0]
     factors = []
     for idx in keep[::-1]:  # largest eigenvalue first
         v = np.sqrt(w[idx]) * u[:, idx]
@@ -301,9 +299,9 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
     read from the SVD of the stacked factors: the Choi matrix is ``W W*``
     for the matrix ``W`` of their Choi vectors, so its eigenpairs are the
     squared singular values ``s^2`` and the left singular vectors of ``W``,
-    and the family counts as independent when every ``s^2`` passes the
-    Choi-rank cutoff ``s^2 > eps_rank * s_max^2`` of :func:`choi_to_kraus`
-    and :func:`choi_rank`.  A dependent family is reduced to the kept
+    and the family counts as independent when the rank rule
+    :func:`linalg.kept` keeps every ``s^2``, as :func:`choi_to_kraus`
+    keeps Choi eigenvalues.  A dependent family is reduced to the kept
     singular pairs, without ever forming a Choi eigenvalue below zero.
     Either way ``len(minimal_kraus(phi)) == choi_rank(phi)``, whether the
     map was given by factors or by its Choi matrix.  Without stored
@@ -312,7 +310,7 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
     if phi.kraus:
         stack = np.stack(phi.kraus).reshape(len(phi.kraus), -1)  # rows: conj(v_j)
         _, s, vh = np.linalg.svd(stack, full_matrices=False)
-        keep = np.nonzero(s ** 2 > tol.eps_rank * s[0] ** 2)[0]
+        keep = np.nonzero(linalg.kept(s * s, tol))[0]
         if keep.size == len(phi.kraus):
             return list(phi.kraus)
         # Choi eigenvector conj(vh[i]) scaled by s[i], reshaped by _vector_kraus
@@ -380,18 +378,14 @@ def _eb_form(factors: list, d_in: int, d_out: int, tol: Tolerance):
     lefts = []
     for k in factors:
         _, s, vh = np.linalg.svd(k)
-        if s.size == 0 or s[0] <= 0.0:
-            return None
-        if s.size > 1 and s[1] > tol.eps_rank * s[0]:
+        if np.count_nonzero(linalg.kept(s, tol)) != 1:
             return None
         v = vh[0, :].conj()
         if common_v is None:
             common_v = v
         elif not linalg.negligible(abs(np.vdot(common_v, v)) - 1.0, tol):
             return None
-    # pin the phase of v: first significant entry real positive
-    idx = int(np.argmax(np.abs(common_v)))
-    common_v = common_v * (np.abs(common_v[idx]) / common_v[idx])
+    common_v = _canonical_phase(common_v)
     for k in factors:
         lefts.append(k @ common_v)  # k = |w><v|  =>  k v = w
     rho = np.zeros((d_in, d_in), dtype=complex)

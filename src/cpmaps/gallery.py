@@ -67,11 +67,8 @@ def trace_state_map(rho, v) -> CpMap:
     w, u = np.linalg.eigh(rho)
     if w.size and w[0] < -linalg._psd_slack(w, DEFAULT_TOL):
         raise NotPSD(f"state has eigenvalue {w[0]:.3e}")
-    factors = []
-    top = float(np.max(w)) if w.size else 0.0
-    for j in range(w.size):
-        if top > 0.0 and w[j] > DEFAULT_TOL.eps_rank * top:
-            factors.append(np.sqrt(w[j]) * np.outer(u[:, j], v.conj()))
+    factors = [np.sqrt(w[j]) * np.outer(u[:, j], v.conj())
+               for j in np.flatnonzero(linalg.kept(w, DEFAULT_TOL))]
     if not factors:
         return CpMap.zero(rho.shape[0], v.size)
     return CpMap.from_kraus(factors, rho.shape[0], v.size)

@@ -2,18 +2,24 @@
 
 Every floating-point judgement the package makes (what is this matrix's
 rank? is it PSD? are these two operators equal?) funnels through this
-module and reads the caller's :class:`Tolerance`:
+module and reads the caller's :class:`Tolerance`.  There are three rules,
+each named by its operands:
 
-* **rank** is relative: a singular value (or eigenvalue magnitude) counts
-  as zero when it is at most ``eps_rank`` times the largest one;
+* **rank** is :func:`kept`: a singular value (or eigenvalue) counts as
+  nonzero when ``value > eps_rank * max(max values, *scales)``, the values
+  being those of one matrix (a row of a 2-D batch) and the scales the
+  sizes of the data the matrix was formed from.  With no scales the cut is
+  relative to the largest value alone; :func:`numerical_rank`,
+  :func:`ranked_svd`, :func:`kernel_basis`, :func:`range_projection` and
+  :func:`pseudo_inverse` all count with it;
 * **equality** is :func:`negligible`: a difference ``x`` counts as zero
   when ``max |x| <= eps_eq * max(1, max |operand|)``, the operands being
   the quantities ``x`` was formed from (for ``a - b``, ``a`` and ``b``);
 * **positivity** is :func:`_psd_slack`: the smallest eigenvalue of a
   Hermitian matrix may reach ``eps_psd * max(1, max |lambda|)`` below
-  zero.  A difference whose operands are named reads it at their scale
-  alone, ``eps_psd * max(max |lambda|, ||operand||_2)``, with no floor
-  (:func:`stinespring.dominates`).
+  zero.  A matrix whose operands are named reads it at their scale
+  alone, ``eps_psd * max(max |lambda|, *scales)``, with no floor
+  (:func:`stinespring.dominates`, the completion decision).
 
 The floor ``max(1, .)`` stands in for the operands a lone matrix does not
 name, such as a Choi matrix handed in or a zero test.  It also keeps the
@@ -22,7 +28,7 @@ is ``negligible(a, tol)``.  The price is that a map whose entries are all
 below ``eps_eq`` reads as zero.  The PSD order drops the floor once both
 operands are named, so ``dominates(c phi, c psi)`` is the same for every
 ``c > 0``; with the floor, a map below ``eps_psd`` would dominate one twice
-its size.
+its size.  The rank rule has no floor.
 
 Three constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
 (how far from Hermitian an input may be before it is rejected rather than
@@ -48,6 +54,7 @@ __all__ = [
     "as_matrix",
     "max_abs",
     "negligible",
+    "kept",
     "require_hermitian",
     "eigh",
     "psd_check",
@@ -116,6 +123,27 @@ def negligible(x, tol: Tolerance, *operands) -> bool:
     return max_abs(x) <= tol.eps_eq * scale
 
 
+def kept(values, tol: Tolerance, *scales) -> np.ndarray:
+    """Which ``values`` count as nonzero: ``values > eps_rank * max(max
+    values, *scales)``.
+
+    This is the package's one rank rule.  ``values`` are the singular
+    values (or eigenvalues) of one matrix, or of a batch stacked along the
+    first axis of a 2-D array, which is judged row by row.  The ``scales``
+    are the sizes of the data the matrix was formed from; a value is
+    dropped when it is negligible next to them, even if it is the largest.
+    Empty and all-zero input keep nothing.
+    """
+    values = np.asarray(values)
+    if values.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    # a batch keeps its row axis; one matrix's top is a scalar
+    top = values.max(axis=-1, keepdims=values.ndim > 1)
+    if scales:
+        top = np.maximum(top, max(scales))
+    return values > tol.eps_rank * top
+
+
 def require_hermitian(m) -> np.ndarray:
     """Return the Hermitian part of ``m`` if it is close enough to Hermitian.
 
@@ -147,13 +175,13 @@ def eigh(m):
     return w, u
 
 
-def _psd_slack(w: np.ndarray, tol: Tolerance, *norms: float) -> float:
+def _psd_slack(w: np.ndarray, tol: Tolerance, *scales: float) -> float:
     """How far below zero the (nonempty) eigenvalues ``w`` of a PSD matrix
     may reach: ``eps_psd * max(1, max |w|)`` for a lone matrix, and
-    ``eps_psd * max(max |w|, *norms)`` for a difference of operands whose
-    spectral norms are ``norms``."""
+    ``eps_psd * max(max |w|, *scales)`` for one formed from operands of
+    sizes ``scales``."""
     top = float(np.abs(w).max())
-    return tol.eps_psd * (max(top, *norms) if norms else max(1.0, top))
+    return tol.eps_psd * (max(top, *scales) if scales else max(1.0, top))
 
 
 def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -167,30 +195,25 @@ def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank of ``m`` with the relative singular-value cutoff ``eps_rank``."""
+    """Rank of ``m``: the singular values :func:`kept`."""
     m = as_matrix(m)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    top = s[0] if s.size else 0.0
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.eps_rank * top))
+    return int(np.count_nonzero(kept(s, tol)))
 
 
 def pseudo_inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian matrix via eigendecomposition.
 
-    Eigenvalues below ``eps_rank`` times the largest magnitude are treated
-    as exact zeros, which keeps ``pseudo_inverse`` consistent with
-    :func:`numerical_rank` and :func:`range_projection` on the same input.
+    Only the eigenvalues whose magnitudes are :func:`kept` are inverted,
+    the rest are exact zeros, which keeps ``pseudo_inverse`` consistent
+    with :func:`numerical_rank` and :func:`range_projection` on the same
+    input.
     """
     w, u = eigh(m)
-    if w.size == 0:
-        return np.zeros_like(np.asarray(m, dtype=complex))
-    cut = tol.eps_rank * np.max(np.abs(w))
-    inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    return (u * inv) @ u.conj().T
+    keep = kept(np.abs(w), tol)
+    return (u[:, keep] / w[keep]) @ u[:, keep].conj().T
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -215,9 +238,7 @@ def ranked_svd(m, tol: Tolerance = DEFAULT_TOL):
         return (np.eye(rows, 0, dtype=complex), np.zeros(0),
                 np.eye(0, cols, dtype=complex), 0)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    top = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > tol.eps_rank * top)) if top > 0.0 else 0
-    return u, s, vh, r
+    return u, s, vh, int(np.count_nonzero(kept(s, tol)))
 
 
 def range_projection(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -240,6 +261,5 @@ def kernel_basis(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if max_abs(m) == 0.0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    top = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > tol.eps_rank * top)) if top > 0 else 0
+    r = int(np.count_nonzero(kept(s, tol)))
     return vh[r:, :].conj().T

@@ -67,7 +67,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .cp_map import CpMap, is_cp, minimal_kraus
+from .cp_map import CpMap, _canonical_phase, is_cp, minimal_kraus
 from .errors import (
     InputNotReduced,
     NotCP,
@@ -128,13 +128,10 @@ class QuasiPurityVerdict:
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
+    """The unit vector along ``vec``, its largest entry real positive."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     norm = np.linalg.norm(vec)
-    if norm == 0:
-        return vec
-    vec = vec / norm
-    pivot = vec[int(np.argmax(np.abs(vec)))]
-    return vec * (np.abs(pivot) / pivot)
+    return vec if norm == 0 else _canonical_phase(vec / norm)
 
 
 def _is_witness(factors, h0, tol: Tolerance) -> bool:
@@ -177,21 +174,21 @@ def _short_factor_witness(factors, stack, basis,
     """A witness ``B x`` with ``K_j B x = 0`` for some ``j``, or None.
 
     ``stack`` holds the reduced factors ``K_j B`` (``k x d x m``).  One
-    batched SVD gives every factor's rank; a factor is short when its
-    smallest singular value is at most ``eps_rank`` times its largest (the
-    cutoff of :func:`linalg.numerical_rank`), or when ``d < m``.  Short
-    factors are tried shortest first, by that ratio, and ``B x`` for the
-    last right singular vector ``x`` is kept only when it passes the rank
-    window: a factor short by its own scale can still leave ``F(B x)`` of
-    rank ``k`` (its image is small, not zero, next to the others), and
-    then the steps after this test decide.
+    batched SVD gives every factor's rank by the rank rule
+    :func:`linalg.kept`, row by row; a factor is short when its rank is
+    below ``m`` (always so when ``d < m``).  Short factors are tried
+    shortest first, by the ratio of their smallest singular value to their
+    largest, and ``B x`` for the last right singular vector ``x`` is kept
+    only when it passes the rank window: a factor short by its own scale
+    can still leave ``F(B x)`` of rank ``k`` (its image is small, not
+    zero, next to the others), and then the steps after this test
+    decide.
     """
     _, d, m = stack.shape
     _, s, vh = np.linalg.svd(stack, full_matrices=d < m)
-    ratio = s[:, -1] / s[:, 0] if d >= m else np.zeros(len(stack))
-    for j in np.argsort(ratio, kind="stable"):
-        if ratio[j] > tol.eps_rank:
-            break
+    short = np.flatnonzero(np.count_nonzero(linalg.kept(s, tol), axis=1) < m)
+    ratio = s[short, -1] / s[short, 0] if d >= m else np.zeros(short.size)
+    for j in short[np.argsort(ratio, kind="stable")]:
         h = basis @ vh[j, -1].conj()
         if _is_witness(factors, h, tol):
             return h
@@ -328,7 +325,7 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     candidate is polished and must pass the rank window before it yields
     a witness.  Candidates are tried by ``(real, imag)``, except that on
     the floating-point route those at which ``z K_1 + K_2`` is already
-    singular within ``eps_rank`` (one batched SVD) go first; all are
+    singular by the rank rule (one batched SVD) go first; all are
     tried, so the order can change which witness is returned, never
     whether one is.
     """
@@ -360,7 +357,7 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
         # converges at once: try first those already singular
         sigma = np.linalg.svd(candidates[:, None, None] * l1 + l2,
                               compute_uv=False)
-        later = sigma[:, -1] > tol.eps_rank * sigma[:, 0]
+        later = linalg.kept(sigma, tol)[:, -1]
     else:
         candidates = _exact_singular_points(exact, m)
         later = [False] * len(candidates)  # each one a genuine root
@@ -507,12 +504,13 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     so ``k > d_in`` cannot occur either, and a wider ``T`` is not
     factorized here.  The held family is then exactly independent, a
     minimal family of the map as given, and no nonzero ``a (x) h`` is sent
-    to zero: ``QuasiPure`` is proved.  The early return asks for ``r^2 >
-    eps_rank`` as well.  The stacked factor vectors then have ``s^2 >
-    eps_rank * s_max^2``, so :func:`minimal_kraus` keeps the family under
-    its Choi-rank rule, and the same map given by its Choi matrix, whose
-    minimal factors mix these by a unitary and leave the singular values
-    of ``T`` alone, returns here too.  For a smaller ``r`` the pipeline
+    to zero: ``QuasiPure`` is proved.  The early return asks the rank rule
+    :func:`linalg.kept` to keep every ``sigma(T)^2``, which is ``r^2 >
+    eps_rank`` and keeps every ``sigma(T)`` too.  It keeps every ``s^2`` of
+    the stacked factor vectors as well, so :func:`minimal_kraus` keeps the
+    family, and the same map given by its Choi matrix, whose minimal
+    factors mix these by a unitary and leave the singular values of ``T``
+    alone, returns here too.  For a smaller ``r`` the pipeline
     runs on the reduced family, which may be shorter.  When the family is
     not reduced, the rank of ``T`` is reused while the basis is ``I``.
     """
@@ -527,10 +525,12 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     flat_rank = None
     if len(given) >= 2 and columns <= phi.d_in:  # else T cannot be injective
         s = np.linalg.svd(np.hstack(given), compute_uv=False)
-        flat_rank = int(np.count_nonzero(s > tol.eps_rank * s[0]))
-        if flat_rank == columns and s[-1] ** 2 > tol.eps_rank * s[0] ** 2:
+        # s descends, so the last s^2 kept keeps them all, and every s:
+        # T is injective
+        if linalg.kept(s * s, tol)[-1]:
             return QuasiPurityVerdict(status=QUASI_PURE,
                                       method=METHOD_EXACT_PENCIL)
+        flat_rank = int(np.count_nonzero(linalg.kept(s, tol)))
 
     factors = minimal_kraus(phi, tol) if phi.kraus else given
     k = len(factors)

@@ -22,10 +22,8 @@ __all__ = [
     "encode_matrix",
     "decode_matrix",
     "encode_vector",
-    "decode_vector",
     "encode_map",
     "decode_map",
-    "encode_operator",
     "decode_operator",
     "encode_partial_map",
     "decode_partial_map",
@@ -74,23 +72,6 @@ def encode_vector(v) -> list:
     return [[float(x.real), float(x.imag)] for x in v]
 
 
-def decode_vector(doc, what: str = "vector") -> np.ndarray:
-    if not isinstance(doc, list) or not doc:
-        raise MalformedDocument(f"{what}: expected a non-empty list")
-    entries = []
-    for entry in doc:
-        if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)):
-            raise MalformedDocument(
-                f"{what}: entries must be [re, im] number pairs"
-            )
-        entries.append(complex(float(entry[0]), float(entry[1])))
-    out = np.array(entries, dtype=complex)
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise MalformedDocument(f"{what}: entries must be finite")
-    return out
-
-
 def _require_dim(doc: Mapping, key: str) -> int:
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -135,10 +116,6 @@ def decode_map(doc) -> CpMap:
         raise
     except ToolkitError as exc:
         raise MalformedDocument(f"inconsistent map document: {exc}") from exc
-
-
-def encode_operator(m) -> dict:
-    return {"matrix": encode_matrix(m)}
 
 
 def decode_operator(doc) -> np.ndarray:

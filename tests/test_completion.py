@@ -1,5 +1,7 @@
 """Tests for positive block completion and minimal CP completion."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from cpmaps import (
     minimal_cp_completion_choi,
     minimal_cp_completion_stinespring,
 )
-from cpmaps import linalg
+from cpmaps import linalg, serialize
 from cpmaps.gallery import (
     flip_twirl_map,
     identity_map,
@@ -30,6 +32,7 @@ from cpmaps.gallery import (
 )
 
 from conftest import (
+    DATA,
     count_linalg_calls,
     haar_unitary,
     random_projection,
@@ -352,6 +355,29 @@ def test_completion_verdicts_are_scale_invariant(scale):
             with pytest.raises(NotCompletable):
                 minimal_cp_completion_choi(beta)
     assert verdicts == {"feasible": True, "negative": False, "leak": False}
+
+
+def _scaled_fixture(name, scale):
+    doc = json.loads((DATA / name).read_text())
+    beta = serialize.decode_partial_map(doc, np.diag([1.0, 0.0]))
+    return PartialCpMap(d_in=beta.d_in, d_out=beta.d_out, r=beta.r,
+                        blocks=scale * np.asarray(beta.blocks))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-10, 1e-12])
+def test_fixture_verdicts_hold_at_small_scale(scale):
+    # both deciding numbers are read at the data's own scale: with a floor
+    # max(1, .) the infeasible fixture read as completable below 1e-9
+    infeasible = _scaled_fixture("infeasible_partial.json", scale)
+    assert not cp_completable(infeasible)
+    with pytest.raises(NotCompletable):
+        minimal_cp_completion_choi(infeasible)
+    feasible = _scaled_fixture("special_partial.json", scale)
+    assert cp_completable(feasible)
+    unscaled = minimal_cp_completion_choi(
+        _scaled_fixture("special_partial.json", 1.0)).choi
+    got = minimal_cp_completion_choi(feasible).choi
+    assert np.abs(got - scale * unscaled).max() <= 1e-12 * scale
 
 
 def test_minimal_completion_identity_full_information():

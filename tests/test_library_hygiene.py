@@ -3,9 +3,9 @@
 Random draws belong only in the gallery's seeded examples and in the
 random rows of the ``cpmaps demo`` table; every other verdict is a
 function of its input.  No module imports a name it never uses.  And no
-module outside ``linalg`` sets a threshold of its own: every equality,
-PSD and rank judgement reads the caller's ``Tolerance`` through
-``linalg``.
+module outside ``linalg`` sets a threshold of its own or reads a
+``Tolerance`` field, the CLI's flag plumbing aside: every equality, PSD
+and rank judgement reads the caller's ``Tolerance`` through ``linalg``.
 """
 
 import ast
@@ -130,8 +130,33 @@ def literal_thresholds(tree):
     return found
 
 
-@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "linalg.py"],
-                         ids=lambda p: p.name)
+#: the CLI functions that turn ``--tol-*`` flags into a ``Tolerance`` and
+#: back into the report's ``tolerances`` field
+FIELD_READERS = {("cli.py", "_tolerance_args"), ("cli.py", "_tolerance"),
+                 ("cli.py", "_tolerance_fields")}
+
+
+def tolerance_reads(tree):
+    """``(line, top-level definition)`` of each attribute read of a
+    ``Tolerance`` field."""
+    return [(node.lineno, getattr(top, "name", None))
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            and node.attr in TOLERANCE_FIELDS]
+
+
+OUTSIDE_LINALG = [p for p in LIBRARY if p.name != "linalg.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_LINALG, ids=lambda p: p.name)
+def test_no_tolerance_field_read_outside_linalg(path):
+    stray = [f"{path.name}:{line} in {owner}"
+             for line, owner in tolerance_reads(parse(path))
+             if (path.name, owner) not in FIELD_READERS]
+    assert stray == []
+
+
+@pytest.mark.parametrize("path", OUTSIDE_LINALG, ids=lambda p: p.name)
 def test_no_threshold_outside_linalg(path):
     stray = [f"{path.name}:{line} in {owner}"
              for line, owner in literal_thresholds(parse(path))
@@ -182,3 +207,13 @@ def test_the_threshold_scan_sees_what_it_looks_for():
                      "    b = x < -10 * tol.eps_psd or x > tol.eps_eq / 2\n"
                      "    return a, b, 0.5, 1e-3, x * tol.eps_rank, 0.0\n")
     assert literal_thresholds(tree) == [(2, "h"), (3, "h"), (3, "h")]
+
+
+def test_the_field_scan_sees_what_it_looks_for():
+    # reads of a field, of an instance or of the class, are flagged; the
+    # keyword that sets one and the field's name in a string are not
+    tree = ast.parse("def k(x, tol):\n"
+                     "    cut = tol.eps_rank * x\n"
+                     "    return cut, Tolerance.eps_eq, Tolerance(eps_psd=x), "
+                     "'eps_rank'\n")
+    assert tolerance_reads(tree) == [(2, "k"), (3, "k")]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cpmaps import Tolerance, NonHermitianInput, NotPSD
 from cpmaps import linalg
 
-from conftest import random_psd, random_projection
+from conftest import haar_unitary, random_psd, random_projection
 
 
 def test_tolerance_defaults_and_validation():
@@ -57,6 +57,48 @@ def test_numerical_rank_relative_threshold():
     assert linalg.numerical_rank(np.zeros((3, 2))) == 0
     # the threshold is relative: scaling the matrix does not change the rank
     assert linalg.numerical_rank([[1e8, 0.0], [0.0, 1e-4]]) == 1
+
+
+def test_kept_empty_and_zero_input_keep_nothing():
+    tol = Tolerance()
+    assert linalg.kept([], tol).shape == (0,)
+    assert linalg.kept(np.zeros((2, 0)), tol).shape == (2, 0)
+    assert not linalg.kept(np.zeros(3), tol).any()
+    assert not linalg.kept(np.zeros(3), tol, 0.0).any()
+
+
+def test_kept_judges_a_batch_row_by_row():
+    tol = Tolerance()
+    # against the first row's top, 1.0, the whole second row would drop
+    values = np.array([[1.0, 1e-6, 1e-12], [1e-10, 1e-16, 1e-20]])
+    assert linalg.kept(values, tol).tolist() == [[True, True, False],
+                                                 [True, True, False]]
+
+
+def test_kept_drops_a_value_negligible_next_to_a_named_scale():
+    tol = Tolerance()
+    assert linalg.kept([1e-12], tol).tolist() == [True]
+    assert linalg.kept([1e-12], tol, 1.0).tolist() == [False]
+    assert linalg.kept([1e-12, 1e-3], tol, 1.0).tolist() == [False, True]
+
+
+def test_rank_helpers_agree_at_the_cutoff():
+    # eigenvalues 0.9x and 1.1x the cutoff eps_rank * 1 on either side
+    tol = Tolerance()
+    u = haar_unitary(np.random.default_rng(3), 4)
+    w = np.array([1.0, 1.1e-9, 0.9e-9, 0.0])
+    m = (u * w) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    inside = u[:, :2] @ u[:, :2].conj().T
+    assert linalg.numerical_rank(m, tol) == 2
+    assert linalg.ranked_svd(m, tol)[3] == 2
+    null = linalg.kernel_basis(m, tol)
+    assert null.shape == (4, 2)
+    assert np.allclose(null @ null.conj().T, np.eye(4) - inside, atol=1e-6)
+    assert np.allclose(linalg.range_projection(m, tol), inside, atol=1e-6)
+    want = (u[:, :2] / w[:2]) @ u[:, :2].conj().T
+    got = linalg.pseudo_inverse(m, tol)
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def test_kernel_basis_frozen_example():
