@@ -10,8 +10,8 @@ each named by its operands:
   being those of one matrix (a row of a 2-D batch) and the scales the
   sizes of the data the matrix was formed from.  With no scales the cut is
   relative to the largest value alone; :func:`numerical_rank`,
-  :func:`ranked_svd`, :func:`kernel_basis`, :func:`range_projection` and
-  :func:`pseudo_inverse` all count with it;
+  :func:`ranked_svd`, :func:`kernel_basis` and :func:`range_projection`
+  all count with it;
 * **equality** is :func:`negligible`: a difference ``x`` counts as zero
   when ``max |x| <= eps_eq * max(1, max |operand|)``, the operands being
   the quantities ``x`` was formed from (for ``a - b``, ``a`` and ``b``);
@@ -30,11 +30,13 @@ operands are named, so ``dominates(c phi, c psi)`` is the same for every
 ``c > 0``; with the floor, a map below ``eps_psd`` would dominate one twice
 its size.  The rank rule has no floor.
 
-Three constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
+Four constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
 (how far from Hermitian an input may be before it is rejected rather than
 symmetrized), the stopping rules of the quasi-purity polishers (iteration
-constants, not judgements), and the ``0.5`` that splits the eigenvalues of
-a splitting projection in :mod:`completion` (they are 0 or 1).
+constants, not judgements), the ``2^-102`` below which an exact pencil
+root's real or imaginary part is rounded to zero (a rounding rule), and
+the ``0.5`` that splits the eigenvalues of a splitting projection in
+:mod:`completion` (they are 0 or 1).
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex`` dtype.  The
 helpers here never mutate their inputs.
@@ -59,7 +61,6 @@ __all__ = [
     "eigh",
     "psd_check",
     "numerical_rank",
-    "pseudo_inverse",
     "psd_sqrt",
     "ranked_svd",
     "range_projection",
@@ -201,19 +202,6 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(kept(s, tol)))
-
-
-def pseudo_inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian matrix via eigendecomposition.
-
-    Only the eigenvalues whose magnitudes are :func:`kept` are inverted,
-    the rest are exact zeros, which keeps ``pseudo_inverse`` consistent
-    with :func:`numerical_rank` and :func:`range_projection` on the same
-    input.
-    """
-    w, u = eigh(m)
-    keep = kept(np.abs(w), tol)
-    return (u[:, keep] / w[keep]) @ u[:, keep].conj().T
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -39,8 +39,9 @@ left to the steps below.  Then:
    ``M_i = G_i = [K_1 e_i | ... | K_k e_i]`` (``M = F``) otherwise; a
    dependency vector ``a`` gives the witness ``h = ker P(a)``.  For
    ``n == 2`` one pencil decides (:func:`exact_pencil_k2`); its
-   ``QuasiPure`` is a proof for Gaussian-rational input only.  Its
-   floating-point candidates are polished near-singular ones first.
+   ``QuasiPure`` is a proof for Gaussian-rational input only, decided
+   over ``Z[i]`` with Python integers.  Its floating-point candidates are
+   polished near-singular ones first.
 3. Otherwise, and behind a floating-point pencil, a Lipschitz certificate
    covers ``CP^{n-1}`` by the charts ``c_i = 1``, the other coordinates in
    the real cube ``[-1, 1]^{2(n-1)}``.  ``sigma_p`` (``p`` columns) is
@@ -60,6 +61,7 @@ proof-grade, each witness re-verified.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -207,10 +209,12 @@ def _rationalize(x: float) -> Optional[Fraction]:
     return fr if float(fr) == x else None
 
 
-def _gaussian_rational_entries(mats):
-    """Entries of each matrix as ``(re, im)`` fraction pairs, or None.
+def _gaussian_integer_pencil(mats):
+    """The matrices times one common denominator, or None.
 
-    Decided with ``fractions`` alone, so float input never loads sympy.
+    Each comes back as rows of Gaussian integers ``(re, im)``; None when
+    some entry is not a Gaussian rational.  A common scale leaves the
+    singular points of the pencil where they were.
     """
     out = []
     for mat in mats:
@@ -225,7 +229,10 @@ def _gaussian_rational_entries(mats):
                 entries.append((re, im))
             rows.append(entries)
         out.append(rows)
-    return out
+    common = math.lcm(*(x.denominator for rows in out for row in rows
+                        for z in row for x in z))
+    return [[[tuple(x.numerator * (common // x.denominator) for x in z)
+              for z in row] for row in rows] for rows in out]
 
 
 def _polish_root(l1, l2, z0, iters: int = 60):
@@ -254,49 +261,222 @@ def _polish_root(l1, l2, z0, iters: int = 60):
     return z, v
 
 
+def _mul(a, b):
+    """The product of two Gaussian integers ``(re, im)``."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _matmul(a, b):
+    """The product of two matrices of Gaussian integers (lists of rows)."""
+    cols = list(zip(*b))
+    return [[(sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)),
+              sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(row, col)))
+             for col in cols] for row in a]
+
+
+def _primitive(vec):
+    """``vec`` divided by the gcd of its integers."""
+    g = math.gcd(*(x for z in vec for x in z))
+    return vec if g <= 1 else [(re // g, im // g) for re, im in vec]
+
+
+def _echelon(rows, width: int):
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss).
+
+    Eliminates on the first ``width`` columns of ``rows`` (Gaussian
+    integers).  Each step cross-multiplies every other row with the pivot
+    row and divides it exactly by the previous pivot, so every entry stays
+    a minor of the input.  Returns ``(pivots, d, rows)``: the pivot columns
+    in order, the last pivot ``d``, and rows spanning the same space, the
+    first ``len(pivots)`` of which read ``d`` at their own pivot and zero
+    at the others, the rest zero on the first ``width`` columns.
+    """
+    rows = [list(row) for row in rows]
+    pivots, prev = [], (1, 0)
+    for col in range(width):
+        top = len(pivots)
+        src = next((i for i in range(top, len(rows))
+                    if rows[i][col] != (0, 0)), None)
+        if src is None:
+            continue
+        rows[top], rows[src] = rows[src], rows[top]
+        (pr, pi), pivot_row = rows[top][col], rows[top]
+        # the exact division by prev: times conj(prev), over |prev|^2
+        (qr, qi), norm = prev, prev[0] ** 2 + prev[1] ** 2
+        for i, row in enumerate(rows):
+            if i == top:
+                continue
+            er, ei = row[col]
+            new = []
+            for (xr, xi), (yr, yi) in zip(row, pivot_row):
+                ar = pr * xr - pi * xi - er * yr + ei * yi
+                ai = pr * xi + pi * xr - er * yi - ei * yr
+                new.append(((ar * qr + ai * qi) // norm,
+                            (ai * qr - ar * qi) // norm))
+            rows[i] = new
+        pivots.append(col)
+        prev = (pr, pi)
+    return pivots, prev, rows
+
+
 def _reduce_rows(a, b, r: int):
-    """Row-reduce ``[a | b]`` for ``a`` of full column rank ``r``.
+    """Row-reduce ``[a | b]`` over Z[i] for ``a`` of full column rank ``r``.
 
-    Some invertible ``Q`` gives ``Q a = [I_r; 0]``; returns the two blocks
-    of ``Q b`` (its first ``r`` rows, then the rest).
+    Some invertible ``Q`` gives ``Q a = [d I_r; 0]`` for a nonzero Gaussian
+    integer ``d``; returns ``d`` and the two blocks of ``Q b`` (its first
+    ``r`` rows, then the rest).
     """
-    red, pivots = a.hstack(b).rref()
-    if tuple(pivots[:r]) != tuple(range(r)):
+    pivots, d, rows = _echelon([x + y for x, y in zip(a, b)], r)
+    if pivots != list(range(r)):
         raise InputNotReduced("internal error: row reduction lost a pivot")
-    return red[:r, r:], red[r:, r:]
+    return d, [row[r:] for row in rows[:r]], [row[r:] for row in rows[r:]]
 
 
-def _exact_singular_points(entries, m: int) -> list:
-    """Singular points of ``z K_1 + K_2``: exact over QQ_I, roots to 30 digits.
+def _kernel(rows, m: int):
+    """A basis of the kernel of ``rows`` (``m`` columns), over Z[i]."""
+    pivots, d, rows = _echelon(rows, m)
+    basis = []
+    for free in (col for col in range(m) if col not in pivots):
+        vec = [(0, 0)] * m
+        vec[free] = d
+        for row, col in zip(rows, pivots):
+            vec[col] = (-row[free][0], -row[free][1])
+        basis.append(vec)
+    return basis
 
-    ``K_1`` must be injective.  With ``Q K_1 = [I_m; 0]`` and
-    ``Q K_2 = [-M; B]`` the points are the eigenvalues of ``M`` on its
-    unobservable subspace ``ker [B; BM; ...; BM^{m-1}]``; their
-    characteristic polynomial is the gcd of the maximal minors.
+
+def _charpoly(s):
+    """``det(x I - S)`` over Z[i], highest degree first (Faddeev-LeVerrier)."""
+    r = len(s)
+    coeffs = [(1, 0)]
+    acc = [[(int(i == j), 0) for j in range(r)] for i in range(r)]
+    for k in range(1, r + 1):
+        acc = _matmul(s, acc)
+        # the coefficients are Gaussian integers: k divides the trace
+        c = (-sum(acc[i][i][0] for i in range(r)) // k,
+             -sum(acc[i][i][1] for i in range(r)) // k)
+        coeffs.append(c)
+        for i in range(r):
+            acc[i][i] = (acc[i][i][0] + c[0], acc[i][i][1] + c[1])
+    return coeffs
+
+
+def _pseudo_divide(a, b):
+    """``(q, rem)`` with ``lc(b)^e a = q b + rem``, ``e = deg a - deg b + 1``.
+
+    Polynomials over Z[i], highest degree first; ``rem`` has ``deg b``
+    coefficients, leading zeros included.
     """
-    import sympy as sp
-    from sympy.polys.domains import QQ_I
-    from sympy.polys.matrices import DomainMatrix
+    lead, q, rem = b[0], [], list(a)
+    for _ in range(len(a) - len(b) + 1):
+        e = rem[0]
+        q = [_mul(lead, c) for c in q] + [e]
+        tail = b[1:] + [(0, 0)] * (len(rem) - len(b))
+        rem = [(lx[0] - ey[0], lx[1] - ey[1]) for lx, ey in
+               ((_mul(lead, x), _mul(e, y)) for x, y in zip(rem[1:], tail))]
+    return q, rem
 
-    def dm(rows):
-        return DomainMatrix([[QQ_I(re, im) for re, im in row] for row in rows],
-                            (len(rows), m), QQ_I)
 
-    k1, k2 = (dm(rows) for rows in entries)
-    top, b = _reduce_rows(k1, k2, m)
-    mat = -top
-    blocks = [b]
+def _squarefree(poly):
+    """``poly / gcd(poly, poly')``, up to a factor; highest degree first."""
+    n = len(poly) - 1
+    a, b = poly, [(re * (n - j), im * (n - j))
+                  for j, (re, im) in enumerate(poly[:-1])]
+    while b:  # Euclid on primitive pseudo-remainders
+        rem = _pseudo_divide(a, b)[1]
+        while rem and rem[0] == (0, 0):
+            rem = rem[1:]
+        a, b = b, _primitive(rem)
+    return _primitive(_pseudo_divide(poly, a)[0]) if len(a) > 1 else poly
+
+
+def _newton(poly, seed: complex):
+    """The root of ``poly`` (over Z[i]) Newton's method finds from ``seed``.
+
+    The iterate is ``w / 2^e`` for a Gaussian integer ``w`` and at least
+    320 fractional bits, so each step is exact up to the rounding of
+    ``w``.  Horner on the scaled point: ``H_j = H_{j-1} w + a_j 2^{e j}``
+    and ``G_j = G_{j-1} w + H_{j-1}`` give ``p(z) = H_n / 2^{e n}`` and
+    ``p'(z) = G_n / 2^{e (n-1)}``, so the step is ``w -= H_n / G_n``; at
+    most 60 steps, ending once a step rounds to zero.  Returns the real
+    and imaginary parts as fractions.
+    """
+    e = 320 - min(0, math.frexp(abs(seed))[1])
+    w = (round(math.ldexp(seed.real, e)), round(math.ldexp(seed.imag, e)))
+    scaled = [(re << (e * j), im << (e * j))
+              for j, (re, im) in enumerate(poly)]
+    for _ in range(60):
+        h, g = scaled[0], (0, 0)
+        for a in scaled[1:]:
+            g = _mul(g, w)
+            g = (g[0] + h[0], g[1] + h[1])
+            h = _mul(h, w)
+            h = (h[0] + a[0], h[1] + a[1])
+        den = g[0] ** 2 + g[1] ** 2
+        if den == 0:
+            break
+        num = _mul(h, (g[0], -g[1]))
+        step = tuple((2 * x + den) // (2 * den) for x in num)  # rounded
+        if step == (0, 0):
+            break
+        w = (w[0] - step[0], w[1] - step[1])
+    return Fraction(w[0], 1 << e), Fraction(w[1], 1 << e)
+
+
+def _roots(poly) -> list:
+    """The roots of a square-free ``poly`` over Z[i] as complex doubles.
+
+    Rounded as sympy's ``nroots(n=30)`` rounds: a real or imaginary part
+    below ``2^-102`` (mpmath's epsilon at 30 digits) in absolute value
+    reads as zero, any other as the nearest double.  Real roots come
+    first, then by real part, size of the imaginary part and its sign.
+    """
+    if len(poly) == 2:  # a z + b: z = -b conj(a) / |a|^2, exactly
+        (ar, ai), (br, bi) = poly
+        norm = ar * ar + ai * ai
+        points = [(Fraction(-br * ar - bi * ai, norm),
+                   Fraction(br * ai - bi * ar, norm))]
+    else:
+        top = max(abs(x) for z in poly for x in z).bit_length()
+        seeds = np.roots([complex(re / 2 ** top, im / 2 ** top)
+                          for re, im in poly])
+        points = [_newton(poly, complex(seed)) for seed in seeds]
+    roots = [complex(*(0.0 if abs(x) < 2.0 ** -102 else float(x)
+                       for x in point)) for point in points]
+    return sorted(roots, key=lambda z: (z.imag != 0, z.real, abs(z.imag),
+                                        z.imag > 0))
+
+
+def _exact_singular_points(k1, k2) -> list:
+    """Singular points of ``z K_1 + K_2``, exact over Z[i] up to the roots.
+
+    ``K_1`` and ``K_2`` are matrices of Gaussian integers and ``K_1`` must
+    be injective.  With ``Q K_1 = [d I_m; 0]`` and ``Q K_2 = [N; B]`` the
+    points are the eigenvalues of ``M = -N / d`` on its unobservable
+    subspace ``ker [B; BN; ...; BN^{m-1}]``.  On a basis ``U`` of that
+    subspace ``N U = U S / d'``, so the points are ``-s / (d d')`` for the
+    eigenvalues ``s`` of ``S``: the roots of the square-free part of the
+    characteristic polynomial of ``S``, taken in that variable.
+    """
+    m = len(k1[0])
+    d, n, block = _reduce_rows(k1, k2, m)
+    rows = list(block)
     for _ in range(m - 1):
-        blocks.append(blocks[-1] * mat)
-    unobservable = DomainMatrix.vstack(*blocks).nullspace().transpose()
-    r = unobservable.shape[1]
+        block = [_primitive(row) for row in _matmul(block, n)]
+        rows += block
+    basis = _kernel(rows, m)
+    r = len(basis)
     if r == 0:
-        # rank [B; BM; ...; BM^{m-1}] == m: no eigenvector of M in ker B
+        # rank [B; BN; ...; BN^{m-1}] == m: no eigenvector of M in ker B
         return []
-    restricted, _ = _reduce_rows(unobservable, mat * unobservable, r)
-    poly = sp.Poly(restricted.charpoly(), sp.Symbol("z"), domain=QQ_I)
-    # nroots does not converge on repeated roots; each point is needed once
-    return [complex(root) for root in poly.sqf_part().nroots(n=30)]
+    u = [list(row) for row in zip(*basis)]
+    d_sub, s, _ = _reduce_rows(u, _matmul(n, u), r)
+    poly = _squarefree(_charpoly(s))
+    t, powers = _mul((-d[0], -d[1]), d_sub), [(1, 0)]  # s = t z
+    for _ in poly[1:]:
+        powers.append(_mul(powers[-1], t))
+    return _roots(_primitive([_mul(c, power)
+                              for c, power in zip(poly, reversed(powers))]))
 
 
 def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
@@ -317,9 +497,18 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     ``ker [B; BM; ...; BM^{m-1}]``, so the pencil is injective everywhere
     iff that matrix has rank ``m`` (the Hautus/Kalman observability test).
 
-    When every entry is a Gaussian rational the reduction and the rank are
-    computed exactly over QQ_I, so a True decision is a proof; the
-    candidate roots are then the eigenvalues of ``M`` on that kernel.
+    When every entry is a Gaussian rational, both factors are scaled by
+    one common denominator, which moves no singular point, and the
+    reduction and the rank are computed exactly over ``Z[i]`` with Python
+    integers (fraction-free Gauss-Jordan elimination), so a True decision
+    is a proof.  The candidates are then the eigenvalues of ``M`` on that
+    kernel: the roots of the square-free part of its characteristic
+    polynomial, found from ``np.roots`` by Newton steps in exact
+    arithmetic (an exact division for a linear factor) and rounded once.
+    A real or imaginary part below ``2^-102`` in absolute value reads as
+    zero, any other as the nearest double, and real roots come first, as
+    sympy's ``nroots(n=30)`` rounds and orders them, so that witnesses
+    recorded from it (the goldens among them) keep their bytes.
     Otherwise the candidates are the eigenvalues of ``-K_1^+ K_2``, and
     None says that none of them passed the rank window.  Either way each
     candidate is polished and must pass the rank window before it yields
@@ -333,7 +522,6 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     l2 = linalg.as_matrix(l2)
     if l1.shape != l2.shape:
         raise InputNotReduced("factors must share a shape")
-    m = l1.shape[1]
     factors = [l1, l2]
     common = linalg.kernel_basis(np.vstack(factors), tol)
     if common.shape[1] != 0:
@@ -350,7 +538,7 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
                 return False, witness
 
     # both endpoints injective; in particular m <= rows
-    exact = _gaussian_rational_entries(factors)
+    exact = _gaussian_integer_pencil(factors)
     if exact is None:
         candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
         # a spurious candidate runs the polisher to its cap, a genuine one
@@ -359,7 +547,7 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
                               compute_uv=False)
         later = linalg.kept(sigma, tol)[:, -1]
     else:
-        candidates = _exact_singular_points(exact, m)
+        candidates = _exact_singular_points(*exact)
         later = [False] * len(candidates)  # each one a genuine root
     order = sorted(range(len(candidates)), key=lambda i: (
         later[i], round(candidates[i].real, 12),
@@ -572,7 +760,7 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
         if decision is False:
             h = _direction(stack, witness, not over_a)
             return _not_quasipure(factors, basis @ h, METHOD_EXACT_PENCIL, tol)
-        if decision:  # decided over QQ_I
+        if decision:  # decided over Z[i]
             return QuasiPurityVerdict(status=QUASI_PURE,
                                       method=METHOD_EXACT_PENCIL)
     # step 3 (and the proof behind a floating-point pencil)

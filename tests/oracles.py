@@ -1,9 +1,11 @@
-"""Reference checks the tests hold the quasi-purity pipeline against.
+"""Reference checks the tests hold the library against.
 
-Neither decides anything the library ships: :func:`grid_oracle` is a
+None decides anything the library ships: :func:`grid_oracle` is a
 brute-force scan over a grid of directions, and
 :func:`domination_preserves_quasipurity_check` samples maps dominated by a
-quasi-pure one.  Both raise ``ValueError`` on input they do not cover.
+quasi-pure one; both raise ``ValueError`` on input they do not cover.
+:func:`pseudo_inverse` is the Moore-Penrose inverse the completion tests
+build their reference completions from.
 """
 
 import numpy as np
@@ -40,6 +42,19 @@ class GridVerdict(QuasiPurityVerdict):
     @property
     def is_proof(self) -> bool:
         return self.status != INCONCLUSIVE
+
+
+def pseudo_inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose inverse of a Hermitian matrix via eigendecomposition.
+
+    Only the eigenvalues whose magnitudes the rank rule :func:`linalg.kept`
+    keeps are inverted, the rest are exact zeros, which keeps it consistent
+    with :func:`linalg.numerical_rank` and :func:`linalg.range_projection`
+    on the same input.
+    """
+    w, u = linalg.eigh(m)
+    keep = linalg.kept(np.abs(w), tol)
+    return (u[:, keep] / w[keep]) @ u[:, keep].conj().T
 
 
 def _complement(factors, tol: Tolerance) -> np.ndarray:

@@ -38,6 +38,7 @@ from conftest import (
     random_projection,
     random_psd,
 )
+from oracles import pseudo_inverse
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -109,7 +110,7 @@ def test_kernel_criterion_matches_q_bound_both_directions():
         prob = BlockCompletionProblem.from_blocks(a, c)
         feasible = block_completable(prob)
         # direct search for q: C*C <= qA iff scaled compression is bounded
-        sqrt_pinv = linalg.psd_sqrt(linalg.pseudo_inverse(a))
+        sqrt_pinv = linalg.psd_sqrt(pseudo_inverse(a))
         gram = c.conj().T @ c
         q = float(np.linalg.eigvalsh(sqrt_pinv @ gram @ sqrt_pinv)[-1])
         bounded = linalg.psd_check(q * a - gram, linalg.Tolerance(
@@ -515,7 +516,7 @@ def _reference_split(beta, tol):
 
 
 def _reference_completion(a, c, tol):
-    m = a + c + c.conj().T + c @ linalg.pseudo_inverse(a, tol) @ c.conj().T
+    m = a + c + c.conj().T + c @ pseudo_inverse(a, tol) @ c.conj().T
     return (m + m.conj().T) / 2.0
 
 

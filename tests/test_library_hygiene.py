@@ -2,13 +2,15 @@
 
 Random draws belong only in the gallery's seeded examples and in the
 random rows of the ``cpmaps demo`` table; every other verdict is a
-function of its input.  No module imports a name it never uses.  And no
+function of its input.  No module imports a name it never uses, nor any
+package but the standard library, numpy and ``cpmaps`` itself.  And no
 module outside ``linalg`` sets a threshold of its own or reads a
 ``Tolerance`` field, the CLI's flag plumbing aside: every equality, PSD
 and rank judgement reads the caller's ``Tolerance`` through ``linalg``.
 """
 
 import ast
+import sys
 
 import pytest
 
@@ -86,13 +88,35 @@ def used_names(module):
     return used
 
 
+#: top-level packages a library module may import
+ALLOWED_PACKAGES = sys.stdlib_module_names | {"numpy", "cpmaps"}
+
+
+def foreign_imports(tree):
+    """``(line, module)`` of each absolute import of a package outside
+    :data:`ALLOWED_PACKAGES`; relative imports are ``cpmaps`` itself."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in modules
+                  if name.split(".")[0] not in ALLOWED_PACKAGES]
+    return sorted(found)
+
+
 TOLERANCE_FIELDS = ("eps_rank", "eps_psd", "eps_eq")
 
 #: ``(module, top-level definition)`` whose small literals are no
-#: judgements: the polishers' stopping rules, and the thresholds printed in
-#: the byte-stable ``cpmaps demo`` report
+#: judgements: the polishers' stopping rules, the rounding rule of the exact
+#: pencil roots, and the thresholds printed in the byte-stable ``cpmaps
+#: demo`` report
 THRESHOLD_OWNERS = {("quasipure.py", "_polish_root"),
                     ("quasipure.py", "_refine_candidate"),
+                    ("quasipure.py", "_roots"),
                     ("cli.py", "_demo_rows")}
 
 
@@ -106,9 +130,24 @@ def _number(node):
     return None
 
 
+def _power(node):
+    """``|a| ** b`` for a power ``a ** b`` of two numeric literals, signed
+    or not, else None."""
+    base, power = _number(node.left), _number(node.right)
+    if base is None or power is None:
+        return None
+    if isinstance(node.right, ast.UnaryOp):
+        power = -power
+    try:
+        return abs(float(base)) ** power
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
 def literal_thresholds(tree):
     """``(line, top-level definition)`` of each float literal in
-    ``(0, 1e-3)`` and of each numeric multiple of a ``Tolerance`` field."""
+    ``(0, 1e-3)``, of each power of two numeric literals in that range, and
+    of each numeric multiple of a ``Tolerance`` field."""
     found = []
     for top in tree.body:
         owner = getattr(top, "name", None)
@@ -116,6 +155,9 @@ def literal_thresholds(tree):
             if isinstance(node, ast.Constant):
                 hit = (isinstance(node.value, float)
                        and 0.0 < node.value < 1e-3)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                value = _power(node)
+                hit = value is not None and 0.0 < value < 1e-3
             elif isinstance(node, ast.BinOp) and isinstance(
                     node.op, (ast.Mult, ast.Div)):
                 hit = any(_number(a) is not None
@@ -185,6 +227,26 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused == []
 
 
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library_and_numpy(path):
+    stray = [f"{path.name}:{line} {name}"
+             for line, name in foreign_imports(parse(path))]
+    assert stray == []
+
+
+def test_the_import_scan_sees_what_it_looks_for():
+    # a third-party import is flagged at the top level and inside a
+    # function; the standard library, numpy and cpmaps, absolute or
+    # relative, are not
+    tree = ast.parse("import sympy\nimport numpy as np, math\n"
+                     "from fractions import Fraction\nfrom . import linalg\n"
+                     "from cpmaps.linalg import kept\n"
+                     "def f():\n    from sympy.polys import Poly\n"
+                     "    import scipy.linalg\n")
+    assert foreign_imports(tree) == [(1, "sympy"), (7, "sympy.polys"),
+                                     (8, "scipy.linalg")]
+
+
 def test_the_checks_see_what_they_look_for():
     # each check flags a planted offence and passes the allowed forms
     tree = ast.parse("import os\nimport numpy as np\n"
@@ -200,13 +262,17 @@ def test_the_checks_see_what_they_look_for():
 
 
 def test_the_threshold_scan_sees_what_it_looks_for():
-    # a literal threshold and two multiples of a field are flagged; a
-    # field times a variable, 0.5, 1e-3 and 0.0 are not
+    # a literal threshold, one spelled as a power and two multiples of a
+    # field are flagged; a field times a variable, 0.5, 1e-3, 0.0, 2 ** 10,
+    # 0.0 ** -1 and x ** -102 are not
     tree = ast.parse("def h(x, tol):\n"
                      "    a = x <= 1e-8 * max(1.0, x)\n"
                      "    b = x < -10 * tol.eps_psd or x > tol.eps_eq / 2\n"
-                     "    return a, b, 0.5, 1e-3, x * tol.eps_rank, 0.0\n")
-    assert literal_thresholds(tree) == [(2, "h"), (3, "h"), (3, "h")]
+                     "    c = abs(x) < 2.0 ** -102\n"
+                     "    return a, b, c, 0.5, 1e-3, x * tol.eps_rank, 0.0, "
+                     "2 ** 10, 0.0 ** -1, x ** -102\n")
+    assert sorted(literal_thresholds(tree)) == [(2, "h"), (3, "h"),
+                                                (3, "h"), (4, "h")]
 
 
 def test_the_field_scan_sees_what_it_looks_for():

@@ -1,6 +1,7 @@
 """Tests for the quasi-purity decision pipeline and its oracles."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -84,6 +85,95 @@ def gaussian_integer_pair(rng, d_in, m, singular):
                     gaussian_integers(rng, (d_in, m)))
         if all(np.linalg.matrix_rank(f) == m for f in pair):
             return pair
+
+
+def pinned_pencil(seed):
+    """A Gaussian-rational pair ``(K_1, K_2)`` drawn from ``seed``.
+
+    Even seeds give a square pair, singular at every eigenvalue of
+    ``-K_1^{-1} K_2`` (irrational in general).  Odd seeds plant points:
+    ``K_1 = A [I; 0]`` and ``K_2 = A [D; L]`` for an upper triangular ``D``
+    and an ``L`` zero on its first columns.  Both factors share a
+    denominator up to 7.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        m = int(rng.integers(2, 5))
+        if seed % 2 == 0:
+            pair = (gaussian_integers(rng, (m, m)),
+                    gaussian_integers(rng, (m, m)))
+        else:
+            d_in = m + int(rng.integers(1, 3))
+            a = gaussian_integers(rng, (d_in, d_in))
+            lower = gaussian_integers(rng, (d_in, m))
+            lower[:m] = np.triu(lower[:m])
+            lower[m:, :int(rng.integers(1, m + 1))] = 0.0
+            pair = (a[:, :m], a @ lower)
+        denominator = int(rng.integers(1, 8))
+        if all(np.linalg.matrix_rank(f) == m for f in pair):
+            # each part divided alone: a complex division rounds twice
+            return tuple(f.real / denominator + 1j * (f.imag / denominator)
+                         for f in pair)
+
+
+#: pencils whose singular points are known in closed form: ``+-sqrt(2)``
+#: (scaled by ``1 + i``, so that the real roots come out of complex
+#: arithmetic), ``(z + 1)^2 (z + 2)``, and ``-1, -3`` behind a Gaussian
+#: mixing ``A``
+NAMED_PENCILS = {
+    "sqrt2": ((1 + 1j) * np.eye(2), (1 + 1j) * np.array([[0, 2], [1, 0]])),
+    "repeated": (np.eye(3), np.diag([1.0, 1.0, 2.0])),
+    "real-rational": (
+        np.array([[1, 1j], [2, 1 - 1j], [1j, 3]]),
+        np.array([[1, 1j], [2, 1 - 1j], [1j, 3]])
+        @ np.array([[1, 1 + 1j], [0, 3]])),
+}
+
+#: ``float.hex`` of ``(real, imag)`` of each exact candidate, in order, as
+#: sympy's ``nroots(n=30)`` gave them on the former ``QQ_I`` route, whose
+#: candidates the golden witness bytes were recorded from
+PINNED_CANDIDATES = {
+    "sqrt2": [("-0x1.6a09e667f3bcdp+0", "0x0.0p+0"),
+              ("0x1.6a09e667f3bcdp+0", "0x0.0p+0")],
+    "repeated": [("-0x1.0000000000000p+1", "0x0.0p+0"),
+                 ("-0x1.0000000000000p+0", "0x0.0p+0")],
+    "real-rational": [("-0x1.8000000000000p+1", "0x0.0p+0"),
+                      ("-0x1.0000000000000p+0", "0x0.0p+0")],
+    0: [("-0x1.863f0de8365e4p+0", "0x1.870de03691b58p-1"),
+        ("-0x1.97ad9bf23fb66p-3", "-0x1.09a58e9154ce9p-4"),
+        ("0x1.07b6b29101d5dp-3", "-0x1.5d382995b226ep-1"),
+        ("0x1.cc473c26c7e06p-1", "0x1.12ffb48b0ca8bp+0")],
+    1: [("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "-0x1.0000000000000p+1")],
+    2: [("-0x1.6628a2be2cd42p+0", "-0x1.fa25792ffffb5p-2"),
+        ("0x1.1679e2058326cp-5", "0x1.2940c9175ea6bp-1"),
+        ("0x1.9b2865a0f813fp-3", "0x1.e8f7d8f072c24p-1"),
+        ("0x1.082518bff2941p+1", "-0x1.2f111475ea308p+3")],
+    3: [("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+1", "-0x1.0000000000000p+0")],
+    4: [("-0x1.c95abaa064462p-1", "-0x1.9ad398b9fcdefp+2"),
+        ("-0x1.b24e692e6c812p-1", "-0x1.e14268c552677p-2"),
+        ("0x1.192697077b6fdp-4", "0x1.dbb9df0dba150p-2"),
+        ("0x1.30aa71e40e30ep+1", "-0x1.e1f021095f9abp-1")],
+    5: [("-0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+        ("-0x1.0000000000000p+0", "-0x1.0000000000000p+1"),
+        ("0x1.0000000000000p+1", "0x1.0000000000000p+0")],
+    6: [("-0x1.0f064da718aadp+1", "0x1.963e8a61a69ddp+2"),
+        ("-0x1.1c491d16ba4b9p+0", "-0x1.473ff902e5477p-1"),
+        ("-0x1.7bf1ac50200fap-9", "0x1.23435cd375b67p+0")],
+    7: [("0x1.0000000000000p+1", "0x0.0p+0"),
+        ("0x0.0p+0", "-0x1.0000000000000p+0")],
+    8: [("-0x1.7c97ef5653c5bp-1", "-0x1.5498a9bb80accp-1"),
+        ("-0x1.abc38b2a11aa7p-2", "0x1.656b4bfecf6a8p-1"),
+        ("-0x1.e15361c48e7d2p-3", "0x1.7322539984eaep-3"),
+        ("0x1.b10660dde0db9p-1", "-0x1.754c9f47363bfp-1")],
+    9: [("-0x1.0000000000000p+1", "-0x1.0000000000000p+0")],
+    10: [("-0x1.e51584b23dc30p-2", "0x1.43fd8c371f275p-2"),
+         ("0x1.7470eda7e7950p-3", "0x1.37ea0d6d2f75ep-2"),
+         ("0x1.b45d8522cf28ep-1", "0x1.1dc9ce4cfaabep-6"),
+         ("0x1.77b5c83da860dp+1", "0x1.5a551188041dep+0")],
+    11: [("-0x1.0000000000000p+1", "-0x1.0000000000000p+1")],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -518,22 +608,75 @@ def test_pencil_verdict_survives_rescaling(phi, method):
         assert witness_is_sound(scaled, w.witness)
 
 
-def test_only_gaussian_rational_pencils_load_sympy():
+def test_quasipurity_never_loads_sympy():
+    # a float decision and the Gaussian-integer witness maps, whose pencils
+    # take the exact route
     code = (
         "import sys\n"
-        "from cpmaps import gallery, is_quasipure\n"
-        "is_quasipure(gallery.random_cp_map(4, 2, 2, seed=1))\n"
-        "print('sympy' in sys.modules)\n"
-        "is_quasipure(gallery.diagonal_pair_map())\n"
-        "print('sympy' in sys.modules)\n"
+        "from cpmaps import gallery, is_quasipure, serialize\n"
+        "special = serialize.load_document(sys.argv[1])\n"
+        "for phi in (gallery.random_cp_map(4, 2, 2, seed=1),\n"
+        "            gallery.diagonal_pair_map(),\n"
+        "            serialize.decode_map(special)):\n"
+        "    v = is_quasipure(phi)\n"
+        "    print(v.status, v.method, 'sympy' in sys.modules)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(DATA / "special_map.json")],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.splitlines() == [
+        "QuasiPure ExactPencil False",
+        "NotQuasiPure ExactPencil False",
+        "NotQuasiPure ExactPencil False",
+    ]
+
+
+@pytest.mark.parametrize("case", list(PINNED_CANDIDATES))
+def test_exact_candidates_keep_their_bytes(case):
+    pair = (NAMED_PENCILS[case] if isinstance(case, str)
+            else pinned_pencil(case))
+    exact = quasipure._gaussian_integer_pencil(pair)
+    points = quasipure._exact_singular_points(*exact)
+    assert [(z.real.hex(), z.imag.hex()) for z in points] == \
+        PINNED_CANDIDATES[case]
+
+
+def test_integer_elimination_keeps_the_row_space():
+    # Gaussian-integer matrices of every rank, a zero column among them:
+    # each pivot row reads d at its pivot and 0 at the others, the rest
+    # vanish on the eliminated columns, and the rank is unchanged
+    rng = np.random.default_rng(2306)
+    for _ in range(200):
+        n, w = (int(x) for x in rng.integers(1, 7, size=2))
+        rank = int(rng.integers(0, min(n, w) + 1))
+        mat = gaussian_integers(rng, (n, rank)) @ gaussian_integers(
+            rng, (rank, w))
+        mat[:, int(rng.integers(0, w))] = 0.0
+        width = int(rng.integers(0, w + 1))
+        pivots, d, rows = quasipure._echelon(
+            quasipure._gaussian_integer_pencil([mat])[0], width)
+        assert len(pivots) == np.linalg.matrix_rank(mat[:, :width])
+        for i, row in enumerate(rows):
+            want = [d if j == i else (0, 0) for j in range(len(pivots))]
+            got = [row[col] for col in pivots]
+            assert got == want if i < len(pivots) else \
+                all(z == (0, 0) for z in row[:width])
+        reduced = np.array([[complex(*z) for z in row] for row in rows])
+        assert np.linalg.matrix_rank(np.vstack([mat, reduced])) == \
+            np.linalg.matrix_rank(mat) == np.linalg.matrix_rank(reduced)
+
+
+def test_exact_candidates_are_correctly_rounded():
+    # the singular points +-sqrt(2), each rounded once to the nearest double
+    exact = quasipure._gaussian_integer_pencil(NAMED_PENCILS["sqrt2"])
+    points = quasipure._exact_singular_points(*exact)
+    root = math.sqrt(2.0)
+    assert [(z.real.hex(), z.imag.hex()) for z in points] == \
+        [((-root).hex(), (0.0).hex()), (root.hex(), (0.0).hex())]
 
 
 def test_pencil_polishes_singular_candidates_first(monkeypatch):
