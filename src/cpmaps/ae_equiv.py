@@ -113,7 +113,7 @@ def support_projection(xi: CpMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     if not is_cp(xi, tol):
         raise NotCP("support projections are defined for CP maps")
-    if xi.is_zero(tol):
+    if xi.is_zero():
         raise ZeroMap("the zero map has empty support")
     factors = minimal_kraus(xi, tol)
     gram = np.zeros((xi.d_in, xi.d_in), dtype=complex)
@@ -177,7 +177,7 @@ def decompose_along(phi: CpMap, r,
     if not is_cp(phi, tol):
         raise NotCP("decomposition requires a completely positive map")
     r = linalg.as_matrix(r)
-    if phi.is_zero(tol):
+    if phi.is_zero():
         zero = CpMap.zero(phi.d_in, phi.d_out)
         return DecompositionResult(alpha=zero, phi1=zero)
     beta = PartialCpMap.from_map(phi, r)
@@ -257,7 +257,7 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap,
     """
     ctx = _coerce_context(xi)
     xi = ctx.xi
-    if xi is None or not is_cp(xi, tol) or xi.is_zero(tol):
+    if xi is None or not is_cp(xi, tol) or xi.is_zero():
         raise HypothesisFailed("reference-map",
                                "the reference map must be CP and nonzero")
     if xi.d_in != phi.d_out:
@@ -346,7 +346,7 @@ def counterexample_construct(phi: CpMap, witness,
                               triple.multiplicity)
     complement = map_from_dilation(q @ triple.v, phi.d_in, phi.d_out,
                                    triple.multiplicity)
-    if alpha.is_zero(tol):
+    if linalg.negligible(alpha.choi, tol, phi.choi):
         raise WitnessInvalid("the witness generates a cyclic subspace; "
                              "no dominated map vanishes on it")
     s = alpha.unit()

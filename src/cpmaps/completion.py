@@ -431,7 +431,7 @@ def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,
     message = "the seed map is not a CP completion of the partial data"
     if not _seed_completes(beta, seed, tol):
         raise SeedNotACompletion(message)
-    if seed.is_zero(tol):
+    if seed.is_zero():
         return CpMap.zero(beta.d_in, beta.d_out)
     try:
         triple = _minimal_triple(seed, tol)

@@ -206,8 +206,15 @@ class CpMap:
         """Value on the identity, ``phi(I_{d_in})``."""
         return apply(self, np.eye(self.d_in, dtype=complex))
 
-    def is_zero(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return linalg.negligible(self.choi, tol)
+    def is_zero(self) -> bool:
+        """Whether the Choi matrix is exactly zero.
+
+        No tolerance applies: a nonzero map, however small, is decided at
+        its own scale.  A caller that forms a map from others (a difference,
+        a compression) judges it zero up to rounding by
+        :func:`linalg.negligible` against those operands.
+        """
+        return not self.choi.any()
 
 
 def apply(phi: CpMap, x) -> np.ndarray:

@@ -22,10 +22,10 @@ each named by its operands:
   (:func:`stinespring.dominates`, the completion decision).
 
 The floor ``max(1, .)`` stands in for the operands a lone matrix does not
-name, such as a Choi matrix handed in or a zero test.  It also keeps the
-equality rule and the zero test one rule: ``negligible(a - 0, tol, a, 0)``
-is ``negligible(a, tol)``.  The price is that a map whose entries are all
-below ``eps_eq`` reads as zero.  The PSD order drops the floor once both
+name, such as a Choi matrix handed in.  A map that was given is never
+judged zero by it: :meth:`CpMap.is_zero` asks for an exactly zero Choi
+matrix, and only a map formed from others reads zero by
+``negligible(x, tol, *operands)``.  The PSD order drops the floor once both
 operands are named, so ``dominates(c phi, c psi)`` is the same for every
 ``c > 0``; with the floor, a map below ``eps_psd`` would dominate one twice
 its size.  The rank rule has no floor.

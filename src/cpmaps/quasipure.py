@@ -14,17 +14,18 @@ A *witness* is an ``h0`` with ``0 < rank F(h0) < k`` for
 :func:`is_quasipure` first takes the rank of ``T`` on the family the map
 holds (its stored Kraus factors, else its minimal ones) when ``k >= 2``
 and ``k d_out <= d_in``: ``rank T == k d_out`` with ``sigma_min(T)^2 >
-eps_rank sigma_max(T)^2`` proves ``QuasiPure`` from that one SVD (step 1).  Otherwise it settles ``k == 1`` (pure), reduces
-modulo the common kernel (``K_j B`` for an orthonormal basis ``B`` of
-its complement, ``m`` columns) and checks two necessary conditions, each
-violation yielding a witness.  One is ``k <= d_in``.  The other is that
-the factor kernels coincide: after the reduction they meet in ``0``, so
-they coincide iff every ``K_j B`` is injective, which one batched SVD of
-the ``(k, d_in, m)`` stack decides.  A short ``K_j B`` sends its last
-right singular vector ``x`` to zero while some other factor does not,
-so ``B x`` is the witness once it passes the rank window; a factor
-short only by its own scale, with ``F(B x)`` still of rank ``k``, is
-left to the steps below.  Then:
+eps_rank sigma_max(T)^2`` proves ``QuasiPure`` from that one SVD (step
+1).  Otherwise it settles ``k == 1`` (pure), reduces modulo the common
+kernel (``K_j B`` for an orthonormal basis ``B`` of its complement,
+``m`` columns) and checks two necessary conditions, each violation
+yielding a witness.  One is ``k <= d_in``.  The other is that the factor
+kernels coincide: after the reduction they meet in ``0``, so they
+coincide iff every ``K_j B`` is injective, which one batched SVD of the
+``(k, d_in, m)`` stack decides.  A short ``K_j B`` sends its last right
+singular vector ``x`` to zero while some other factor does not, so
+``B x`` is the witness once it passes the rank window; a factor short
+only by its own scale, with ``F(B x)`` still of rank ``k``, is left to
+the steps below.  Then:
 
 1. ``rank T == k m`` proves ``QuasiPure``: no nonzero tensor is sent to
    zero.  The rank counts singular values above ``eps_rank`` times the
@@ -41,7 +42,12 @@ left to the steps below.  Then:
    ``n == 2`` one pencil decides (:func:`exact_pencil_k2`); its
    ``QuasiPure`` is a proof for Gaussian-rational input only, decided
    over ``Z[i]`` with Python integers.  Its floating-point candidates are
-   polished near-singular ones first.
+   polished near-singular ones first.  On the ``K`` side (``k == 2``) the
+   pencil's own validation, the common kernel and the endpoint kernels
+   ``ker K_1``, ``ker K_2``, is what the reduction and the short-factor
+   test above just did to the same ``K_j B``, so the decision body runs
+   alone; the ``G`` side (``m == 2 < k``) goes through the validating
+   entry, since no step before it looked at the ``G_i``.
 3. Otherwise, and behind a floating-point pencil, a Lipschitz certificate
    covers ``CP^{n-1}`` by the charts ``c_i = 1``, the other coordinates in
    the real cube ``[-1, 1]^{2(n-1)}``.  ``sigma_p`` (``p`` columns) is
@@ -214,25 +220,28 @@ def _gaussian_integer_pencil(mats):
 
     Each comes back as rows of Gaussian integers ``(re, im)``; None when
     some entry is not a Gaussian rational.  A common scale leaves the
-    singular points of the pencil where they were.
+    singular points of the pencil where they were.  Integer-valued input,
+    the common case, is read by one vectorised test and ``int``, with no
+    :class:`Fraction`; any other entry sends the whole input through
+    :func:`_rationalize` and the least common denominator.
     """
-    out = []
-    for mat in mats:
-        rows = []
-        for row in np.asarray(mat, dtype=complex):
-            entries = []
-            for z in row:
-                re = _rationalize(float(z.real))
-                im = _rationalize(float(z.imag))
-                if re is None or im is None:
-                    return None
-                entries.append((re, im))
-            rows.append(entries)
-        out.append(rows)
-    common = math.lcm(*(x.denominator for rows in out for row in rows
-                        for z in row for x in z))
-    return [[[tuple(x.numerator * (common // x.denominator) for x in z)
-              for z in row] for row in rows] for rows in out]
+    mats = np.array(mats, dtype=complex)
+    parts = mats.view(float).ravel()  # re, im, re, im, ...
+    if np.isfinite(parts).all() and (parts == np.round(parts)).all():
+        values = [int(x) for x in parts.tolist()]
+    else:
+        fractions = []
+        for x in parts.tolist():
+            fr = _rationalize(x)
+            if fr is None:
+                return None
+            fractions.append(fr)
+        common = math.lcm(*(x.denominator for x in fractions))
+        values = [x.numerator * (common // x.denominator) for x in fractions]
+    entries = list(zip(values[0::2], values[1::2]))
+    n, d, m = mats.shape
+    return [[entries[(i * d + r) * m:(i * d + r + 1) * m] for r in range(d)]
+            for i in range(n)]
 
 
 def _polish_root(l1, l2, z0, iters: int = 60):
@@ -485,38 +494,15 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
     The inputs must already be reduced: a nonzero common kernel raises
     InputNotReduced.  Returns ``(decision, witness)`` where the witness (a
     unit vector annihilated by some nonzero pencil member while not lying
-    in both kernels) is present iff the decision is False.
+    in both kernels) is present iff the decision is False; None says that
+    a floating-point pencil found no witness (see :func:`_decide_pencil`).
 
-    The endpoints ``a = (1, 0)`` and ``(0, 1)`` are rank checks.  Once
-    they pass, ``K_1`` is injective, and row reduction gives an invertible
-    ``Q`` with ``Q K_1 = [I_m; 0]`` and ``Q K_2 = [-M; B]`` (``M`` is
-    ``m x m``).  Then ``(z K_1 + K_2) v = 0`` reads ``M v = z v`` and
-    ``B v = 0``: the interior direction ``a = (z, 1)`` is singular exactly
-    when ``M`` has a ``z``-eigenvector in ``ker B``.  An ``M``-invariant
-    subspace of ``ker B`` contains an eigenvector, and the largest one is
-    ``ker [B; BM; ...; BM^{m-1}]``, so the pencil is injective everywhere
-    iff that matrix has rank ``m`` (the Hautus/Kalman observability test).
-
-    When every entry is a Gaussian rational, both factors are scaled by
-    one common denominator, which moves no singular point, and the
-    reduction and the rank are computed exactly over ``Z[i]`` with Python
-    integers (fraction-free Gauss-Jordan elimination), so a True decision
-    is a proof.  The candidates are then the eigenvalues of ``M`` on that
-    kernel: the roots of the square-free part of its characteristic
-    polynomial, found from ``np.roots`` by Newton steps in exact
-    arithmetic (an exact division for a linear factor) and rounded once.
-    A real or imaginary part below ``2^-102`` in absolute value reads as
-    zero, any other as the nearest double, and real roots come first, as
-    sympy's ``nroots(n=30)`` rounds and orders them, so that witnesses
-    recorded from it (the goldens among them) keep their bytes.
-    Otherwise the candidates are the eigenvalues of ``-K_1^+ K_2``, and
-    None says that none of them passed the rank window.  Either way each
-    candidate is polished and must pass the rank window before it yields
-    a witness.  Candidates are tried by ``(real, imag)``, except that on
-    the floating-point route those at which ``z K_1 + K_2`` is already
-    singular by the rank rule (one batched SVD) go first; all are
-    tried, so the order can change which witness is returned, never
-    whether one is.
+    This entry validates: it checks the shapes, takes the common kernel
+    (one SVD of the stacked pair) and the endpoints ``a = (1, 0)`` and
+    ``(0, 1)`` (one kernel SVD each, a witness once the rank window
+    passes), and then runs the decision body.  :func:`is_quasipure` calls
+    the body directly on the ``K`` side, where its own reduction and
+    short-factor test have done both on the same matrices.
     """
     l1 = linalg.as_matrix(l1)
     l2 = linalg.as_matrix(l2)
@@ -536,8 +522,45 @@ def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
             witness = _normalize(null[:, 0])
             if _is_witness(factors, witness, tol):
                 return False, witness
+    return _decide_pencil(l1, l2, tol)
 
-    # both endpoints injective; in particular m <= rows
+
+def _decide_pencil(l1, l2, tol: Tolerance):
+    """The body of :func:`exact_pencil_k2`, on a reduced pair.
+
+    Once the endpoints pass, ``K_1`` is injective, and row reduction gives
+    an invertible ``Q`` with ``Q K_1 = [I_m; 0]`` and ``Q K_2 = [-M; B]``
+    (``M`` is ``m x m``).  Then ``(z K_1 + K_2) v = 0`` reads ``M v = z v``
+    and ``B v = 0``: the direction ``a = (z, 1)`` is singular exactly when
+    ``M`` has a ``z``-eigenvector in ``ker B``.  An ``M``-invariant
+    subspace of ``ker B`` contains an eigenvector, and the largest one is
+    ``ker [B; BM; ...; BM^{m-1}]``, so the pencil is injective everywhere
+    iff that matrix has rank ``m`` (the Hautus/Kalman observability test).
+
+    When every entry is a Gaussian rational, both factors are scaled by
+    one common denominator, which moves no singular point, and the
+    reduction and the rank are computed exactly over ``Z[i]`` with Python
+    integers (fraction-free Gauss-Jordan elimination).  The reduction
+    itself checks that ``K_1`` is injective, and the eigenvalues cover
+    every ``a = (z, 1)``, ``z = 0`` included, so a True decision is a
+    proof whether or not the endpoint tests ran.  The candidates are then
+    the eigenvalues of ``M`` on that kernel: the roots of the square-free
+    part of its characteristic polynomial, found from ``np.roots`` by
+    Newton steps in exact arithmetic (an exact division for a linear
+    factor) and rounded once.  A real or imaginary part below ``2^-102``
+    in absolute value reads as zero, any other as the nearest double, and
+    real roots come first, as sympy's ``nroots(n=30)`` rounds and orders
+    them, so that witnesses recorded from it (the goldens among them) keep
+    their bytes.  Otherwise the candidates are the eigenvalues of ``-K_1^+
+    K_2``, and None says that none of them passed the rank window.  Either
+    way each candidate is polished and must pass the rank window before it
+    yields a witness.  Candidates are tried by ``(real, imag)``, except
+    that on the floating-point route those at which ``z K_1 + K_2`` is
+    already singular by the rank rule (one batched SVD) go first; all are
+    tried, so the order can change which witness is returned, never
+    whether one is.
+    """
+    factors = [l1, l2]
     exact = _gaussian_integer_pencil(factors)
     if exact is None:
         candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
@@ -704,7 +727,7 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     """
     if not is_cp(phi, tol):
         raise NotCP("quasi-purity is defined for completely positive maps")
-    if phi.is_zero(tol):
+    if phi.is_zero():
         raise ZeroMap("quasi-purity is undefined for the zero map")
 
     # step 1 first, on the family the map holds: injective settles it
@@ -756,7 +779,10 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     side = stack if over_a else stack.transpose(2, 1, 0)
     if min(k, m) == 2:
         # step 2: one pencil; its witness lives in the other mode
-        decision, witness = exact_pencil_k2(side[0], side[1], tol)
+        # on the K side the reduction and the short-factor test above were
+        # the validating entry's tests, on the same K_j B; the G_i were not
+        decide = _decide_pencil if over_a else exact_pencil_k2
+        decision, witness = decide(side[0], side[1], tol)
         if decision is False:
             h = _direction(stack, witness, not over_a)
             return _not_quasipure(factors, basis @ h, METHOD_EXACT_PENCIL, tol)

@@ -88,7 +88,7 @@ def minimal_stinespring(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> Stinespring
 
 def _minimal_triple(phi: CpMap, tol: Tolerance) -> StinespringTriple:
     """:func:`minimal_stinespring` of a map already known to be CP."""
-    if phi.is_zero(tol):
+    if phi.is_zero():
         raise ZeroMap("the zero map has no minimal dilation")
     factors = minimal_kraus(phi, tol)
     v = _isometry_like(factors, phi.d_in, phi.d_out)

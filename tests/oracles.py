@@ -105,7 +105,7 @@ def grid_oracle(phi: CpMap, grid_density: int = 200,
     """
     if not is_cp(phi, tol):
         raise NotCP("quasi-purity is defined for completely positive maps")
-    if phi.is_zero(tol):
+    if phi.is_zero():
         raise ZeroMap("quasi-purity is undefined for the zero map")
     factors = minimal_kraus(phi, tol)
     k = len(factors)
@@ -190,7 +190,7 @@ def domination_preserves_quasipurity_check(
             continue
         d = h / top * rng.uniform(0.2, 1.0)
         dominated = map_from_contraction(triple, d)
-        if dominated.is_zero(tol):
+        if dominated.is_zero():
             continue
         verdict = is_quasipure(dominated, tol, budget=budget)
         if verdict.status == NOT_QUASI_PURE:

@@ -516,6 +516,19 @@ def test_input_gates():
         is_quasipure(CpMap.zero(2, 2))
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-12])
+def test_a_small_map_is_not_the_zero_map(scale):
+    # a map that was given is zero only when its Choi matrix is; below
+    # eps_eq it is still decided at its own scale, from either form
+    phi = random_cp_map(5, 3, 2, seed=0) * scale
+    for form in (phi, CpMap.from_choi(phi.choi, 5, 3)):
+        assert not form.is_zero()
+        assert is_quasipure(form).status == "QuasiPure"
+    assert CpMap.zero(5, 3).is_zero()
+    with pytest.raises(ZeroMap):
+        is_quasipure(CpMap.zero(5, 3))
+
+
 # ---------------------------------------------------------------------------
 # the k = 2 pencil
 
@@ -645,6 +658,56 @@ def test_exact_candidates_keep_their_bytes(case):
         PINNED_CANDIDATES[case]
 
 
+def fraction_reading(mats):
+    """Every real and imaginary part through ``_rationalize``, then one
+    common denominator: the reading ``_gaussian_integer_pencil`` must
+    reproduce."""
+    parts = [[[(quasipure._rationalize(float(z.real)),
+                quasipure._rationalize(float(z.imag))) for z in row]
+              for row in np.asarray(mat, dtype=complex)] for mat in mats]
+    flat = [x for rows in parts for row in rows for z in row for x in z]
+    if any(x is None for x in flat):
+        return None
+    common = math.lcm(*(x.denominator for x in flat))
+    return [[[tuple(x.numerator * (common // x.denominator) for x in z)
+              for z in row] for row in rows] for rows in parts]
+
+
+INTEGER_VALUED = {
+    "small": (np.array([[1, -2j], [3 + 1j, 0]]), np.array([[0, 1], [-1j, 2]])),
+    "negative-zero": (np.array([[-0.0, complex(-0.0, -0.0)], [1.0, -0.0]]),
+                      np.array([[complex(0.0, -0.0), 2.0], [-3.0, 1j]])),
+    "beyond-2^53": (
+        np.array([[2.0 ** 53, 2.0 ** 53 + 2], [-(2.0 ** 60), 1]]),
+        np.array([[3 * 2.0 ** 70 * 1j, 1e300], [1, -2.0 ** 1000]])),
+}
+RATIONAL = {
+    "third": (np.array([[1 / 3, 2], [1j, 1]]),
+              np.array([[0, 1], [5, 1j / 3]])),
+    "tenth": (np.array([[0.1, 2.0 ** 60], [1, 0]]),
+              np.array([[1, 0.1j], [0, 1]])),
+    "irrational": (np.eye(2), np.diag([np.sqrt(2.0), 1.0])),
+}
+
+
+@pytest.mark.parametrize("case", list(INTEGER_VALUED) + list(RATIONAL))
+def test_integer_reading_matches_the_fraction_reading(monkeypatch, case):
+    # integer-valued input is read without a Fraction; anything else takes
+    # the common-denominator route; the Gaussian integers come out the same
+    mats = {**INTEGER_VALUED, **RATIONAL}[case]
+    want = fraction_reading(mats)
+    if case in INTEGER_VALUED:
+        def refuse(x):
+            raise AssertionError("integer input built a Fraction")
+        monkeypatch.setattr(quasipure, "_rationalize", refuse)
+    got = quasipure._gaussian_integer_pencil(mats)
+    assert got == want
+    if got is not None:
+        assert all(type(x) is int for rows in got for row in rows
+                   for z in row for x in z)
+    assert (got is None) == (case == "irrational")
+
+
 def test_integer_elimination_keeps_the_row_space():
     # Gaussian-integer matrices of every rank, a zero column among them:
     # each pivot row reads d at its pivot and 0 at the others, the rest
@@ -727,6 +790,36 @@ def test_pencil_decisions_on_the_fixtures(name, decision, line):
             assert witness is None
         else:
             assert abs(np.vdot(witness, line)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("factors", [
+    minimal_kraus(planted_witness_map(5, 3, 2)[0]),
+    gaussian_integer_pair(np.random.default_rng(7), 5, 2, singular=True),
+], ids=["float", "gaussian-integer"])
+def test_k2_decision_reuses_the_reduction(monkeypatch, factors):
+    # on the K side is_quasipure has removed the common kernel and tested
+    # the short factors itself: the pencil takes neither the SVD of the
+    # stacked pair again nor a kernel SVD of either factor
+    d, m = factors[0].shape
+    kernels = []
+    original = linalg.kernel_basis
+
+    def counted(mat, *args, **kwargs):
+        kernels.append(np.shape(mat))
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    calls = count_linalg_calls(monkeypatch, ["svd"])
+    v = is_quasipure(CpMap.from_kraus(factors))
+    assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
+    assert calls.count(("svd", (2 * d, m))) == 1  # the common kernel
+    assert kernels == []
+    # the validating entry takes all three on the same pair
+    del calls[:]
+    decision, _ = exact_pencil_k2(*factors)
+    assert decision is False
+    assert calls.count(("svd", (2 * d, m))) == 1
+    assert kernels == [(2 * d, m), (d, m), (d, m)]
 
 
 def test_pencil_rejects_common_kernel():
