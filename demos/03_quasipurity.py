@@ -1,11 +1,12 @@
-"""Deciding quasi-purity: pencil, certificate and witnesses.
+"""Deciding quasi-purity: pencil, Sylvester-type matrix and witnesses.
 
 A CP map with minimal Kraus family {K_1, ..., K_k} is quasi-pure when no
 direction h makes the vectors K_1 h, ..., K_k h linearly dependent without
 all vanishing.  A direction that does is a witness: it certifies that part
 of the map can be split off.  When the smaller of k and the number of
 directions is 2 the witness set is the root set of a matrix pencil; beyond
-that a Lipschitz certificate clears projective space cell by cell.  The
+that the full rank of a Sylvester-type matrix proves quasi-purity, and its
+kernel yields witnesses.  The
 verdict is a fact about the map, so small random maps given by their Kraus
 factors and by their Choi matrix get the same one.
 """
@@ -69,8 +70,8 @@ for name, m in [("identity", identity_map(3)),
 
 # A larger random map: [K_1 | K_2 | K_3] has 4 rows for 6 columns, so some
 # a (x) h is sent to zero.  With two directions left, the floating-point
-# pencil over h finds no witness, and a Lipschitz certificate over CP^1
-# turns that into a proof.
+# pencil over h finds no witness, and the full rank of the 12 x 12
+# Sylvester-type matrix of the flattening turns that into a proof.
 hard = random_cp_map(4, 2, 3, seed=5)
 verdict = is_quasipure(hard)
 print(f"\nrandom map M_4 -> M_2, k = 3:")

@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quasipure", help="decide quasi-purity of a CP map")
     p.add_argument("map_file")
     p.add_argument("--budget", type=int, default=2000,
-                   help="cells the Lipschitz certificate may spend")
+                   help="cells step 3 may spend: chart centres, then the "
+                        "columns of the Sylvester-type matrix")
     _tolerance_args(p)
 
     p = sub.add_parser("complete",

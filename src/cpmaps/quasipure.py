@@ -48,20 +48,24 @@ the steps below.  Then:
    test above just did to the same ``K_j B``, so the decision body runs
    alone; the ``G`` side (``m == 2 < k``) goes through the validating
    entry, since no step before it looked at the ``G_i``.
-3. Otherwise, and behind a floating-point pencil, a Lipschitz certificate
-   covers ``CP^{n-1}`` by the charts ``c_i = 1``, the other coordinates in
-   the real cube ``[-1, 1]^{2(n-1)}``.  ``sigma_p`` (``p`` columns) is
-   1-Lipschitz and ``||M(c) - M(c')||_2 <= L |c - c'|`` for
-   ``L = sqrt(sum_i ||M_i||_2^2)``, so a sub-cube of half-width ``r`` holds
-   no singular point once ``sigma_p`` at its centre exceeds
-   ``L r sqrt(2(n-1))`` plus a rounding allowance.  Other cubes are halved;
-   the centres of the lowest are polished into witness candidates.
-   Clearing every chart proves ``QuasiPure``; running out of cells gives
+3. Otherwise, and behind a floating-point pencil, the chart centre ``e_i``
+   of ``CP^{n-1}`` with the lowest ``sigma_p(M_i)`` (``p`` columns) is
+   polished into a witness candidate: ``n`` cells, against the ``N`` of
+   ``S``.  The bidegree-``(1, k)`` Sylvester-type matrix ``S`` of ``T (a (x)
+   h) = 0`` (Sturmfels & Zelevinsky, J. Algebra 163, 1994) has a row per
+   row ``r`` of ``T`` and monomial ``h^g``, ``|g| = k-1``, a column per
+   monomial ``a_j h^b``, ``|b| = k`` (``N = k C(m+k-1, k)``), and ``T[r,
+   (j, l)]`` at row ``(r, g)``, column ``(j, g + e_l)``.  A witness's zero
+   ``(a, h)`` gives the kernel vector ``(a_j h^b) != 0``, so full column
+   rank proves ``QuasiPure`` by step 1's Weyl margin: ``S`` copies the
+   entries of ``T``.  Otherwise each kernel vector, in SVD order, is read
+   (``h_l`` from ``a_j h_l0^(k-1) h_l`` at its largest ``a_j h_l0^k``) and
+   polished; none passing, or a budget below ``n + N``, gives
    ``Inconclusive``.
 
 Tags: ``Pure``, ``NecessaryConditionViolated``, ``ExactPencil`` (steps 1
-and 2), ``LipschitzCertificate`` (step 3); each ``QuasiPure`` is
-proof-grade, each witness re-verified.
+and 2), ``SylvesterMatrix`` (step 3); each ``QuasiPure`` is proof-grade,
+each witness re-verified.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ __all__ = [
     "METHOD_PURE",
     "METHOD_EXACT_PENCIL",
     "METHOD_NECESSARY",
-    "METHOD_CERTIFICATE",
+    "METHOD_SYLVESTER",
     "QuasiPurityVerdict",
     "is_quasipure",
     "exact_pencil_k2",
@@ -103,10 +107,10 @@ INCONCLUSIVE = "Inconclusive"
 METHOD_PURE = "Pure"
 METHOD_EXACT_PENCIL = "ExactPencil"
 METHOD_NECESSARY = "NecessaryConditionViolated"
-METHOD_CERTIFICATE = "LipschitzCertificate"
+METHOD_SYLVESTER = "SylvesterMatrix"
 
 _PROOF_METHODS = frozenset({METHOD_PURE, METHOD_EXACT_PENCIL,
-                            METHOD_CERTIFICATE})
+                            METHOD_SYLVESTER})
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +119,8 @@ class QuasiPurityVerdict:
 
     ``witness`` is present exactly when ``status == NotQuasiPure`` and is a
     unit vector with ``0 < rank F(witness) < k``.  ``samples_used`` counts
-    the cells the Lipschitz certificate evaluated.
+    the cells step 3 spent: its ``n`` chart centres, then the ``N`` columns
+    of the Sylvester-type matrix once it is built.
     """
 
     status: str
@@ -589,7 +594,7 @@ def _decide_pencil(l1, l2, tol: Tolerance):
 
 
 # ---------------------------------------------------------------------------
-# the Lipschitz certificate (n >= 3, and floating-point pencils)
+# the Sylvester-type matrix (n >= 3, and floating-point pencils)
 
 
 def _refine_candidate(stack, h, iters: int = 400):
@@ -636,56 +641,47 @@ def _direction(stack, vec, dependency: bool) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _lipschitz_certificate(factors, stack, basis, side, dependency: bool,
-                           budget: int, tol: Tolerance) -> QuasiPurityVerdict:
-    """Step 3 of the module docstring on ``side``, the ``n`` stacked ``M_i``.
-
-    Cube centres are dependency vectors when ``dependency`` is set.  The
-    lowest uncleared centre of each level is polished into a candidate.
-    """
-    n, d, p = side.shape
-    dim = 2 * (n - 1)
-    lipschitz = float(np.sqrt(sum(np.linalg.norm(mat, ord=2) ** 2
-                                  for mat in side)))
-    # rounding allowance: forming M(c), |c| <= sqrt(2n - 1), and its SVD
-    # move sigma_p by a small multiple of (n + d + p) u sqrt(sum ||M_i||_F^2)
-    slack = (16.0 * (n + d + p) * np.finfo(float).eps
-             * np.sqrt(2.0 * n - 1.0) * float(np.linalg.norm(side)))
-    # a chart-i cube has 2^dim children, offset by +-1 +-1j off coordinate
-    # i: row i of `columns` reads them from `steps`, whose last column is 0
-    children = 4 ** (n - 1)
-    columns = np.array([np.insert(np.arange(n - 1), i, n - 1)
-                        for i in range(n)])
-    charts = np.arange(n)
-    centres = np.eye(n, dtype=complex)
-    half = 1.0
-    cells = 0
-    while cells + charts.size <= budget:
-        cells += charts.size
-        sigma = np.linalg.svd(np.tensordot(centres, side, axes=(1, 0)),
-                              compute_uv=False)[:, -1]
-        uncleared = np.nonzero(
-            sigma <= lipschitz * half * np.sqrt(dim) + slack)[0]
-        if uncleared.size == 0:
-            return QuasiPurityVerdict(status=QUASI_PURE,
-                                      method=METHOD_CERTIFICATE,
-                                      samples_used=cells)
-        lowest = centres[uncleared[np.argmin(sigma[uncleared])]]
-        h = basis @ _refine_candidate(stack,
-                                      _direction(stack, lowest, dependency))
+def _sylvester_step(factors, stack, basis, side, dependency: bool,
+                    budget: int, tol: Tolerance) -> QuasiPurityVerdict:
+    """Step 3 of the module docstring on ``side``, the ``n`` stacked
+    ``M_i``, whose chart centres are dependency vectors if ``dependency``."""
+    n = side.shape[0]
+    k, d, m = stack.shape
+    if n > budget:
+        return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER)
+    sigma = np.linalg.svd(side, compute_uv=False)[:, -1]
+    lowest = np.eye(n, dtype=complex)[np.argmin(sigma)]
+    h = basis @ _refine_candidate(stack, _direction(stack, lowest, dependency))
+    if _is_witness(factors, h, tol):
+        return _not_quasipure(factors, h, METHOD_SYLVESTER, tol, samples=n)
+    width = math.comb(m + k - 1, k)  # the monomials h^b, |b| = k
+    cells = n + k * width
+    if cells > budget:
+        return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER,
+                                  samples_used=n)
+    # the exponents g of the rows; h^(g + e_l) is column columns[g, l]
+    picks = itertools.combinations_with_replacement(range(m), k - 1)
+    rows = (np.array(list(picks))[:, :, None] == np.arange(m)).sum(axis=1)
+    grown = (rows[:, None, :] + np.eye(m, dtype=int)).reshape(-1, m)
+    columns = np.unique(grown, axis=0, return_inverse=True)[1].reshape(-1, m)
+    s = np.zeros((d, len(rows), k, width), dtype=complex)
+    s[:, np.arange(len(rows))[:, None], :, columns] = stack.transpose(2, 1, 0)
+    s = s.reshape(-1, k * width)
+    _, sigma, vh = np.linalg.svd(s, full_matrices=len(s) < k * width)
+    rank = int(np.count_nonzero(linalg.kept(sigma, tol)))
+    if rank == k * width:
+        return QuasiPurityVerdict(status=QUASI_PURE, method=METHOD_SYLVESTER,
+                                  samples_used=cells)
+    pure = np.flatnonzero(rows.max(axis=1) == k - 1)  # the rows h_l0^(k-1)
+    for v in vh[rank:].conj().reshape(-1, k, width):
+        j, l0 = np.unravel_index(
+            np.argmax(np.abs(v[:, columns[pure, np.arange(m)]])), (k, m))
+        h = v[j, columns[pure[l0]]]  # a_j h_l0^(k-1) h_l
+        h = basis @ _refine_candidate(stack, h / np.linalg.norm(h))
         if _is_witness(factors, h, tol):
-            return _not_quasipure(factors, h, METHOD_CERTIFICATE, tol,
+            return _not_quasipure(factors, h, METHOD_SYLVESTER, tol,
                                   samples=cells)
-        if cells + uncleared.size * children > budget:
-            break
-        steps = np.zeros((children, n), dtype=complex)  # the split fits
-        steps[:, :-1] = list(itertools.product((1 + 1j, 1 - 1j, -1 + 1j,
-                                                -1 - 1j), repeat=n - 1))
-        steps = steps[:, columns[charts[uncleared]]].transpose(1, 0, 2)
-        half /= 2.0
-        centres = (centres[uncleared, None, :] + half * steps).reshape(-1, n)
-        charts = np.repeat(charts[uncleared], children)
-    return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_CERTIFICATE,
+    return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER,
                               samples_used=cells)
 
 
@@ -697,8 +693,9 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
                  budget: int = 2000) -> QuasiPurityVerdict:
     """Decide quasi-purity of a nonzero CP map.
 
-    ``budget`` caps the cells the Lipschitz certificate may spend (reported
-    as ``samples_used``); running out gives ``Inconclusive``.  No step
+    ``budget`` caps the cells step 3 may spend, ``n`` chart centres and
+    the ``N`` columns of its Sylvester-type matrix (reported as
+    ``samples_used``); a budget below them gives ``Inconclusive``.  No step
     draws random numbers, so the verdict is a function of the input.
 
     Step 1 runs first, on the family the map holds, because an injective
@@ -790,5 +787,4 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
             return QuasiPurityVerdict(status=QUASI_PURE,
                                       method=METHOD_EXACT_PENCIL)
     # step 3 (and the proof behind a floating-point pencil)
-    return _lipschitz_certificate(factors, stack, basis, side, over_a,
-                                  budget, tol)
+    return _sylvester_step(factors, stack, basis, side, over_a, budget, tol)

@@ -34,7 +34,7 @@ from cpmaps import (
     r_equivalent,
     rigidity_check,
 )
-from cpmaps import linalg
+from cpmaps import linalg, serialize
 from cpmaps.gallery import (
     conjugation_map,
     diagonal_pair_map,
@@ -49,6 +49,7 @@ from cpmaps.gallery import (
 from conftest import (
     DATA,
     counterexample_population,
+    haar_unitary,
     random_projection,
     random_psd,
     random_unit,
@@ -293,10 +294,21 @@ def test_criterion_7_rigidity():
         worst = max(worst, verdict.max_deviation)
         assert np.abs(phi.choi - psi.choi).max() <= 1e-8
         done += 1
+    # a non-injective k = 4 map, quasi-pure by construction and proved by
+    # its Sylvester-type matrix, against a remixed Kraus family of itself
+    phi = serialize.decode_map(
+        serialize.load_document(DATA / "polynomial_744_map.json"))
+    u = haar_unitary(rng, len(phi.kraus))
+    psi = CpMap.from_kraus(list(np.tensordot(u, np.stack(phi.kraus), 1)))
+    r = np.zeros((phi.d_out, phi.d_out), dtype=complex)
+    r[0, 0] = 1.0
+    verdict = rigidity_check(phi, psi, r)
+    assert verdict.status == "TheoremHolds"
+    worst = max(worst, verdict.max_deviation)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-8
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s"
-    announce(7, f"200 rigidity instances, TheoremHolds, max deviation "
+    announce(7, f"201 rigidity instances, TheoremHolds, max deviation "
                 f"{worst:.2e}, {elapsed:.1f}s")
 
 

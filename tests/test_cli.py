@@ -92,8 +92,9 @@ class ExitCodeTests(unittest.TestCase):
         self.assertIsNotNone(report["witness"])
 
     def test_quasipure_inconclusive_exit_code(self):
-        # quasi-pure by construction, but out of the certificate's reach
-        code, out, err = run_cli("quasipure", "polynomial_744_map.json")
+        # quasi-pure by construction, but its 4 + 140 cells exceed the budget
+        code, out, err = run_cli("quasipure", "polynomial_744_map.json",
+                                 "--budget", "100")
         self.assertEqual(code, 3, err)
         report = json.loads(out)
         self.assertEqual(report["status"], "Inconclusive")
@@ -105,7 +106,7 @@ class ExitCodeTests(unittest.TestCase):
         self.assertEqual(code, 0, err)
         report = json.loads(out)
         self.assertEqual(report["status"], "QuasiPure")
-        self.assertEqual(report["method"], "LipschitzCertificate")
+        self.assertEqual(report["method"], "SylvesterMatrix")
         self.assertTrue(report["is_proof"])
 
     def test_quasipure_rejects_non_cp_input(self):

@@ -18,13 +18,14 @@ from cpmaps import (
     cyclic_projection,
     exact_pencil_k2,
     is_quasipure,
+    kraus_to_choi,
     map_from_contraction,
     map_from_dilation,
     minimal_kraus,
     minimal_stinespring,
 )
 from cpmaps import linalg, quasipure, serialize
-from cpmaps.quasipure import METHOD_CERTIFICATE
+from cpmaps.quasipure import METHOD_SYLVESTER
 from cpmaps.gallery import (
     conjugation_map,
     diagonal_pair_map,
@@ -351,11 +352,11 @@ def load_map(name):
 
 
 def test_planted_witness_found_by_certificate():
-    # k = m = 3: the certificate's lowest cell polishes into the witness
+    # k = m = 3: the lowest chart centre polishes into the witness
     phi, _ = planted_witness_map(3, 3, 3, seed=2)
     v = is_quasipure(phi)
     assert v.status == "NotQuasiPure"
-    assert v.method == METHOD_CERTIFICATE == "LipschitzCertificate"
+    assert v.method == METHOD_SYLVESTER == "SylvesterMatrix"
     assert v.samples_used <= 3
     assert witness_is_sound(phi, v.witness)
     again = is_quasipure(phi)
@@ -368,11 +369,11 @@ def test_planted_witness_found_by_certificate():
                          ids=["random", "fixture"])
 def test_generic_k3_map_is_proved_by_pencil_and_certificate(phi):
     # d_in = 4 < k m = 6, so the flattening is not injective; m = 2 leaves
-    # one pencil over h, and the certificate then clears CP^1
+    # one pencil over h, and the Sylvester-type matrix then has full rank
     v = is_quasipure(phi)
     assert v.status == "QuasiPure"
-    assert v.method == "LipschitzCertificate"
-    assert 0 < v.samples_used <= 2000
+    assert v.method == "SylvesterMatrix"
+    assert v.samples_used == 2 + 3 * math.comb(4, 3)
     assert v.is_proof
     # the brute-force oracle certifies it too (d_out <= 2)
     cert = grid_oracle(phi)
@@ -381,22 +382,28 @@ def test_generic_k3_map_is_proved_by_pencil_and_certificate(phi):
 
 
 def test_out_of_reach_map_is_inconclusive():
-    # quasi-pure by construction, rank [K_1 | ... | K_4] = 7 < 16, and four
-    # coordinates per chart are more than the default budget can clear
+    # quasi-pure by construction, rank [K_1 | ... | K_4] = 7 < 16; its
+    # Sylvester-type matrix has N = 4 C(7, 4) = 140 columns, past a budget
+    # of 100 once the 4 chart centres are spent
     phi = load_map("polynomial_744_map.json")
     assert linalg.numerical_rank(np.hstack(minimal_kraus(phi))) == 7
-    v = is_quasipure(phi)
+    v = is_quasipure(phi, budget=100)
     assert v.status == "Inconclusive"
-    assert v.method == "LipschitzCertificate"
-    assert 0 < v.samples_used <= 2000
+    assert v.method == "SylvesterMatrix"
+    assert 0 < v.samples_used <= 100
     assert not v.is_proof
     assert is_quasipure(phi, budget=3).samples_used == 0
+    # the default budget builds the square 140 x 140 matrix: a proof
+    w = is_quasipure(phi)
+    assert (w.status, w.method, w.samples_used) == (
+        "QuasiPure", "SylvesterMatrix", 4 + 140)
+    assert w.is_proof
 
 
 def test_certificate_memory_is_bounded_by_the_budget():
-    # n = 11: a split of one chart cube has 4^10 children, far past the
-    # budget, so the certificate stops after the first level without ever
-    # building the child offsets (11 * 4^10 * 11 complex entries, ~2 GB)
+    # n = 11: the Sylvester-type matrix would have N = 11 C(21, 11), about
+    # 3.9e6 columns, far past the budget, so step 3 stops after the chart
+    # centres without enumerating a monomial
     import tracemalloc
     phi = CpMap.from_kraus(polynomial_factors(np.random.default_rng(11),
                                               21, 11, 11))
@@ -411,16 +418,33 @@ def test_certificate_memory_is_bounded_by_the_budget():
     assert peak < 50 * 2 ** 20
 
 
-@pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 3), (6, 3, 4)])
+@pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 3), (6, 3, 4),
+                                   (4, 3, 2), (6, 3, 2)])
 def test_polynomial_maps_are_certified(shape):
-    rng = np.random.default_rng(sum(shape))
-    factors = polynomial_factors(rng, *shape)
+    # the Kraus form, and the Choi matrix as one Gram product and as a sum
+    # of outer products, which differ in the last bits: one verdict, with
+    # the same cells
+    factors = polynomial_factors(np.random.default_rng(sum(shape)), *shape)
     d_in, m, k = shape
     assert np.linalg.matrix_rank(np.hstack(factors)) == k + m - 1 < k * m
-    v = is_quasipure(CpMap.from_kraus(factors), budget=100_000)
-    assert v.status == "QuasiPure"
-    assert v.method == "LipschitzCertificate"
-    assert v.is_proof
+    outer = sum(np.outer(f.reshape(-1).conj(), f.reshape(-1)) for f in factors)
+    forms = [CpMap.from_kraus(factors),
+             CpMap.from_choi(kraus_to_choi(factors), d_in, m),
+             CpMap.from_choi(outer, d_in, m)]
+    verdicts = [is_quasipure(phi, budget=100_000) for phi in forms]
+    assert {(v.status, v.method, v.samples_used) for v in verdicts} == {
+        ("QuasiPure", "SylvesterMatrix", verdicts[0].samples_used)}
+    assert verdicts[0].is_proof
+
+
+def test_witness_is_read_from_the_sylvester_kernel():
+    # the lowest chart centre polishes to no witness; a kernel vector of
+    # the 30 x 30 matrix does, after the 3 centres and its N = 30 columns
+    phi, _ = planted_witness_map(5, 3, 3, seed=17)
+    v = is_quasipure(phi)
+    assert (v.status, v.method) == ("NotQuasiPure", "SylvesterMatrix")
+    assert v.samples_used == 3 + 3 * math.comb(5, 3)
+    assert witness_is_sound(phi, v.witness)
 
 
 @pytest.mark.parametrize("d_in, m, k", [(6, 2, 3), (9, 3, 3)])
@@ -467,7 +491,7 @@ def test_injective_flattening_is_decided_by_one_svd(monkeypatch, phi):
 
 @pytest.mark.parametrize("phi, verdict", [
     (planted_witness_map(6, 2, 3)[0], ("NotQuasiPure", "ExactPencil")),
-    (random_cp_map(4, 2, 3, seed=5), ("QuasiPure", "LipschitzCertificate")),
+    (random_cp_map(4, 2, 3, seed=5), ("QuasiPure", "SylvesterMatrix")),
 ], ids=["square", "wide"])
 def test_flattening_rank_is_taken_once(monkeypatch, phi, verdict):
     # not injective, and with no common kernel the reduced flattening is
@@ -605,12 +629,12 @@ def test_pencil_exact_and_float_routes_agree():
 
 
 @pytest.mark.parametrize("phi, method", [
-    (random_cp_map(5, 3, 2), "LipschitzCertificate"),
+    (random_cp_map(5, 3, 2), "SylvesterMatrix"),
     (planted_witness_map(5, 3, 2)[0], "ExactPencil"),
 ], ids=["random", "planted"])
 def test_pencil_verdict_survives_rescaling(phi, method):
     # Kraus factors scaled by 1e-4 scale the map by 1e-8; a floating-point
-    # pencil's QuasiPure stands on the certificate that clears CP^1
+    # pencil's QuasiPure stands on the full rank of the Sylvester matrix
     scaled = CpMap.from_kraus([1e-4 * k for k in minimal_kraus(phi)])
     v = is_quasipure(phi)
     w = is_quasipure(scaled)
@@ -881,7 +905,7 @@ def test_pencil_agrees_with_grid_on_small_maps():
 
 def test_grid_oracle_agrees_on_k3_maps():
     # k = 3, d_out <= 2: one reduced column (the flattening rank decides),
-    # or two (a pencil over h, then a certificate of CP^1)
+    # or two (a pencil over h, then the Sylvester-type matrix)
     rng = np.random.default_rng(300)
     family = [random_cp_map(d_in, d_out, 3, rng=rng)
               for d_in in (3, 4, 5) for d_out in (1, 2) for _ in range(2)]
@@ -897,7 +921,7 @@ def test_grid_oracle_agrees_on_k3_maps():
             assert witness_is_sound(phi, fast.witness)
         methods.add((fast.status, fast.method))
     assert methods == {("QuasiPure", "ExactPencil"),
-                       ("QuasiPure", "LipschitzCertificate"),
+                       ("QuasiPure", "SylvesterMatrix"),
                        ("NotQuasiPure", "ExactPencil")}
 
 
