@@ -54,7 +54,6 @@ from .stinespring import (
 )
 from .quasipure import (
     QuasiPurityVerdict,
-    exact_pencil_k2,
     is_quasipure,
 )
 from .completion import (
@@ -109,7 +108,6 @@ __all__ = [
     "radon_nikodym",
     "QuasiPurityVerdict",
     "is_quasipure",
-    "exact_pencil_k2",
     "BlockCompletionProblem",
     "PartialCpMap",
     "block_completable",

@@ -30,13 +30,13 @@ operands are named, so ``dominates(c phi, c psi)`` is the same for every
 ``c > 0``; with the floor, a map below ``eps_psd`` would dominate one twice
 its size.  The rank rule has no floor.
 
-Four constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
-(how far from Hermitian an input may be before it is rejected rather than
-symmetrized), the stopping rules of the quasi-purity polishers (iteration
-constants, not judgements), the ``2^-102`` below which an exact pencil
-root's real or imaginary part is rounded to zero (a rounding rule), and
-the ``0.5`` that splits the eigenvalues of a splitting projection in
-:mod:`completion` (they are 0 or 1).
+Five constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
+(how far from Hermitian an input may be before it is rejected),
+the quasi-purity polisher's stopping rules (iteration constants, not
+judgements), the ``2^-102`` below which an exact pencil root's real or
+imaginary part is rounded to zero, the ``2^12`` from which only integers
+are read as exact pencil entries (both rounding rules), and the ``0.5``
+that splits a splitting projection's eigenvalues (0 or 1) in :mod:`completion`.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex`` dtype.  The
 helpers here never mutate their inputs.

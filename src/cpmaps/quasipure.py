@@ -39,29 +39,36 @@ the steps below.  Then:
    ``M_j = K_j`` (``M = P``) when ``k <= m`` and
    ``M_i = G_i = [K_1 e_i | ... | K_k e_i]`` (``M = F``) otherwise; a
    dependency vector ``a`` gives the witness ``h = ker P(a)``.  For
-   ``n == 2`` one pencil decides (:func:`exact_pencil_k2`); its
-   ``QuasiPure`` is a proof for Gaussian-rational input only, decided
-   over ``Z[i]`` with Python integers.  Its floating-point candidates are
-   polished near-singular ones first.  On the ``K`` side (``k == 2``) the
-   pencil's own validation, the common kernel and the endpoint kernels
-   ``ker K_1``, ``ker K_2``, is what the reduction and the short-factor
-   test above just did to the same ``K_j B``, so the decision body runs
-   alone; the ``G`` side (``m == 2 < k``) goes through the validating
-   entry, since no step before it looked at the ``G_i``.
-3. Otherwise, and behind a floating-point pencil, the chart centre ``e_i``
-   of ``CP^{n-1}`` with the lowest ``sigma_p(M_i)`` (``p`` columns) is
-   polished into a witness candidate: ``n`` cells, against the ``N`` of
-   ``S``.  The bidegree-``(1, k)`` Sylvester-type matrix ``S`` of ``T (a (x)
-   h) = 0`` (Sturmfels & Zelevinsky, J. Algebra 163, 1994) has a row per
-   row ``r`` of ``T`` and monomial ``h^g``, ``|g| = k-1``, a column per
-   monomial ``a_j h^b``, ``|b| = k`` (``N = k C(m+k-1, k)``), and ``T[r,
-   (j, l)]`` at row ``(r, g)``, column ``(j, g + e_l)``.  A witness's zero
-   ``(a, h)`` gives the kernel vector ``(a_j h^b) != 0``, so full column
-   rank proves ``QuasiPure`` by step 1's Weyl margin: ``S`` copies the
-   entries of ``T``.  Otherwise each kernel vector, in SVD order, is read
-   (``h_l`` from ``a_j h_l0^(k-1) h_l`` at its largest ``a_j h_l0^k``) and
-   polished; none passing, or a budget below ``n + N``, gives
-   ``Inconclusive``.
+   ``n == 2`` the pencil ``z M_1 + M_2`` supplies the candidates ``c = (z,
+   1)`` and, over ``Z[i]``, a proof.  It needs ``M_1`` injective: on the
+   ``K`` side the short-factor test made it so; on the ``G`` side (``m ==
+   2 < k``) ``c = (1, 0)``, ``h = B e_1``, is tested first, and once it
+   fails ``G_1 = F(B e_1)`` is injective (the ``G_i`` have no common
+   kernel, as ``sum_j a_j K_j B = 0`` forces ``a = 0``).  With ``Q M_1 =
+   [I; 0]`` and ``Q M_2 = [-N; C]``, ``(z M_1 + M_2) v = 0`` reads ``N v =
+   z v`` and ``C v = 0``; an ``N``-invariant subspace of ``ker C`` holds
+   an eigenvector, and the largest is ``ker [C; CN; CN^2; ...]``, so the
+   pencil is injective iff that has full column rank (Hautus/Kalman
+   observability).  Gaussian-rational input is decided exactly, and each
+   exact singular point must give a witness; otherwise the points are the
+   eigenvalues of ``-M_1^+ M_2`` and prove nothing.
+3. Otherwise, and behind a floating-point pencil, the first candidate is
+   the chart centre ``e_i`` of ``CP^{n-1}`` with the lowest
+   ``sigma_p(M_i)`` (``p`` columns): ``n`` cells, against the ``N`` of
+   ``S``.  The bidegree-``(1, k)`` Sylvester-type matrix ``S`` of ``T (a
+   (x) h) = 0`` (Sturmfels & Zelevinsky, J. Algebra 163, 1994) has a row
+   per row ``r`` of ``T`` and monomial ``h^g``, ``|g| = k-1``, a column
+   per monomial ``a_j h^b``, ``|b| = k`` (``N = k C(m+k-1, k)``), and
+   ``T[r, (j, l)]`` at row ``(r, g)``, column ``(j, g + e_l)``.  A
+   witness's zero ``(a, h)`` gives the kernel vector ``(a_j h^b) != 0``,
+   so full column rank proves ``QuasiPure`` by step 1's Weyl margin: ``S``
+   copies the entries of ``T``.  Otherwise each kernel vector, in SVD
+   order, is read (``h_l`` from ``a_j h_l0^(k-1) h_l`` at its largest
+   ``a_j h_l0^k``) as a candidate; none passing, or a budget below ``n +
+   N``, gives ``Inconclusive``.
+
+Every candidate becomes a witness in one place, :func:`_candidate_verdict`:
+its direction, :func:`_refine_candidate`, ``B h`` and the rank window.
 
 Tags: ``Pure``, ``NecessaryConditionViolated``, ``ExactPencil`` (steps 1
 and 2), ``SylvesterMatrix`` (step 3); each ``QuasiPure`` is proof-grade,
@@ -97,7 +104,6 @@ __all__ = [
     "METHOD_SYLVESTER",
     "QuasiPurityVerdict",
     "is_quasipure",
-    "exact_pencil_k2",
 ]
 
 QUASI_PURE = "QuasiPure"
@@ -153,16 +159,24 @@ def _is_witness(factors, h0, tol: Tolerance) -> bool:
     return 0 < r < len(factors)
 
 
-def _not_quasipure(factors, h0, method: str, tol: Tolerance,
-                   samples: int = 0) -> QuasiPurityVerdict:
-    """Package a NotQuasiPure verdict, re-verifying the witness first."""
+def _witness_verdict(factors, h0, method: str, tol: Tolerance,
+                     samples: int = 0) -> Optional[QuasiPurityVerdict]:
+    """A NotQuasiPure verdict on ``h0``, normalized, if it is a witness."""
     h0 = _normalize(h0)
     if not _is_witness(factors, h0, tol):
+        return None
+    return QuasiPurityVerdict(status=NOT_QUASI_PURE, method=method,
+                              witness=h0, samples_used=samples)
+
+
+def _not_quasipure(factors, h0, method: str, tol: Tolerance):
+    """Package a NotQuasiPure verdict, re-verifying the witness first."""
+    verdict = _witness_verdict(factors, h0, method, tol)
+    if verdict is None:
         raise InputNotReduced(
             "internal error: candidate witness failed the rank window"
         )
-    return QuasiPurityVerdict(status=NOT_QUASI_PURE, method=method,
-                              witness=h0, samples_used=samples)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +227,13 @@ def _short_factor_witness(factors, stack, basis,
 
 
 def _rationalize(x: float) -> Optional[Fraction]:
-    """Recognize a float as a small rational (exact round-trip), else None."""
-    if x != x or abs(x) == float("inf"):
+    """Recognize a float as a small rational (exact round-trip), else None.
+
+    A non-integer is read only below ``2^12`` in absolute value: above it
+    doubles are spaced wider than the rationals ``p/q``, ``q <= 10^6``
+    (about ``1e-12`` apart), and would round-trip through one by chance.
+    """
+    if not math.isfinite(x) or (abs(x) >= 2 ** 12 and not x.is_integer()):
         return None
     fr = Fraction(x).limit_denominator(10 ** 6)
     return fr if float(fr) == x else None
@@ -247,32 +266,6 @@ def _gaussian_integer_pencil(mats):
     n, d, m = mats.shape
     return [[entries[(i * d + r) * m:(i * d + r + 1) * m] for r in range(d)]
             for i in range(n)]
-
-
-def _polish_root(l1, l2, z0, iters: int = 60):
-    """Alternating refinement of a candidate singular point of the pencil.
-
-    Alternates between the best kernel direction ``v`` at the current ``z``
-    and the best ``z`` for the current ``v`` (a one-dimensional least
-    squares); converges quadratically near a genuine singular point.
-    """
-    z = complex(z0)
-    v = None
-    for _ in range(iters):
-        pencil = z * l1 + l2
-        _, s, vh = np.linalg.svd(pencil)
-        v = vh[-1, :].conj()
-        a = l1 @ v
-        b = l2 @ v
-        denom = np.vdot(a, a).real
-        if denom <= 0.0:
-            break
-        z_new = -np.vdot(a, b) / denom
-        if abs(z_new - z) <= 1e-15 * max(1.0, abs(z)):
-            z = z_new
-            break
-        z = z_new
-    return z, v
 
 
 def _mul(a, b):
@@ -493,108 +486,39 @@ def _exact_singular_points(k1, k2) -> list:
                               for c, power in zip(poly, reversed(powers))]))
 
 
-def exact_pencil_k2(l1, l2, tol: Tolerance = DEFAULT_TOL):
-    """Decide whether ``a1 K_1 + a2 K_2`` is injective for every ``a != 0``.
+def _singular_points(m1, m2, tol: Tolerance):
+    """The singular points ``z`` of ``z M_1 + M_2``, for an injective ``M_1``.
 
-    The inputs must already be reduced: a nonzero common kernel raises
-    InputNotReduced.  Returns ``(decision, witness)`` where the witness (a
-    unit vector annihilated by some nonzero pencil member while not lying
-    in both kernels) is present iff the decision is False; None says that
-    a floating-point pencil found no witness (see :func:`_decide_pencil`).
-
-    This entry validates: it checks the shapes, takes the common kernel
-    (one SVD of the stacked pair) and the endpoints ``a = (1, 0)`` and
-    ``(0, 1)`` (one kernel SVD each, a witness once the rank window
-    passes), and then runs the decision body.  :func:`is_quasipure` calls
-    the body directly on the ``K`` side, where its own reduction and
-    short-factor test have done both on the same matrices.
+    Returns ``(exact, points)``; ``exact`` with no point proves the pencil
+    injective for every ``(z, 1)``, ``z = 0`` included.  When every entry is
+    a Gaussian rational, both matrices are scaled by one common
+    denominator, which moves no point, and the observability test of the
+    module docstring runs over ``Z[i]`` with Python integers: the points
+    are :func:`_exact_singular_points`, each rounded once as :func:`_roots`
+    says, so that witnesses recorded from them (the goldens among them) keep
+    their bytes.  Otherwise they are the eigenvalues of ``-M_1^+ M_2``.
+    Points are ordered by ``(real, imag)``, except that floating-point ones
+    at which ``z M_1 + M_2`` is already singular by the rank rule (one
+    batched SVD) go first, since a spurious one costs the polisher the
+    most; all are tried, so the order can change which witness is returned,
+    never whether one is.
     """
-    l1 = linalg.as_matrix(l1)
-    l2 = linalg.as_matrix(l2)
-    if l1.shape != l2.shape:
-        raise InputNotReduced("factors must share a shape")
-    factors = [l1, l2]
-    common = linalg.kernel_basis(np.vstack(factors), tol)
-    if common.shape[1] != 0:
-        raise InputNotReduced(
-            "factors have a common kernel; reduce before calling the pencil"
-        )
-
-    # endpoints
-    for single in (l1, l2):
-        null = linalg.kernel_basis(single, tol)
-        if null.shape[1] != 0:
-            witness = _normalize(null[:, 0])
-            if _is_witness(factors, witness, tol):
-                return False, witness
-    return _decide_pencil(l1, l2, tol)
-
-
-def _decide_pencil(l1, l2, tol: Tolerance):
-    """The body of :func:`exact_pencil_k2`, on a reduced pair.
-
-    Once the endpoints pass, ``K_1`` is injective, and row reduction gives
-    an invertible ``Q`` with ``Q K_1 = [I_m; 0]`` and ``Q K_2 = [-M; B]``
-    (``M`` is ``m x m``).  Then ``(z K_1 + K_2) v = 0`` reads ``M v = z v``
-    and ``B v = 0``: the direction ``a = (z, 1)`` is singular exactly when
-    ``M`` has a ``z``-eigenvector in ``ker B``.  An ``M``-invariant
-    subspace of ``ker B`` contains an eigenvector, and the largest one is
-    ``ker [B; BM; ...; BM^{m-1}]``, so the pencil is injective everywhere
-    iff that matrix has rank ``m`` (the Hautus/Kalman observability test).
-
-    When every entry is a Gaussian rational, both factors are scaled by
-    one common denominator, which moves no singular point, and the
-    reduction and the rank are computed exactly over ``Z[i]`` with Python
-    integers (fraction-free Gauss-Jordan elimination).  The reduction
-    itself checks that ``K_1`` is injective, and the eigenvalues cover
-    every ``a = (z, 1)``, ``z = 0`` included, so a True decision is a
-    proof whether or not the endpoint tests ran.  The candidates are then
-    the eigenvalues of ``M`` on that kernel: the roots of the square-free
-    part of its characteristic polynomial, found from ``np.roots`` by
-    Newton steps in exact arithmetic (an exact division for a linear
-    factor) and rounded once.  A real or imaginary part below ``2^-102``
-    in absolute value reads as zero, any other as the nearest double, and
-    real roots come first, as sympy's ``nroots(n=30)`` rounds and orders
-    them, so that witnesses recorded from it (the goldens among them) keep
-    their bytes.  Otherwise the candidates are the eigenvalues of ``-K_1^+
-    K_2``, and None says that none of them passed the rank window.  Either
-    way each candidate is polished and must pass the rank window before it
-    yields a witness.  Candidates are tried by ``(real, imag)``, except
-    that on the floating-point route those at which ``z K_1 + K_2`` is
-    already singular by the rank rule (one batched SVD) go first; all are
-    tried, so the order can change which witness is returned, never
-    whether one is.
-    """
-    factors = [l1, l2]
-    exact = _gaussian_integer_pencil(factors)
+    exact = _gaussian_integer_pencil([m1, m2])
     if exact is None:
-        candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
-        # a spurious candidate runs the polisher to its cap, a genuine one
-        # converges at once: try first those already singular
-        sigma = np.linalg.svd(candidates[:, None, None] * l1 + l2,
+        points = np.linalg.eigvals(-np.linalg.lstsq(m1, m2, rcond=None)[0])
+        sigma = np.linalg.svd(points[:, None, None] * m1 + m2,
                               compute_uv=False)
         later = linalg.kept(sigma, tol)[:, -1]
     else:
-        candidates = _exact_singular_points(*exact)
-        later = [False] * len(candidates)  # each one a genuine root
-    order = sorted(range(len(candidates)), key=lambda i: (
-        later[i], round(candidates[i].real, 12),
-        round(candidates[i].imag, 12)))
-    for root in (candidates[i] for i in order):
-        _, v = _polish_root(l1, l2, root)
-        if v is not None and _is_witness(factors, v, tol):
-            return False, _normalize(v)
-    if exact is None:
-        return None, None
-    if len(candidates) > 0:
-        raise InputNotReduced(
-            "internal error: exact singular point failed the rank window"
-        )
-    return True, None
+        points = _exact_singular_points(*exact)
+        later = [False] * len(points)  # each one a genuine root
+    order = sorted(range(len(points)), key=lambda i: (
+        later[i], round(points[i].real, 12), round(points[i].imag, 12)))
+    return exact is not None, [points[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
-# the Sylvester-type matrix (n >= 3, and floating-point pencils)
+# candidates into witnesses; the Sylvester-type matrix
 
 
 def _refine_candidate(stack, h, iters: int = 400):
@@ -608,7 +532,7 @@ def _refine_candidate(stack, h, iters: int = 400):
     ``sigma_k`` reaches rounding level.
     """
     k = len(stack)  # stack: (k, d1, m)
-    floor = 1e-14 * max(float(np.abs(stack).max()), 1.0)
+    floor = 1e-14 * float(np.abs(stack).max())
 
     def state(vec):  # sigma_k of F(vec), F(vec), its worst a, and vec
         f = np.einsum("jdm,m->dj", stack, vec)
@@ -633,12 +557,19 @@ def _refine_candidate(stack, h, iters: int = 400):
     return h
 
 
-def _direction(stack, vec, dependency: bool) -> np.ndarray:
-    """The unit direction ``vec``, or ``ker P(vec)`` for a dependency."""
+def _candidate_verdict(factors, stack, basis, vec, dependency: bool,
+                       method: str, tol: Tolerance,
+                       samples: int = 0) -> Optional[QuasiPurityVerdict]:
+    """The witness polished from the candidate ``vec`` as a verdict, or None.
+
+    ``vec`` is a direction ``h`` of the reduced factors, or a dependency
+    vector ``a`` when ``dependency``; :func:`_refine_candidate` polishes
+    ``h``, or ``ker P(a)``, and ``B h`` must pass the rank window.
+    """
     if dependency:
-        vec = np.linalg.svd(np.tensordot(vec, stack, axes=(0, 0)))[2][-1]
-        vec = vec.conj()
-    return vec / np.linalg.norm(vec)
+        vec = np.linalg.svd((vec[:, None, None] * stack).sum(0))[2][-1].conj()
+    h = _refine_candidate(stack, vec / np.linalg.norm(vec))
+    return _witness_verdict(factors, basis @ h, method, tol, samples)
 
 
 def _sylvester_step(factors, stack, basis, side, dependency: bool,
@@ -651,9 +582,10 @@ def _sylvester_step(factors, stack, basis, side, dependency: bool,
         return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER)
     sigma = np.linalg.svd(side, compute_uv=False)[:, -1]
     lowest = np.eye(n, dtype=complex)[np.argmin(sigma)]
-    h = basis @ _refine_candidate(stack, _direction(stack, lowest, dependency))
-    if _is_witness(factors, h, tol):
-        return _not_quasipure(factors, h, METHOD_SYLVESTER, tol, samples=n)
+    verdict = _candidate_verdict(factors, stack, basis, lowest, dependency,
+                                 METHOD_SYLVESTER, tol, samples=n)
+    if verdict is not None:
+        return verdict
     width = math.comb(m + k - 1, k)  # the monomials h^b, |b| = k
     cells = n + k * width
     if cells > budget:
@@ -677,10 +609,10 @@ def _sylvester_step(factors, stack, basis, side, dependency: bool,
         j, l0 = np.unravel_index(
             np.argmax(np.abs(v[:, columns[pure, np.arange(m)]])), (k, m))
         h = v[j, columns[pure[l0]]]  # a_j h_l0^(k-1) h_l
-        h = basis @ _refine_candidate(stack, h / np.linalg.norm(h))
-        if _is_witness(factors, h, tol):
-            return _not_quasipure(factors, h, METHOD_SYLVESTER, tol,
-                                  samples=cells)
+        verdict = _candidate_verdict(factors, stack, basis, h, False,
+                                     METHOD_SYLVESTER, tol, samples=cells)
+        if verdict is not None:
+            return verdict
     return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER,
                               samples_used=cells)
 
@@ -775,15 +707,25 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     over_a = k <= m
     side = stack if over_a else stack.transpose(2, 1, 0)
     if min(k, m) == 2:
-        # step 2: one pencil; its witness lives in the other mode
-        # on the K side the reduction and the short-factor test above were
-        # the validating entry's tests, on the same K_j B; the G_i were not
-        decide = _decide_pencil if over_a else exact_pencil_k2
-        decision, witness = decide(side[0], side[1], tol)
-        if decision is False:
-            h = _direction(stack, witness, not over_a)
-            return _not_quasipure(factors, basis @ h, METHOD_EXACT_PENCIL, tol)
-        if decision:  # decided over Z[i]
+        # step 2: the point c = (1, 0), then those of the pencil z M_1 + M_2;
+        # on the K side the short-factor test covered c = (1, 0)
+        if not over_a:
+            verdict = _witness_verdict(factors, basis[:, 0],
+                                       METHOD_EXACT_PENCIL, tol)
+            if verdict is not None:
+                return verdict
+        exact, points = _singular_points(side[0], side[1], tol)
+        for z in points:
+            verdict = _candidate_verdict(factors, stack, basis,
+                                         np.array([z, 1.0]), over_a,
+                                         METHOD_EXACT_PENCIL, tol)
+            if verdict is not None:
+                return verdict
+        if exact and points:
+            raise InputNotReduced(
+                "internal error: exact singular point failed the rank window"
+            )
+        if exact:
             return QuasiPurityVerdict(status=QUASI_PURE,
                                       method=METHOD_EXACT_PENCIL)
     # step 3 (and the proof behind a floating-point pencil)

@@ -55,7 +55,7 @@ def decode_matrix(doc, what: str = "matrix") -> np.ndarray:
         entries = []
         for entry in row:
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
+                    or not all(type(x) in (int, float) for x in entry)):
                 raise MalformedDocument(
                     f"{what}: entries must be [re, im] number pairs"
                 )

@@ -48,6 +48,7 @@ class SerializationTests(unittest.TestCase):
             [[1.0]],                        # entry is not an [re, im] pair
             [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],  # ragged rows
             [[[float("nan"), 0.0]]],        # non-finite
+            [[[True, False]]],              # booleans, though bool is an int
             "nonsense",
         ):
             with self.assertRaises(MalformedDocument):
@@ -129,6 +130,18 @@ class ExitCodeTests(unittest.TestCase):
             path = handle.name
         code, _, err = run_cli("analyze", path)
         self.assertEqual(code, 2, err)
+
+    def test_boolean_entries_exit_2(self):
+        # JSON true and false are not numbers: no pure map is read from them
+        doc = {"d_in": 1, "d_out": 1, "kraus": [[[[True, False]]]]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/bool_map.json"
+            with open(path, "w") as handle:
+                json.dump(doc, handle)
+            code, out, err = run_cli("analyze", path)
+        self.assertEqual(code, 2, err)
+        self.assertEqual(out, "")
+        self.assertIn("entries must be [re, im] number pairs", err)
 
     def test_complete_reports_both_routes(self):
         code, out, err = run_cli("complete", "special_partial.json",

@@ -111,11 +111,10 @@ def foreign_imports(tree):
 TOLERANCE_FIELDS = ("eps_rank", "eps_psd", "eps_eq")
 
 #: ``(module, top-level definition)`` whose small literals are no
-#: judgements: the polishers' stopping rules, the rounding rule of the exact
+#: judgements: the polisher's stopping rules, the rounding rule of the exact
 #: pencil roots, and the thresholds printed in the byte-stable ``cpmaps
 #: demo`` report
-THRESHOLD_OWNERS = {("quasipure.py", "_polish_root"),
-                    ("quasipure.py", "_refine_candidate"),
+THRESHOLD_OWNERS = {("quasipure.py", "_refine_candidate"),
                     ("quasipure.py", "_roots"),
                     ("cli.py", "_demo_rows")}
 

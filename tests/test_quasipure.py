@@ -16,7 +16,6 @@ from cpmaps import (
     ZeroMap,
     apply,
     cyclic_projection,
-    exact_pencil_k2,
     is_quasipure,
     kraus_to_choi,
     map_from_contraction,
@@ -557,52 +556,58 @@ def test_a_small_map_is_not_the_zero_map(scale):
 # the k = 2 pencil
 
 
+def pencil_verdict(*factors):
+    """The verdict on the map with the Kraus factors ``factors``."""
+    return is_quasipure(CpMap.from_kraus(list(factors)))
+
+
 def test_pencil_identity_sigma_x():
-    decision, witness = exact_pencil_k2(np.eye(2), SIGMA_X)
-    assert decision is False
+    v = pencil_verdict(np.eye(2), SIGMA_X)
+    assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
     # pencil zI + sigma_x is singular at z = -1 and z = +1; the witness is a
     # joint eigenvector of the pair, i.e. (1,1) or (1,-1) up to phase
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert max(abs(np.vdot(witness, plus)), abs(np.vdot(witness, minus))) \
+    assert max(abs(np.vdot(v.witness, plus)), abs(np.vdot(v.witness, minus))) \
         == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pencil_diagonal_pair():
-    decision, witness = exact_pencil_k2(np.diag([1.0, 1.0]), np.diag([1.0, 2.0]))
-    assert decision is False
+    v = pencil_verdict(np.diag([1.0, 1.0]), np.diag([1.0, 2.0]))
+    assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
     # singular directions are exactly e1 and e2
-    assert np.sort(np.abs(witness)).tolist() == pytest.approx([0.0, 1.0])
+    assert np.sort(np.abs(v.witness)).tolist() == pytest.approx([0.0, 1.0])
     # a repeated singular point, (z + 1)^2 (z + 2), on the exact and the
     # floating-point route
     for scale in (1.0, np.sqrt(2.0)):
-        decision, witness = exact_pencil_k2(
-            scale * np.eye(3), scale * np.diag([1.0, 1.0, 2.0]))
-        assert decision is False
-        assert np.sort(np.abs(witness)).tolist() == pytest.approx([0, 0, 1])
+        v = pencil_verdict(scale * np.eye(3), scale * np.diag([1.0, 1.0, 2.0]))
+        assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
+        assert np.sort(np.abs(v.witness)).tolist() == pytest.approx([0, 0, 1])
 
 
 def test_pencil_never_vanishing_columns():
-    decision, witness = exact_pencil_k2(np.array([[1.0], [0.0]]),
-                                        np.array([[0.0], [1.0]]))
-    assert decision is True
-    assert witness is None
+    exact, points = quasipure._singular_points(
+        np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), linalg.DEFAULT_TOL)
+    assert exact is True
+    assert points == []
 
 
 def test_pencil_float_path_singular():
     # irrational entries force the floating-point route
-    decision, witness = exact_pencil_k2(
-        np.eye(2), np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
-    assert decision is False
-    assert np.sort(np.abs(witness)).tolist() == pytest.approx([0.0, 1.0])
+    v = pencil_verdict(np.eye(2), np.diag([np.sqrt(2.0), np.sqrt(3.0)]))
+    assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
+    assert np.sort(np.abs(v.witness)).tolist() == pytest.approx([0.0, 1.0])
 
 
 def test_pencil_float_path_injective():
+    # the floating-point points prove nothing: step 3 decides
     l1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     l2 = np.sqrt(2.0) * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    decision, witness = exact_pencil_k2(l1, l2)
-    assert decision is None
-    assert witness is None
+    exact, _ = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
+    assert exact is False
+    v = pencil_verdict(l1, l2)
+    assert (v.status, v.method) == ("QuasiPure", "SylvesterMatrix")
+    assert v.witness is None
 
 
 def test_pencil_exact_and_float_routes_agree():
@@ -610,36 +615,49 @@ def test_pencil_exact_and_float_routes_agree():
     # decided by the floating-point route, and the pencils are singular at
     # the same points
     rng = np.random.default_rng(41)
-    decisions = set()
+    statuses = set()
     for d_in, m in [(2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (6, 3)]:
         for singular in (False, True):
             l1, l2 = gaussian_integer_pair(rng, d_in, m, singular)
-            exact, w_exact = exact_pencil_k2(l1, l2)
-            floated, w_float = exact_pencil_k2(np.sqrt(2.0) * l1,
-                                               np.sqrt(2.0) * l2)
+            exact, points = quasipure._singular_points(l1, l2,
+                                                       linalg.DEFAULT_TOL)
+            floated, candidates = quasipure._singular_points(
+                np.sqrt(2.0) * l1, np.sqrt(2.0) * l2, linalg.DEFAULT_TOL)
             # only the exact route proves injectivity
-            assert (exact, floated) in {(True, None), (False, False)}, \
-                f"routes disagree at {(d_in, m)}"
-            for w in (w_exact, w_float):
-                if w is not None:
-                    cols = np.column_stack([l1 @ w, l2 @ w])
+            assert (exact, floated) == (True, False)
+            for z in points:
+                assert min(abs(z - c) for c in candidates) < 1e-8, \
+                    f"routes disagree at {(d_in, m)}"
+            verdicts = [pencil_verdict(l1, l2),
+                        pencil_verdict(np.sqrt(2.0) * l1, np.sqrt(2.0) * l2)]
+            assert verdicts[0].status == verdicts[1].status
+            assert verdicts[0].method == "ExactPencil"
+            for v in verdicts:
+                if v.witness is not None:
+                    cols = np.column_stack([l1 @ v.witness, l2 @ v.witness])
                     assert linalg.numerical_rank(cols) == 1
-            decisions.add(exact)
-    assert decisions == {True, False}
+            statuses.add(verdicts[0].status)
+    assert statuses == {"QuasiPure", "NotQuasiPure"}
 
 
+@pytest.mark.parametrize("scale", [1e-15, 1e-10, 1e-4, 1e4, 1e8, 1e15],
+                         ids="{:g}".format)
 @pytest.mark.parametrize("phi, method", [
     (random_cp_map(5, 3, 2), "SylvesterMatrix"),
     (planted_witness_map(5, 3, 2)[0], "ExactPencil"),
-], ids=["random", "planted"])
-def test_pencil_verdict_survives_rescaling(phi, method):
-    # Kraus factors scaled by 1e-4 scale the map by 1e-8; a floating-point
-    # pencil's QuasiPure stands on the full rank of the Sylvester matrix
-    scaled = CpMap.from_kraus([1e-4 * k for k in minimal_kraus(phi)])
+    (planted_witness_map(4, 3, 3, seed=0)[0], "SylvesterMatrix"),
+], ids=["random", "planted", "planted-k3"])
+def test_pencil_verdict_survives_rescaling(phi, method, scale):
+    # Kraus factors scaled by c scale the map by c^2; a floating-point
+    # pencil's QuasiPure stands on the full rank of the Sylvester matrix,
+    # the polisher stops at the scale of the factors, and large entries are
+    # not read as small rationals
+    scaled = CpMap.from_kraus([scale * k for k in minimal_kraus(phi)])
     v = is_quasipure(phi)
     w = is_quasipure(scaled)
     assert w.status == v.status
     assert w.method == v.method == method
+    assert w.samples_used == v.samples_used
     assert w.is_proof
     if w.witness is not None:
         assert witness_is_sound(scaled, w.witness)
@@ -776,19 +794,22 @@ def test_pencil_polishes_singular_candidates_first(monkeypatch):
     l2[:, 0] = -2.0 * l1[:, 0]
     candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
     assert sorted(candidates.real)[-1] == pytest.approx(2.0)
+    exact, points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
+    assert exact is False
+    assert points[0] == pytest.approx(2.0)
     polished = []
-    original = quasipure._polish_root
+    original = quasipure._refine_candidate
 
-    def counted(pencil_1, pencil_2, z0, *args, **kwargs):
-        polished.append(z0)
-        return original(pencil_1, pencil_2, z0, *args, **kwargs)
+    def counted(stack, h, *args, **kwargs):
+        polished.append(h)
+        return original(stack, h, *args, **kwargs)
 
-    monkeypatch.setattr(quasipure, "_polish_root", counted)
-    decision, witness = exact_pencil_k2(l1, l2)
-    assert decision is False
-    assert abs(witness[0]) == pytest.approx(1.0)
+    monkeypatch.setattr(quasipure, "_refine_candidate", counted)
+    v = pencil_verdict(l1, l2)
+    assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
+    assert abs(v.witness[0]) == pytest.approx(1.0)
     assert len(polished) == 1
-    assert polished[0] == pytest.approx(2.0)
+    assert abs(polished[0][0]) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("name, decision, line", [
@@ -798,33 +819,37 @@ def test_pencil_polishes_singular_candidates_first(monkeypatch):
     ("special_map.json", False, [1.0, 1.0]),
 ])
 def test_pencil_decisions_on_the_fixtures(name, decision, line):
-    # the decisions and witness lines recorded with the plain (real, imag)
-    # candidate order, on the fixtures' reduced factors and, scaled by
-    # sqrt(2) so that no entry is a small rational, on the floating-point
-    # route
+    # the witness lines (decision False; None: no witness) recorded with
+    # the plain (real, imag) candidate order, on the fixtures' reduced
+    # factors and, scaled by sqrt(2) so that no entry is a small rational,
+    # on the floating-point route
     factors = minimal_kraus(load_map(name))
     assert len(factors) == 2
     basis = quasipure._common_kernel_complement(factors, linalg.DEFAULT_TOL)
     if line is not None:
         line = np.asarray(line) / np.linalg.norm(line)
     for scale in (1.0, np.sqrt(2.0)):
-        got, witness = exact_pencil_k2(*(scale * f @ basis for f in factors))
-        assert got is decision
+        v = pencil_verdict(*(scale * f @ basis for f in factors))
+        assert v.status == ("QuasiPure" if decision is None
+                            else "NotQuasiPure")
         if line is None:
-            assert witness is None
+            assert v.witness is None
         else:
-            assert abs(np.vdot(witness, line)) == pytest.approx(1.0, abs=1e-9)
+            assert abs(np.vdot(v.witness, line)) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("factors", [
     minimal_kraus(planted_witness_map(5, 3, 2)[0]),
     gaussian_integer_pair(np.random.default_rng(7), 5, 2, singular=True),
-], ids=["float", "gaussian-integer"])
+    minimal_kraus(planted_witness_map(6, 2, 3)[0]),
+], ids=["float", "gaussian-integer", "g-side"])
 def test_k2_decision_reuses_the_reduction(monkeypatch, factors):
-    # on the K side is_quasipure has removed the common kernel and tested
-    # the short factors itself: the pencil takes neither the SVD of the
-    # stacked pair again nor a kernel SVD of either factor
-    d, m = factors[0].shape
+    # is_quasipure has removed the common kernel and tested the short
+    # factors itself: on the K side (k = 2) the pencil takes neither the SVD
+    # of the stacked pair again nor a kernel SVD of either factor; on the G
+    # side (m = 2 < k) the G_i have no common kernel, and the planted e_1 is
+    # the point c = (1, 0), tested before the pencil
+    k, (d, m) = len(factors), factors[0].shape
     kernels = []
     original = linalg.kernel_basis
 
@@ -836,22 +861,11 @@ def test_k2_decision_reuses_the_reduction(monkeypatch, factors):
     calls = count_linalg_calls(monkeypatch, ["svd"])
     v = is_quasipure(CpMap.from_kraus(factors))
     assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
-    assert calls.count(("svd", (2 * d, m))) == 1  # the common kernel
+    assert calls.count(("svd", (k * d, m))) == 1  # the common kernel
     assert kernels == []
-    # the validating entry takes all three on the same pair
-    del calls[:]
-    decision, _ = exact_pencil_k2(*factors)
-    assert decision is False
-    assert calls.count(("svd", (2 * d, m))) == 1
-    assert kernels == [(2 * d, m), (d, m), (d, m)]
-
-
-def test_pencil_rejects_common_kernel():
-    shared = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(InputNotReduced):
-        exact_pencil_k2(shared, 2.0 * shared)
-    with pytest.raises(InputNotReduced):
-        exact_pencil_k2(np.eye(2), np.ones((3, 3)))
+    if k > m:
+        assert calls.count(("svd", (2 * d, k))) == 0  # the stacked G_1, G_2
+        assert np.allclose(v.witness, np.eye(m)[0])
 
 
 # ---------------------------------------------------------------------------
