@@ -4,6 +4,14 @@ Reports go to stdout and are byte-identical for the same inputs (for
 ``demo``, the same ``--seed`` of its random rows); diagnostics (including
 wall time) go to stderr.  Exit codes are a stable contract: 0
 success/affirmative, 1 negative verdict, 2 invalid input, 3 inconclusive.
+
+A command loads only the modules it runs.  This module imports
+:mod:`linalg`, :mod:`errors` and :mod:`serialize` (which brings
+:mod:`cp_map`); each ``_cmd_*`` handler, and the demo table, imports the
+functions it calls.  So ``analyze`` stops there, ``quasipure`` adds
+:mod:`quasipure`, ``complete`` adds :mod:`stinespring` and
+:mod:`completion`, and ``aeq`` loads every module but :mod:`gallery`.
+The wall time on stderr includes the handler's imports.
 """
 
 from __future__ import annotations
@@ -16,31 +24,13 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .ae_equiv import (
-    EquivalenceContext,
-    THEOREM_HOLDS,
-    ae_equal_rigidity,
-    counterexample_construct,
-    decompose_along,
-    forced_equality_scan,
-    r_equivalent,
-    rigidity_check,
-)
-from .completion import (
-    PartialCpMap,
-    minimal_cp_completion_choi,
-    minimal_cp_completion_stinespring,
-)
-from .cp_map import CpMap, choi_rank, classify, is_cp, maps_close
 from .errors import (
     HypothesisFailed,
     MalformedDocument,
     NotCompletable,
     ToolkitError,
 )
-from .gallery import diagonal_pair_map, flip_twirl_map, trace_state_map
 from .linalg import Tolerance
-from .quasipure import NOT_QUASI_PURE, QUASI_PURE, is_quasipure
 from .serialize import (
     decode_map,
     decode_operator,
@@ -133,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    from .cp_map import choi_rank, classify, is_cp
+
     tol = _tolerance(args)
     phi = decode_map(load_document(args.map_file))
     spectrum = [float(x) for x in np.linalg.eigvalsh(phi.choi)]
@@ -160,6 +152,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_quasipure(args) -> int:
+    from .cp_map import is_cp
+    from .quasipure import NOT_QUASI_PURE, QUASI_PURE, is_quasipure
+
     tol = _tolerance(args)
     phi = decode_map(load_document(args.map_file))
     report = {
@@ -189,6 +184,11 @@ def _cmd_quasipure(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    from .completion import (
+        minimal_cp_completion_choi,
+        minimal_cp_completion_stinespring,
+    )
+
     tol = _tolerance(args)
     r = decode_operator(load_document(args.r_file))
     beta_doc = load_document(args.beta_file)
@@ -198,7 +198,7 @@ def _cmd_complete(args) -> int:
         "tolerances": _tolerance_fields(tol),
         "route": args.route,
     }
-    completion_choi: Optional[CpMap] = None
+    completion_choi = None
     try:
         completion_choi = minimal_cp_completion_choi(beta, tol)
     except NotCompletable as exc:
@@ -227,6 +227,14 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_aeq(args) -> int:
+    from .ae_equiv import (
+        EquivalenceContext,
+        ae_equal_rigidity,
+        r_equivalent,
+        rigidity_check,
+    )
+    from .cp_map import is_cp, maps_close
+
     tol = _tolerance(args)
     phi = decode_map(load_document(args.phi_file))
     psi = decode_map(load_document(args.psi_file))
@@ -272,6 +280,19 @@ def _cmd_aeq(args) -> int:
 
 def _demo_rows(seed: int, tol: Tolerance):
     """(name, callable) pairs; each callable returns (passed, detail)."""
+    from .ae_equiv import (
+        EquivalenceContext,
+        THEOREM_HOLDS,
+        counterexample_construct,
+        decompose_along,
+        forced_equality_scan,
+        r_equivalent,
+        rigidity_check,
+    )
+    from .completion import PartialCpMap, minimal_cp_completion_choi
+    from .cp_map import CpMap, is_cp
+    from .gallery import diagonal_pair_map, flip_twirl_map, trace_state_map
+    from .quasipure import NOT_QUASI_PURE, QUASI_PURE, is_quasipure
 
     def eb_quasipure():
         rho = np.diag([1.0, 2.0]) / 3.0

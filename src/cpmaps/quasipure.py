@@ -49,9 +49,10 @@ the steps below.  Then:
    z v`` and ``C v = 0``; an ``N``-invariant subspace of ``ker C`` holds
    an eigenvector, and the largest is ``ker [C; CN; CN^2; ...]``, so the
    pencil is injective iff that has full column rank (Hautus/Kalman
-   observability).  Gaussian-rational input is decided exactly, and each
-   exact singular point must give a witness; otherwise the points are the
-   eigenvalues of ``-M_1^+ M_2`` and prove nothing.
+   observability).  Gaussian-rational input with every part below
+   ``2^53`` is decided exactly, and each exact singular point must give a
+   witness; otherwise the points are the eigenvalues of ``-M_1^+ M_2``
+   and prove nothing.
 3. Otherwise, and behind a floating-point pencil, the first candidate is
    the chart centre ``e_i`` of ``CP^{n-1}`` with the lowest
    ``sigma_p(M_i)`` (``p`` columns): ``n`` cells, against the ``N`` of
@@ -196,9 +197,9 @@ def _common_kernel_complement(factors, tol: Tolerance) -> np.ndarray:
     return vh[:r].conj().T
 
 
-def _short_factor_witness(factors, stack, basis,
-                          tol: Tolerance) -> Optional[np.ndarray]:
-    """A witness ``B x`` with ``K_j B x = 0`` for some ``j``, or None.
+def _short_factor_verdict(factors, stack, basis,
+                          tol: Tolerance) -> Optional[QuasiPurityVerdict]:
+    """NotQuasiPure on a witness ``B x`` with ``K_j B x = 0``, or None.
 
     ``stack`` holds the reduced factors ``K_j B`` (``k x d x m``).  One
     batched SVD gives every factor's rank by the rank rule
@@ -209,16 +210,18 @@ def _short_factor_witness(factors, stack, basis,
     only when it passes the rank window: a factor short by its own scale
     can still leave ``F(B x)`` of rank ``k`` (its image is small, not
     zero, next to the others), and then the steps after this test
-    decide.
+    decide.  That check is the verdict's own, so the witness is ranked
+    once.
     """
     _, d, m = stack.shape
     _, s, vh = np.linalg.svd(stack, full_matrices=d < m)
     short = np.flatnonzero(np.count_nonzero(linalg.kept(s, tol), axis=1) < m)
     ratio = s[short, -1] / s[short, 0] if d >= m else np.zeros(short.size)
     for j in short[np.argsort(ratio, kind="stable")]:
-        h = basis @ vh[j, -1].conj()
-        if _is_witness(factors, h, tol):
-            return h
+        verdict = _witness_verdict(factors, basis @ vh[j, -1].conj(),
+                                   METHOD_NECESSARY, tol)
+        if verdict is not None:
+            return verdict
     return None
 
 
@@ -232,8 +235,10 @@ def _rationalize(x: float) -> Optional[Fraction]:
     A non-integer is read only below ``2^12`` in absolute value: above it
     doubles are spaced wider than the rationals ``p/q``, ``q <= 10^6``
     (about ``1e-12`` apart), and would round-trip through one by chance.
+    Nothing is read from ``2^53`` up: every double there is an integer, so
+    being one says nothing about whether the entry was rounded.
     """
-    if not math.isfinite(x) or (abs(x) >= 2 ** 12 and not x.is_integer()):
+    if not abs(x) < 2 ** 53 or (abs(x) >= 2 ** 12 and not x.is_integer()):
         return None
     fr = Fraction(x).limit_denominator(10 ** 6)
     return fr if float(fr) == x else None
@@ -243,15 +248,18 @@ def _gaussian_integer_pencil(mats):
     """The matrices times one common denominator, or None.
 
     Each comes back as rows of Gaussian integers ``(re, im)``; None when
-    some entry is not a Gaussian rational.  A common scale leaves the
-    singular points of the pencil where they were.  Integer-valued input,
-    the common case, is read by one vectorised test and ``int``, with no
-    :class:`Fraction`; any other entry sends the whole input through
-    :func:`_rationalize` and the least common denominator.
+    some entry is not a Gaussian rational, or some real or imaginary part
+    is not below ``2^53`` in size (see :func:`_rationalize`).  A common
+    scale leaves the singular points of the pencil where they were.
+    Integer-valued input, the common case, is read by one vectorised test
+    and ``int``, with no :class:`Fraction`; any other entry sends the whole
+    input through :func:`_rationalize` and the least common denominator.
     """
     mats = np.array(mats, dtype=complex)
     parts = mats.view(float).ravel()  # re, im, re, im, ...
-    if np.isfinite(parts).all() and (parts == np.round(parts)).all():
+    if not (np.abs(parts) < 2.0 ** 53).all():
+        return None
+    if (parts == np.round(parts)).all():
         values = [int(x) for x in parts.tolist()]
     else:
         fractions = []
@@ -491,17 +499,17 @@ def _singular_points(m1, m2, tol: Tolerance):
 
     Returns ``(exact, points)``; ``exact`` with no point proves the pencil
     injective for every ``(z, 1)``, ``z = 0`` included.  When every entry is
-    a Gaussian rational, both matrices are scaled by one common
-    denominator, which moves no point, and the observability test of the
-    module docstring runs over ``Z[i]`` with Python integers: the points
-    are :func:`_exact_singular_points`, each rounded once as :func:`_roots`
-    says, so that witnesses recorded from them (the goldens among them) keep
-    their bytes.  Otherwise they are the eigenvalues of ``-M_1^+ M_2``.
-    Points are ordered by ``(real, imag)``, except that floating-point ones
-    at which ``z M_1 + M_2`` is already singular by the rank rule (one
-    batched SVD) go first, since a spurious one costs the polisher the
-    most; all are tried, so the order can change which witness is returned,
-    never whether one is.
+    a Gaussian rational with both parts below ``2^53``, both matrices are
+    scaled by one common denominator, which moves no point, and the
+    observability test of the module docstring runs over ``Z[i]`` with
+    Python integers: the points are :func:`_exact_singular_points`, each
+    rounded once as :func:`_roots` says, so that witnesses recorded from
+    them (the goldens among them) keep their bytes.  Otherwise they are
+    the eigenvalues of ``-M_1^+ M_2``.  Points are ordered by ``(real,
+    imag)``, except that floating-point ones at which ``z M_1 + M_2`` is
+    already singular by the rank rule (one batched SVD) go first, since a
+    spurious one costs the polisher the most; all are tried, so the order
+    can change which witness is returned, never whether one is.
     """
     exact = _gaussian_integer_pencil([m1, m2])
     if exact is None:
@@ -689,9 +697,9 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     m = basis.shape[1]
 
     # necessary condition: all factor kernels coincide
-    short = _short_factor_witness(factors, stack, basis, tol)
-    if short is not None:
-        return _not_quasipure(factors, short, METHOD_NECESSARY, tol)
+    verdict = _short_factor_verdict(factors, stack, basis, tol)
+    if verdict is not None:
+        return verdict
 
     # step 1 on the reduced factors; m == d_out iff the basis is I, and
     # then f @ I equals f entry for entry: the rank taken above is this one

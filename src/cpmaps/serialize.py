@@ -9,14 +9,16 @@ and two runs producing the same numbers produce the same bytes.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
 from . import linalg
-from .completion import PartialCpMap
 from .cp_map import CpMap
 from .errors import MalformedDocument, ToolkitError
+
+if TYPE_CHECKING:  # loaded only by the partial-map decoder, which needs it
+    from .completion import PartialCpMap
 
 __all__ = [
     "encode_matrix",
@@ -136,6 +138,8 @@ def encode_partial_map(beta: PartialCpMap) -> dict:
 
 def decode_partial_map(doc, r) -> PartialCpMap:
     """Build a partial map from a blocks document and a comparison operator."""
+    from .completion import PartialCpMap
+
     if not isinstance(doc, Mapping):
         raise MalformedDocument("partial map document must be a JSON object")
     d_in = _require_dim(doc, "d_in")

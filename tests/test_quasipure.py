@@ -306,8 +306,9 @@ def test_batched_kernel_test_agrees_with_the_pairwise_oracle():
             continue
         basis = quasipure._common_kernel_complement(factors, linalg.DEFAULT_TOL)
         stack = np.stack(factors) @ basis
-        h = quasipure._short_factor_witness(factors, stack, basis,
-                                            linalg.DEFAULT_TOL)
+        verdict = quasipure._short_factor_verdict(factors, stack, basis,
+                                                  linalg.DEFAULT_TOL)
+        h = None if verdict is None else verdict.witness
         oracle = pairwise_kernel_witness(factors)
         assert (h is None) == (oracle is None)
         if h is not None:
@@ -328,12 +329,32 @@ def test_short_factor_without_a_witness_is_left_to_the_later_steps():
         factors = near_singular_factors(c)
         basis = np.eye(2, dtype=complex)
         stack = np.stack(factors)
-        assert quasipure._short_factor_witness(factors, stack, basis,
+        assert quasipure._short_factor_verdict(factors, stack, basis,
                                                linalg.DEFAULT_TOL) is None
         v = is_quasipure(CpMap.from_kraus(factors))
         assert v.method != "NecessaryConditionViolated"
         assert v.witness is None or witness_is_sound(
             CpMap.from_kraus(factors), v.witness)
+
+
+def test_short_factor_witness_is_ranked_once(monkeypatch):
+    # a 2 x 3 factor always has a kernel; F at a kernel vector of one
+    # factor has rank 1, and that one rank is the verdict's
+    ranks = []
+    real = linalg.numerical_rank
+
+    def counted(mat, *args, **kwargs):
+        ranks.append(mat.shape)
+        return real(mat, *args, **kwargs)
+
+    phi = random_cp_map(2, 3, 2)
+    monkeypatch.setattr(linalg, "numerical_rank", counted)
+    v = is_quasipure(phi)
+    assert (v.status, v.method) == ("NotQuasiPure",
+                                    "NecessaryConditionViolated")
+    assert ranks == [(2, 2)]
+    monkeypatch.undo()
+    assert witness_is_sound(phi, v.witness)
 
 
 def test_diagonal_pair_witness_from_exact_arithmetic():
@@ -640,8 +661,8 @@ def test_pencil_exact_and_float_routes_agree():
     assert statuses == {"QuasiPure", "NotQuasiPure"}
 
 
-@pytest.mark.parametrize("scale", [1e-15, 1e-10, 1e-4, 1e4, 1e8, 1e15],
-                         ids="{:g}".format)
+@pytest.mark.parametrize("scale", [1e-15, 1e-10, 1e-4, 1e4, 1e8, 1e15,
+                                   1e18, 1e20], ids="{:g}".format)
 @pytest.mark.parametrize("phi, method", [
     (random_cp_map(5, 3, 2), "SylvesterMatrix"),
     (planted_witness_map(5, 3, 2)[0], "ExactPencil"),
@@ -651,16 +672,19 @@ def test_pencil_verdict_survives_rescaling(phi, method, scale):
     # Kraus factors scaled by c scale the map by c^2; a floating-point
     # pencil's QuasiPure stands on the full rank of the Sylvester matrix,
     # the polisher stops at the scale of the factors, and large entries are
-    # not read as small rationals
-    scaled = CpMap.from_kraus([scale * k for k in minimal_kraus(phi)])
+    # not read as small rationals, nor, from 2^53 up, where every double is
+    # an integer, as Gaussian integers
     v = is_quasipure(phi)
-    w = is_quasipure(scaled)
-    assert w.status == v.status
-    assert w.method == v.method == method
-    assert w.samples_used == v.samples_used
-    assert w.is_proof
-    if w.witness is not None:
-        assert witness_is_sound(scaled, w.witness)
+    for scaled in (
+            CpMap.from_kraus([scale * k for k in minimal_kraus(phi)]),
+            CpMap.from_choi(scale ** 2 * phi.choi, phi.d_in, phi.d_out)):
+        w = is_quasipure(scaled)
+        assert w.status == v.status
+        assert w.method == v.method == method
+        assert w.samples_used == v.samples_used
+        assert w.is_proof
+        if w.witness is not None:
+            assert witness_is_sound(scaled, w.witness)
 
 
 def test_quasipurity_never_loads_sympy():
@@ -719,6 +743,9 @@ INTEGER_VALUED = {
     "small": (np.array([[1, -2j], [3 + 1j, 0]]), np.array([[0, 1], [-1j, 2]])),
     "negative-zero": (np.array([[-0.0, complex(-0.0, -0.0)], [1.0, -0.0]]),
                       np.array([[complex(0.0, -0.0), 2.0], [-3.0, 1j]])),
+    "below-2^53": (
+        np.array([[2.0 ** 53 - 1, -(2.0 ** 52)], [1j * (2.0 ** 53 - 1), 1]]),
+        np.array([[1, 0], [0, -(2.0 ** 53 - 1) * 1j]])),
     "beyond-2^53": (
         np.array([[2.0 ** 53, 2.0 ** 53 + 2], [-(2.0 ** 60), 1]]),
         np.array([[3 * 2.0 ** 70 * 1j, 1e300], [1, -2.0 ** 1000]])),
@@ -728,14 +755,20 @@ RATIONAL = {
               np.array([[0, 1], [5, 1j / 3]])),
     "tenth": (np.array([[0.1, 2.0 ** 60], [1, 0]]),
               np.array([[1, 0.1j], [0, 1]])),
+    "tenth-below-2^53": (np.array([[0.1, 2.0 ** 52], [1, 0]]),
+                         np.array([[1, 0.1j], [0, 1]])),
     "irrational": (np.eye(2), np.diag([np.sqrt(2.0), 1.0])),
 }
+#: cases with a part that is irrational, or not below 2^53 (every double
+#: there is an integer, rounded or not): not read exactly
+UNREAD = {"irrational", "beyond-2^53", "tenth"}
 
 
 @pytest.mark.parametrize("case", list(INTEGER_VALUED) + list(RATIONAL))
 def test_integer_reading_matches_the_fraction_reading(monkeypatch, case):
     # integer-valued input is read without a Fraction; anything else takes
-    # the common-denominator route; the Gaussian integers come out the same
+    # the common-denominator route; the Gaussian integers come out the same;
+    # a part from 2^53 up leaves the whole input unread on either route
     mats = {**INTEGER_VALUED, **RATIONAL}[case]
     want = fraction_reading(mats)
     if case in INTEGER_VALUED:
@@ -747,7 +780,7 @@ def test_integer_reading_matches_the_fraction_reading(monkeypatch, case):
     if got is not None:
         assert all(type(x) is int for rows in got for row in rows
                    for z in row for x in z)
-    assert (got is None) == (case == "irrational")
+    assert (got is None) == (case in UNREAD)
 
 
 def test_integer_elimination_keeps_the_row_space():
