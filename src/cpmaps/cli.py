@@ -10,8 +10,9 @@ A command loads only the modules it runs.  This module imports
 :mod:`cp_map`); each ``_cmd_*`` handler, and the demo table, imports the
 functions it calls.  So ``analyze`` stops there, ``quasipure`` adds
 :mod:`quasipure`, ``complete`` adds :mod:`stinespring` and
-:mod:`completion`, and ``aeq`` loads every module but :mod:`gallery`.
-The wall time on stderr includes the handler's imports.
+:mod:`completion`, ``aeq`` loads every module but :mod:`gallery`, and
+``demo --list`` loads no more than ``analyze``.  The wall time on stderr
+includes the handler's imports.
 """
 
 from __future__ import annotations
@@ -278,6 +279,19 @@ def _cmd_aeq(args) -> int:
 # demo suite
 
 
+#: the demo rows in order; ``demo --list`` prints these without loading
+#: the modules the rows run
+_DEMO_NAMES = (
+    "eb-map-is-quasipure",
+    "flip-twirl-not-quasipure",
+    "flip-twirl-forced-equality-at-e1",
+    "flip-twirl-no-twist-at-witness",
+    "diagonal-pair-counterexample",
+    "decomposition-on-random-maps",
+    "rigidity-on-eb-maps",
+)
+
+
 def _demo_rows(seed: int, tol: Tolerance):
     """(name, callable) pairs; each callable returns (passed, detail)."""
     from .ae_equiv import (
@@ -384,32 +398,26 @@ def _demo_rows(seed: int, tol: Tolerance):
                   else "rigidity verdict or deviation failed")
         return ok, detail
 
-    return [
-        ("eb-map-is-quasipure", eb_quasipure),
-        ("flip-twirl-not-quasipure", special_not_quasipure),
-        ("flip-twirl-forced-equality-at-e1", special_forced_equality),
-        ("flip-twirl-no-twist-at-witness", special_counterexample),
-        ("diagonal-pair-counterexample", diagonal_counterexample),
-        ("decomposition-on-random-maps", decomposition_random),
-        ("rigidity-on-eb-maps", rigidity_eb),
-    ]
+    return list(zip(_DEMO_NAMES, (
+        eb_quasipure, special_not_quasipure, special_forced_equality,
+        special_counterexample, diagonal_counterexample, decomposition_random,
+        rigidity_eb)))
 
 
 def _cmd_demo(args) -> int:
     tol = _tolerance(args)
-    rows = _demo_rows(args.seed, tol)
     report = {
         "command": "demo",
         "tolerances": _tolerance_fields(tol),
         "seed": args.seed,
     }
     if args.list:
-        report["demos"] = [name for name, _ in rows]
+        report["demos"] = list(_DEMO_NAMES)
         _emit(report)
         return EXIT_OK
     results = []
     all_passed = True
-    for name, runner in rows:
+    for name, runner in _demo_rows(args.seed, tol):
         try:
             passed, detail = runner()
         except ToolkitError as exc:

@@ -37,7 +37,12 @@ class NotDominated(ToolkitError):
 
 
 class InputNotReduced(ToolkitError):
-    """The factor pair still has a common kernel; reduce it first."""
+    """An internal consistency check of the quasi-purity pipeline failed.
+
+    Raised only when a step's own precondition breaks: a vector the
+    pipeline has shown to be a witness fails the rank window, or the exact
+    row reduction of an injective factor loses a pivot.
+    """
 
 
 class NotCompletable(ToolkitError):

@@ -144,17 +144,14 @@ def random_cp_map(d_in: int, d_out: int, k: int, *, seed: int = 0,
 
 
 def random_positive_contraction(n: int, *, seed: int = 0,
-                                rng: Optional[np.random.Generator] = None,
-                                strict: bool = False) -> np.ndarray:
-    """A random ``0 <= D <= I`` (eigenvalues in ``(0, 1)`` when strict)."""
+                                rng: Optional[np.random.Generator] = None
+                                ) -> np.ndarray:
+    """A random ``0 <= D <= I``, its eigenvalues spread over ``[0, 1]``."""
     if rng is None:
         rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = g @ g.conj().T
     w, u = np.linalg.eigh(h)
-    lo, hi = (0.05, 0.95) if strict else (0.0, 1.0)
     spread = float(w[-1] - w[0]) if n > 1 and w[-1] > w[0] else 1.0
-    scaled = lo + (hi - lo) * (w - w[0]) / spread
-    if n == 1:
-        scaled = np.array([0.5]) if strict else np.array([1.0])
+    scaled = (w - w[0]) / spread if n > 1 else np.array([1.0])
     return (u * scaled) @ u.conj().T

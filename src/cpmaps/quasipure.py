@@ -49,12 +49,13 @@ the steps below.  Then:
    z v`` and ``C v = 0``; an ``N``-invariant subspace of ``ker C`` holds
    an eigenvector, and the largest is ``ker [C; CN; CN^2; ...]``, so the
    pencil is injective iff that has full column rank (Hautus/Kalman
-   observability).  Gaussian-rational input with every part below
-   ``2^53`` is decided exactly, and each exact singular point must give a
-   witness; otherwise the points are the eigenvalues of ``-M_1^+ M_2``
-   and prove nothing.
-3. Otherwise, and behind a floating-point pencil, the first candidate is
-   the chart centre ``e_i`` of ``CP^{n-1}`` with the lowest
+   observability).  Only a proof is exact: for Gaussian-rational input
+   with every part below ``2^53`` that rank is taken over ``Z[i]``.  Every
+   candidate point is a floating-point eigenvalue of ``-M_1^+ M_2`` at
+   which the pencil is singular by the rank rule; the points prove
+   nothing, and when none gives a witness step 3 decides.
+3. Otherwise, and behind a pencil not proved injective, the first
+   candidate is the chart centre ``e_i`` of ``CP^{n-1}`` with the lowest
    ``sigma_p(M_i)`` (``p`` columns): ``n`` cells, against the ``N`` of
    ``S``.  The bidegree-``(1, k)`` Sylvester-type matrix ``S`` of ``T (a
    (x) h) = 0`` (Sturmfels & Zelevinsky, J. Algebra 163, 1994) has a row
@@ -276,11 +277,6 @@ def _gaussian_integer_pencil(mats):
             for i in range(n)]
 
 
-def _mul(a, b):
-    """The product of two Gaussian integers ``(re, im)``."""
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def _matmul(a, b):
     """The product of two matrices of Gaussian integers (lists of rows)."""
     cols = list(zip(*b))
@@ -338,198 +334,68 @@ def _reduce_rows(a, b, r: int):
     """Row-reduce ``[a | b]`` over Z[i] for ``a`` of full column rank ``r``.
 
     Some invertible ``Q`` gives ``Q a = [d I_r; 0]`` for a nonzero Gaussian
-    integer ``d``; returns ``d`` and the two blocks of ``Q b`` (its first
-    ``r`` rows, then the rest).
+    integer ``d``; returns the two blocks of ``Q b`` (its first ``r`` rows,
+    then the rest).
     """
-    pivots, d, rows = _echelon([x + y for x, y in zip(a, b)], r)
+    pivots, _, rows = _echelon([x + y for x, y in zip(a, b)], r)
     if pivots != list(range(r)):
         raise InputNotReduced("internal error: row reduction lost a pivot")
-    return d, [row[r:] for row in rows[:r]], [row[r:] for row in rows[r:]]
+    return [row[r:] for row in rows[:r]], [row[r:] for row in rows[r:]]
 
 
-def _kernel(rows, m: int):
-    """A basis of the kernel of ``rows`` (``m`` columns), over Z[i]."""
-    pivots, d, rows = _echelon(rows, m)
-    basis = []
-    for free in (col for col in range(m) if col not in pivots):
-        vec = [(0, 0)] * m
-        vec[free] = d
-        for row, col in zip(rows, pivots):
-            vec[col] = (-row[free][0], -row[free][1])
-        basis.append(vec)
-    return basis
-
-
-def _charpoly(s):
-    """``det(x I - S)`` over Z[i], highest degree first (Faddeev-LeVerrier)."""
-    r = len(s)
-    coeffs = [(1, 0)]
-    acc = [[(int(i == j), 0) for j in range(r)] for i in range(r)]
-    for k in range(1, r + 1):
-        acc = _matmul(s, acc)
-        # the coefficients are Gaussian integers: k divides the trace
-        c = (-sum(acc[i][i][0] for i in range(r)) // k,
-             -sum(acc[i][i][1] for i in range(r)) // k)
-        coeffs.append(c)
-        for i in range(r):
-            acc[i][i] = (acc[i][i][0] + c[0], acc[i][i][1] + c[1])
-    return coeffs
-
-
-def _pseudo_divide(a, b):
-    """``(q, rem)`` with ``lc(b)^e a = q b + rem``, ``e = deg a - deg b + 1``.
-
-    Polynomials over Z[i], highest degree first; ``rem`` has ``deg b``
-    coefficients, leading zeros included.
-    """
-    lead, q, rem = b[0], [], list(a)
-    for _ in range(len(a) - len(b) + 1):
-        e = rem[0]
-        q = [_mul(lead, c) for c in q] + [e]
-        tail = b[1:] + [(0, 0)] * (len(rem) - len(b))
-        rem = [(lx[0] - ey[0], lx[1] - ey[1]) for lx, ey in
-               ((_mul(lead, x), _mul(e, y)) for x, y in zip(rem[1:], tail))]
-    return q, rem
-
-
-def _squarefree(poly):
-    """``poly / gcd(poly, poly')``, up to a factor; highest degree first."""
-    n = len(poly) - 1
-    a, b = poly, [(re * (n - j), im * (n - j))
-                  for j, (re, im) in enumerate(poly[:-1])]
-    while b:  # Euclid on primitive pseudo-remainders
-        rem = _pseudo_divide(a, b)[1]
-        while rem and rem[0] == (0, 0):
-            rem = rem[1:]
-        a, b = b, _primitive(rem)
-    return _primitive(_pseudo_divide(poly, a)[0]) if len(a) > 1 else poly
-
-
-def _newton(poly, seed: complex):
-    """The root of ``poly`` (over Z[i]) Newton's method finds from ``seed``.
-
-    The iterate is ``w / 2^e`` for a Gaussian integer ``w`` and at least
-    320 fractional bits, so each step is exact up to the rounding of
-    ``w``.  Horner on the scaled point: ``H_j = H_{j-1} w + a_j 2^{e j}``
-    and ``G_j = G_{j-1} w + H_{j-1}`` give ``p(z) = H_n / 2^{e n}`` and
-    ``p'(z) = G_n / 2^{e (n-1)}``, so the step is ``w -= H_n / G_n``; at
-    most 60 steps, ending once a step rounds to zero.  Returns the real
-    and imaginary parts as fractions.
-    """
-    e = 320 - min(0, math.frexp(abs(seed))[1])
-    w = (round(math.ldexp(seed.real, e)), round(math.ldexp(seed.imag, e)))
-    scaled = [(re << (e * j), im << (e * j))
-              for j, (re, im) in enumerate(poly)]
-    for _ in range(60):
-        h, g = scaled[0], (0, 0)
-        for a in scaled[1:]:
-            g = _mul(g, w)
-            g = (g[0] + h[0], g[1] + h[1])
-            h = _mul(h, w)
-            h = (h[0] + a[0], h[1] + a[1])
-        den = g[0] ** 2 + g[1] ** 2
-        if den == 0:
-            break
-        num = _mul(h, (g[0], -g[1]))
-        step = tuple((2 * x + den) // (2 * den) for x in num)  # rounded
-        if step == (0, 0):
-            break
-        w = (w[0] - step[0], w[1] - step[1])
-    return Fraction(w[0], 1 << e), Fraction(w[1], 1 << e)
-
-
-def _roots(poly) -> list:
-    """The roots of a square-free ``poly`` over Z[i] as complex doubles.
-
-    Rounded as sympy's ``nroots(n=30)`` rounds: a real or imaginary part
-    below ``2^-102`` (mpmath's epsilon at 30 digits) in absolute value
-    reads as zero, any other as the nearest double.  Real roots come
-    first, then by real part, size of the imaginary part and its sign.
-    """
-    if len(poly) == 2:  # a z + b: z = -b conj(a) / |a|^2, exactly
-        (ar, ai), (br, bi) = poly
-        norm = ar * ar + ai * ai
-        points = [(Fraction(-br * ar - bi * ai, norm),
-                   Fraction(br * ai - bi * ar, norm))]
-    else:
-        top = max(abs(x) for z in poly for x in z).bit_length()
-        seeds = np.roots([complex(re / 2 ** top, im / 2 ** top)
-                          for re, im in poly])
-        points = [_newton(poly, complex(seed)) for seed in seeds]
-    roots = [complex(*(0.0 if abs(x) < 2.0 ** -102 else float(x)
-                       for x in point)) for point in points]
-    return sorted(roots, key=lambda z: (z.imag != 0, z.real, abs(z.imag),
-                                        z.imag > 0))
-
-
-def _exact_singular_points(k1, k2) -> list:
-    """Singular points of ``z K_1 + K_2``, exact over Z[i] up to the roots.
+def _exact_injective(k1, k2) -> bool:
+    """Whether ``z K_1 + K_2`` is injective for every ``z``, over Z[i].
 
     ``K_1`` and ``K_2`` are matrices of Gaussian integers and ``K_1`` must
-    be injective.  With ``Q K_1 = [d I_m; 0]`` and ``Q K_2 = [N; B]`` the
-    points are the eigenvalues of ``M = -N / d`` on its unobservable
-    subspace ``ker [B; BN; ...; BN^{m-1}]``.  On a basis ``U`` of that
-    subspace ``N U = U S / d'``, so the points are ``-s / (d d')`` for the
-    eigenvalues ``s`` of ``S``: the roots of the square-free part of the
-    characteristic polynomial of ``S``, taken in that variable.
+    be injective.  With ``Q K_1 = [d I_m; 0]`` and ``Q K_2 = [N; B]`` a
+    singular point is an eigenvalue of ``-N / d`` with an eigenvector in
+    ``ker B``, and there is none iff ``[B; BN; ...; BN^{m-1}]`` has full
+    column rank.
     """
     m = len(k1[0])
-    d, n, block = _reduce_rows(k1, k2, m)
+    n, block = _reduce_rows(k1, k2, m)
     rows = list(block)
     for _ in range(m - 1):
         block = [_primitive(row) for row in _matmul(block, n)]
         rows += block
-    basis = _kernel(rows, m)
-    r = len(basis)
-    if r == 0:
-        # rank [B; BN; ...; BN^{m-1}] == m: no eigenvector of M in ker B
-        return []
-    u = [list(row) for row in zip(*basis)]
-    d_sub, s, _ = _reduce_rows(u, _matmul(n, u), r)
-    poly = _squarefree(_charpoly(s))
-    t, powers = _mul((-d[0], -d[1]), d_sub), [(1, 0)]  # s = t z
-    for _ in poly[1:]:
-        powers.append(_mul(powers[-1], t))
-    return _roots(_primitive([_mul(c, power)
-                              for c, power in zip(poly, reversed(powers))]))
+    return len(_echelon(rows, m)[0]) == m
 
 
 def _singular_points(m1, m2, tol: Tolerance):
     """The singular points ``z`` of ``z M_1 + M_2``, for an injective ``M_1``.
 
-    Returns ``(exact, points)``; ``exact`` with no point proves the pencil
-    injective for every ``(z, 1)``, ``z = 0`` included.  When every entry is
-    a Gaussian rational with both parts below ``2^53``, both matrices are
-    scaled by one common denominator, which moves no point, and the
-    observability test of the module docstring runs over ``Z[i]`` with
-    Python integers: the points are :func:`_exact_singular_points`, each
-    rounded once as :func:`_roots` says, so that witnesses recorded from
-    them (the goldens among them) keep their bytes.  Otherwise they are
-    the eigenvalues of ``-M_1^+ M_2``.  Points are ordered by ``(real,
-    imag)``, except that floating-point ones at which ``z M_1 + M_2`` is
-    already singular by the rank rule (one batched SVD) go first, since a
-    spurious one costs the polisher the most; all are tried, so the order
-    can change which witness is returned, never whether one is.
+    Returns ``(proved, points)``.  ``proved`` holds, with no point, when
+    every entry is a Gaussian rational with both parts below ``2^53`` (see
+    :func:`_gaussian_integer_pencil`; the common denominator moves no
+    point) and :func:`_exact_injective` proves the pencil injective for
+    every ``(z, 1)``, ``z = 0`` included.  Otherwise the points are the
+    eigenvalues of ``-M_1^+ M_2`` at which ``z M_1 + M_2`` is singular by
+    the rank rule on its Gram matrix, that is on ``sigma^2`` (one batched
+    SVD), ordered by ``(real, imag)``; they prove nothing.  The square
+    keeps a double point: the eigensolve finds it only to about the square
+    root of the unit roundoff, where ``sigma_min / sigma_max`` is near
+    ``1e-8``, while the other eigenvalues sit at ratios of order one.
     """
     exact = _gaussian_integer_pencil([m1, m2])
-    if exact is None:
-        points = np.linalg.eigvals(-np.linalg.lstsq(m1, m2, rcond=None)[0])
-        sigma = np.linalg.svd(points[:, None, None] * m1 + m2,
-                              compute_uv=False)
-        later = linalg.kept(sigma, tol)[:, -1]
-    else:
-        points = _exact_singular_points(*exact)
-        later = [False] * len(points)  # each one a genuine root
-    order = sorted(range(len(points)), key=lambda i: (
-        later[i], round(points[i].real, 12), round(points[i].imag, 12)))
-    return exact is not None, [points[i] for i in order]
+    if exact is not None and _exact_injective(*exact):
+        return True, []
+    x = -np.linalg.lstsq(m1, m2, rcond=None)[0]
+    # a real matrix is solved in real arithmetic, whose real eigenvalues
+    # come out exactly where the complex solver's may not (the flip twirl's
+    # -1 reads -0.9999999999999999 in complex arithmetic), so that witnesses
+    # recorded from them keep their bytes
+    points = np.linalg.eigvals(x if x.imag.any() else x.real).astype(complex)
+    sigma = np.linalg.svd(points[:, None, None] * m1 + m2, compute_uv=False)
+    points = points[~linalg.kept(sigma * sigma, tol)[:, -1]]
+    return False, sorted(points, key=lambda z: (round(z.real, 12),
+                                                round(z.imag, 12)))
 
 
 # ---------------------------------------------------------------------------
 # candidates into witnesses; the Sylvester-type matrix
 
 
-def _refine_candidate(stack, h, iters: int = 400):
+def _refine_candidate(stack, h):
     """Drive ``h`` towards a rank-deficient direction of ``F``.
 
     Each round takes the worst dependency vector ``a`` of ``F(h)`` and
@@ -537,7 +403,7 @@ def _refine_candidate(stack, h, iters: int = 400):
     orthogonally to themselves, kept when it lowers ``sigma_k(F(h))``;
     otherwise ``h`` becomes the best kernel direction of ``P(a)``, an
     alternating step that converges only linearly.  The loop exits once
-    ``sigma_k`` reaches rounding level.
+    ``sigma_k`` reaches rounding level, or after 400 rounds.
     """
     k = len(stack)  # stack: (k, d1, m)
     floor = 1e-14 * float(np.abs(stack).max())
@@ -548,7 +414,7 @@ def _refine_candidate(stack, h, iters: int = 400):
         return s[min(k, s.size) - 1], f, vh[-1, :].conj(), vec
 
     s, f, a, h = state(h)
-    for _ in range(iters):
+    for _ in range(400):
         if s < floor:
             break
         pencil = np.tensordot(a, stack, axes=(0, 0))
@@ -722,19 +588,15 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
                                        METHOD_EXACT_PENCIL, tol)
             if verdict is not None:
                 return verdict
-        exact, points = _singular_points(side[0], side[1], tol)
+        proved, points = _singular_points(side[0], side[1], tol)
+        if proved:
+            return QuasiPurityVerdict(status=QUASI_PURE,
+                                      method=METHOD_EXACT_PENCIL)
         for z in points:
             verdict = _candidate_verdict(factors, stack, basis,
                                          np.array([z, 1.0]), over_a,
                                          METHOD_EXACT_PENCIL, tol)
             if verdict is not None:
                 return verdict
-        if exact and points:
-            raise InputNotReduced(
-                "internal error: exact singular point failed the rank window"
-            )
-        if exact:
-            return QuasiPurityVerdict(status=QUASI_PURE,
-                                      method=METHOD_EXACT_PENCIL)
     # step 3 (and the proof behind a floating-point pencil)
     return _sylvester_step(factors, stack, basis, side, over_a, budget, tol)

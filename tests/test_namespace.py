@@ -78,7 +78,8 @@ EVERY_MODULE = {path.stem for path in (SRC / "cpmaps").glob("*.py")} - {
      ANALYZE | {"stinespring", "completion"}),
     (["aeq", "nqp_phi.json", "nqp_psi.json", "--r", "nqp_r.json"],
      EVERY_MODULE - {"gallery"}),
-], ids=["analyze", "quasipure", "complete", "aeq"])
+    (["demo", "--list"], ANALYZE),
+], ids=["analyze", "quasipure", "complete", "aeq", "demo-list"])
 def test_cold_command_loads_only_its_modules(args, modules):
     code = (
         "import contextlib, io, json, sys\n"

@@ -129,10 +129,9 @@ NAMED_PENCILS = {
         @ np.array([[1, 1 + 1j], [0, 3]])),
 }
 
-#: ``float.hex`` of ``(real, imag)`` of each exact candidate, in order, as
-#: sympy's ``nroots(n=30)`` gave them on the former ``QQ_I`` route, whose
-#: candidates the golden witness bytes were recorded from
-PINNED_CANDIDATES = {
+#: ``float.hex`` of ``(real, imag)`` of each distinct singular point,
+#: correctly rounded: exact roots recorded with sympy's ``nroots(n=30)``
+EXACT_ROOTS = {
     "sqrt2": [("-0x1.6a09e667f3bcdp+0", "0x0.0p+0"),
               ("0x1.6a09e667f3bcdp+0", "0x0.0p+0")],
     "repeated": [("-0x1.0000000000000p+1", "0x0.0p+0"),
@@ -607,9 +606,9 @@ def test_pencil_diagonal_pair():
 
 
 def test_pencil_never_vanishing_columns():
-    exact, points = quasipure._singular_points(
+    proved, points = quasipure._singular_points(
         np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), linalg.DEFAULT_TOL)
-    assert exact is True
+    assert proved is True
     assert points == []
 
 
@@ -624,33 +623,33 @@ def test_pencil_float_path_injective():
     # the floating-point points prove nothing: step 3 decides
     l1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     l2 = np.sqrt(2.0) * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    exact, _ = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
-    assert exact is False
+    proved, _ = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
+    assert proved is False
     v = pencil_verdict(l1, l2)
     assert (v.status, v.method) == ("QuasiPure", "SylvesterMatrix")
     assert v.witness is None
 
 
 def test_pencil_exact_and_float_routes_agree():
-    # a Gaussian-integer pair is decided over QQ_I; scaled by sqrt(2) it is
-    # decided by the floating-point route, and the pencils are singular at
-    # the same points
+    # a Gaussian-integer pair is proved injective over Z[i] when it is;
+    # scaled by sqrt(2) it takes the floating-point route, which proves
+    # nothing; both find the same singular points and the same status
     rng = np.random.default_rng(41)
     statuses = set()
     for d_in, m in [(2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (6, 3)]:
         for singular in (False, True):
             l1, l2 = gaussian_integer_pair(rng, d_in, m, singular)
-            exact, points = quasipure._singular_points(l1, l2,
-                                                       linalg.DEFAULT_TOL)
+            proved, points = quasipure._singular_points(l1, l2,
+                                                        linalg.DEFAULT_TOL)
             floated, candidates = quasipure._singular_points(
                 np.sqrt(2.0) * l1, np.sqrt(2.0) * l2, linalg.DEFAULT_TOL)
-            # only the exact route proves injectivity
-            assert (exact, floated) == (True, False)
-            for z in points:
-                assert min(abs(z - c) for c in candidates) < 1e-8, \
-                    f"routes disagree at {(d_in, m)}"
             verdicts = [pencil_verdict(l1, l2),
                         pencil_verdict(np.sqrt(2.0) * l1, np.sqrt(2.0) * l2)]
+            assert floated is False
+            assert proved == (verdicts[1].status == "QuasiPure")
+            assert proved == (not points) == (not candidates)
+            assert np.allclose(points, candidates, atol=1e-8), \
+                f"routes disagree at {(d_in, m)}"
             assert verdicts[0].status == verdicts[1].status
             assert verdicts[0].method == "ExactPencil"
             for v in verdicts:
@@ -659,6 +658,18 @@ def test_pencil_exact_and_float_routes_agree():
                     assert linalg.numerical_rank(cols) == 1
             statuses.add(verdicts[0].status)
     assert statuses == {"QuasiPure", "NotQuasiPure"}
+
+
+def test_real_pencil_is_solved_in_real_arithmetic():
+    # the flip twirl's pencil z I + sigma_x is singular at -1 and 1: a
+    # real -M_1^+ M_2 is solved in real arithmetic, which gives both points
+    # exactly, and the witness recorded in the goldens is polished from them
+    proved, points = quasipure._singular_points(
+        np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+        linalg.DEFAULT_TOL)
+    assert proved is False
+    assert [(z.real.hex(), z.imag.hex()) for z in points] == [
+        ((-1.0).hex(), (0.0).hex()), ((1.0).hex(), (0.0).hex())]
 
 
 @pytest.mark.parametrize("scale", [1e-15, 1e-10, 1e-4, 1e4, 1e8, 1e15,
@@ -714,14 +725,23 @@ def test_quasipurity_never_loads_sympy():
     ]
 
 
-@pytest.mark.parametrize("case", list(PINNED_CANDIDATES))
-def test_exact_candidates_keep_their_bytes(case):
+@pytest.mark.parametrize("case", list(EXACT_ROOTS))
+def test_singular_points_match_the_exact_roots(case):
+    # the floating-point points of Gaussian-rational pencils, irrational
+    # and repeated roots among them, against the recorded exact roots: each
+    # point is near a root and each root near a point (rounding error of
+    # the eigensolve: at most 2.5e-14 over these pencils)
     pair = (NAMED_PENCILS[case] if isinstance(case, str)
             else pinned_pencil(case))
-    exact = quasipure._gaussian_integer_pencil(pair)
-    points = quasipure._exact_singular_points(*exact)
-    assert [(z.real.hex(), z.imag.hex()) for z in points] == \
-        PINNED_CANDIDATES[case]
+    roots = [complex(float.fromhex(re), float.fromhex(im))
+             for re, im in EXACT_ROOTS[case]]
+    proved, points = quasipure._singular_points(*pair, linalg.DEFAULT_TOL)
+    assert proved is False
+    assert points
+    gap = np.abs(np.subtract.outer(points, roots)) / np.maximum(
+        1.0, np.abs(roots))
+    assert gap.min(axis=1).max() < 1e-12
+    assert gap.min(axis=0).max() < 1e-12
 
 
 def fraction_reading(mats):
@@ -808,41 +828,79 @@ def test_integer_elimination_keeps_the_row_space():
             np.linalg.matrix_rank(mat) == np.linalg.matrix_rank(reduced)
 
 
-def test_exact_candidates_are_correctly_rounded():
-    # the singular points +-sqrt(2), each rounded once to the nearest double
-    exact = quasipure._gaussian_integer_pencil(NAMED_PENCILS["sqrt2"])
-    points = quasipure._exact_singular_points(*exact)
-    root = math.sqrt(2.0)
-    assert [(z.real.hex(), z.imag.hex()) for z in points] == \
-        [((-root).hex(), (0.0).hex()), (root.hex(), (0.0).hex())]
+def test_double_singular_point_is_kept():
+    # a Gaussian-integer pencil singular only at 1 + i, a double point: the
+    # eigensolve splits it by about 4e-8, where sigma_min / sigma_max of
+    # z K_1 + K_2 is about 6e-9, above eps_rank but not its square root; the
+    # rank rule on sigma^2 keeps both halves and the pencil decides
+    l1 = np.array([[0, 0], [-1 + 2j, 2], [-1j, -1], [-3 + 1j, 2 + 2j]])
+    l2 = np.array([[-1j, -1], [2 - 1j, -2 - 1j], [-1 + 1j, 1 + 1j],
+                   [1 + 2j, -1j]])
+    proved, points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
+    assert proved is False
+    assert np.allclose(points, [1 + 1j, 1 + 1j], atol=1e-6)
+    v = pencil_verdict(l1, l2)
+    assert (v.status, v.method, v.samples_used) == (
+        "NotQuasiPure", "ExactPencil", 0)
+    cols = np.column_stack([l1 @ v.witness, l2 @ v.witness])
+    assert linalg.numerical_rank(cols) == 1
+
+
+def count_polishes(monkeypatch):
+    """The list of directions ``_refine_candidate`` is handed, as it runs."""
+    polished = []
+    original = quasipure._refine_candidate
+
+    def counted(stack, h):
+        polished.append(h)
+        return original(stack, h)
+
+    monkeypatch.setattr(quasipure, "_refine_candidate", counted)
+    return polished
 
 
 def test_pencil_polishes_singular_candidates_first(monkeypatch):
     # K_2 e_1 = -2 K_1 e_1: -K_1^+ K_2 has the singular point 2 and two
-    # spurious eigenvalues, which the (real, imag) order puts first; the
-    # genuine one is polished alone
+    # spurious eigenvalues, which the rank rule drops; the genuine one is
+    # polished alone
     rng = np.random.default_rng(0)
     l1, l2 = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
               for _ in range(2))
     l2[:, 0] = -2.0 * l1[:, 0]
     candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
     assert sorted(candidates.real)[-1] == pytest.approx(2.0)
-    exact, points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
-    assert exact is False
-    assert points[0] == pytest.approx(2.0)
-    polished = []
-    original = quasipure._refine_candidate
-
-    def counted(stack, h, *args, **kwargs):
-        polished.append(h)
-        return original(stack, h, *args, **kwargs)
-
-    monkeypatch.setattr(quasipure, "_refine_candidate", counted)
+    proved, points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
+    assert proved is False
+    assert points == [pytest.approx(2.0)]
+    polished = count_polishes(monkeypatch)
     v = pencil_verdict(l1, l2)
     assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
     assert abs(v.witness[0]) == pytest.approx(1.0)
     assert len(polished) == 1
     assert abs(polished[0][0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spurious_pencil_points_are_not_polished(monkeypatch, seed):
+    # a float k = 2 polynomial map, quasi-pure with rank T = 4 < 6: none of
+    # the three eigenvalues of -K_1^+ K_2 is a singular point, so only step
+    # 3's chart centre is polished before S proves the map
+    phi = CpMap.from_kraus(polynomial_factors(np.random.default_rng(seed),
+                                              6, 3, 2))
+    polished = count_polishes(monkeypatch)
+    v = is_quasipure(phi)
+    assert (v.status, v.method) == ("QuasiPure", "SylvesterMatrix")
+    assert len(polished) == 1
+
+
+def test_inconclusive_fixture_polishes_one_chart_centre(monkeypatch):
+    # the G-side pencil (m = 2 < k = 3) has no singular point, so the one
+    # polish is the chart centre's before S's 12 columns prove the map
+    polished = count_polishes(monkeypatch)
+    v = is_quasipure(load_map("inconclusive_map.json"))
+    assert (v.status, v.method, v.samples_used) == (
+        "QuasiPure", "SylvesterMatrix", 14)
+    assert len(polished) == 1
 
 
 @pytest.mark.parametrize("name, decision, line", [
