@@ -236,9 +236,10 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
     if linalg.negligible(masked, tol, phi.choi):
         raise HypothesisFailed("vanishes-on-r", "phi(.) R is identically zero")
 
-    status = (THEOREM_HOLDS if maps_close(phi, psi, tol)
+    diff = phi.choi - psi.choi  # maps_close's difference, and the deviation
+    status = (THEOREM_HOLDS if linalg.negligible(diff, tol, phi.choi, psi.choi)
               else COUNTEREXAMPLE_FOUND)
-    deviation = linalg.max_abs(phi.choi - psi.choi)
+    deviation = linalg.max_abs(diff)
     return RigidityVerdict(status=status, max_deviation=float(deviation),
                            quasipurity=verdict)
 
@@ -323,7 +324,8 @@ def counterexample_construct(phi: CpMap, witness,
     if norm == 0:
         raise WitnessInvalid("the zero vector cannot witness anything")
     h0 = h0 / norm
-    if linalg.negligible(phi.unit() @ h0, tol, phi.unit()):
+    unit = phi.unit()
+    if linalg.negligible(unit @ h0, tol, unit):
         raise WitnessInvalid("phi(I) annihilates the witness")
 
     # one factorization: the triple's factors are minimal_kraus(phi)
@@ -344,8 +346,6 @@ def counterexample_construct(phi: CpMap, witness,
     eye = np.eye(triple.dilation_dim, dtype=complex)
     alpha = map_from_dilation((eye - q) @ triple.v, phi.d_in, phi.d_out,
                               triple.multiplicity)
-    complement = map_from_dilation(q @ triple.v, phi.d_in, phi.d_out,
-                                   triple.multiplicity)
     if linalg.negligible(alpha.choi, tol, phi.choi):
         raise WitnessInvalid("the witness generates a cyclic subspace; "
                              "no dominated map vanishes on it")
@@ -387,15 +387,17 @@ def counterexample_construct(phi: CpMap, witness,
     swap = np.eye(rank_s) - np.outer(v, v.conj())
     z = s_inv_half @ swap @ s_half.conj().T
 
-    twisted = CpMap.from_kraus(
-        [k @ z for k in alpha.kraus], phi.d_in, phi.d_out
-    )
-    psi = twisted + complement
+    # psi's family: alpha's factors twisted by z, then the factors
+    # (q V)[j::k] of the kept part phi - alpha
+    kept, k = q @ triple.v, triple.multiplicity
+    psi = CpMap.from_kraus([f @ z for f in alpha.kraus]
+                           + [kept[j::k, :] for j in range(k)],
+                           phi.d_in, phi.d_out)
+    psi_unit = psi.unit()
     r = np.outer(h0, h0.conj())
     # final validation of the promised postconditions
     if (not is_cp(psi, tol)
-            or not linalg.negligible(psi.unit() - phi.unit(), tol,
-                                     psi.unit(), phi.unit())
+            or not linalg.negligible(psi_unit - unit, tol, psi_unit, unit)
             or not r_equivalent(phi, psi,
                                 EquivalenceContext.from_operator(r), tol)
             or maps_close(phi, psi, tol)):

@@ -288,7 +288,8 @@ class PartialCpMap:
         column.reshape(self.d_in, d, self.d_in, d)[...] = stacked.swapaxes(1, 2)
         blocks = column.reshape(self.d_in, d, self.d_in, d).swapaxes(1, 2)
         comp = np.eye(d, dtype=complex) - linalg.range_projection(r)
-        leaks = blocks @ comp
+        leaks = _times_blocks(column, comp, self.d_in).reshape(
+            self.d_in, d, self.d_in, d).swapaxes(1, 2)
         if not linalg.negligible(leaks, DEFAULT_TOL, column):
             i, j = np.unravel_index(np.abs(leaks).argmax(), leaks.shape)[:2]
             raise MalformedPartialMap(f"block ({i},{j}) does not lie in M_d . R")
@@ -331,9 +332,10 @@ def _name_bad_block(blocks, d_in: int, d: int) -> None:
 
 
 def _times_blocks(column: np.ndarray, m: np.ndarray, d_in: int) -> np.ndarray:
-    """``column (I_{d_in} (x) m)``: every block column of ``column`` times ``m``."""
+    """``column (I_{d_in} (x) m)``: every block column of ``column`` times
+    ``m``, as one GEMM over the ``rows * d_in`` block rows."""
     rows = column.shape[0]
-    return (column.reshape(rows, d_in, m.shape[0]) @ m).reshape(rows, -1)
+    return (column.reshape(rows * d_in, m.shape[0]) @ m).reshape(rows, -1)
 
 
 def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> _Split:

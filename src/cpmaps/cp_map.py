@@ -141,7 +141,7 @@ class CpMap:
 
     @classmethod
     def from_choi(cls, choi, d_in: int, d_out: int) -> "CpMap":
-        return cls(d_in=d_in, d_out=d_out, choi=linalg.as_matrix(choi))
+        return cls(d_in=d_in, d_out=d_out, choi=choi)
 
     @classmethod
     def from_action(cls, action: Callable[[np.ndarray], np.ndarray],
@@ -226,8 +226,9 @@ def apply(phi: CpMap, x) -> np.ndarray:
         )
     if phi.kraus is not None:
         out = np.zeros((phi.d_out, phi.d_out), dtype=complex)
-        for k in phi.kraus:
-            out += k.conj().T @ x @ k
+        if phi.kraus:  # one stacked product, summed in order from the zero
+            ks = np.stack(phi.kraus)
+            out = sum(ks.conj().swapaxes(1, 2) @ x @ ks, out)
         return out
     # phi(X) = sum_ij X_ij phi(E_ij), and block (i, j) of the Choi matrix
     # is phi(E_ij).

@@ -14,7 +14,9 @@ each named by its operands:
   all count with it;
 * **equality** is :func:`negligible`: a difference ``x`` counts as zero
   when ``max |x| <= eps_eq * max(1, max |operand|)``, the operands being
-  the quantities ``x`` was formed from (for ``a - b``, ``a`` and ``b``);
+  the quantities ``x`` was formed from (for ``a - b``, ``a`` and ``b``),
+  read cheapest-first, the floor ``1`` before each operand; rounding is
+  monotone, ``fl(e * max(1, s)) == max(e, fl(e * s))``, so it is the same;
 * **positivity** is :func:`_psd_slack`: the smallest eigenvalue of a
   Hermitian matrix may reach ``eps_psd * max(1, max |lambda|)`` below
   zero.  A matrix whose operands are named reads it at their scale
@@ -102,7 +104,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -110,7 +112,7 @@ def as_matrix(a) -> np.ndarray:
 def max_abs(a) -> float:
     """Max-entry norm ``max_ij |a_ij|`` (zero for an empty array)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def negligible(x, tol: Tolerance, *operands) -> bool:
@@ -118,10 +120,12 @@ def negligible(x, tol: Tolerance, *operands) -> bool:
     from: ``max |x| <= eps_eq * max(1, max |operand|)``.
 
     This is the package's one equality rule; ``a`` equals ``b`` when
-    ``negligible(a - b, tol, a, b)``.
+    ``negligible(a - b, tol, a, b)``.  It is read cheapest-first, the floor
+    and then each operand, which by monotone rounding is that inequality.
     """
-    scale = max([1.0, *(max_abs(a) for a in operands)])
-    return max_abs(x) <= tol.eps_eq * scale
+    size = max_abs(x)
+    return size <= tol.eps_eq or any(size <= tol.eps_eq * max_abs(a)
+                                     for a in operands)
 
 
 def kept(values, tol: Tolerance, *scales) -> np.ndarray:
@@ -152,17 +156,18 @@ def require_hermitian(m) -> np.ndarray:
     ``HERMITIAN_RESIDUAL`` scaled by ``max(1, max_abs(m))`` so that
     well-conditioned large matrices are not rejected for harmless rounding.
     Beyond that, NonHermitianInput is raised rather than silently averaging
-    away a real asymmetry.
+    away a real asymmetry.  As in :func:`negligible`, the floor goes first.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix is not square: shape {m.shape}")
-    gap = max_abs(m - m.conj().T)
-    if gap > HERMITIAN_RESIDUAL * max(1.0, max_abs(m)):
+    adjoint = m.conj().T
+    gap = max_abs(m - adjoint)
+    if gap > HERMITIAN_RESIDUAL and gap > HERMITIAN_RESIDUAL * max_abs(m):
         raise NonHermitianInput(
             f"matrix is not Hermitian: ||M - M*||_max = {gap:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + adjoint) / 2.0
 
 
 def eigh(m):

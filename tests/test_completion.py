@@ -651,3 +651,24 @@ def test_stinespring_route_checks_a_choi_seed_once(monkeypatch):
     bad = CpMap.from_choi(seed.choi - np.outer(w, w.conj()), 3, 4)
     with pytest.raises(SeedNotACompletion):
         minimal_cp_completion_stinespring(beta, bad)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 4), (8, 12)])
+@pytest.mark.parametrize("kind", ["square", "rectangular", "adjoint"])
+def test_block_product_is_the_kronecker_product(kind, shape):
+    """``_times_blocks(column, m, d_in)`` is ``column (I_{d_in} (x) m)``
+    for a square ``m``, a ``d x r`` one with ``r < d`` (as in the block
+    split) and ``m = u*`` (as in its lift)."""
+    from cpmaps.completion import _times_blocks
+    rng = np.random.default_rng(sum(shape))
+    d_in, d = shape
+    n = d_in * d
+    column = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    cols = d - 1 if kind == "rectangular" else d
+    m = rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
+    if kind == "adjoint":
+        m = haar_unitary(rng, d).conj().T
+    got = _times_blocks(column, m, d_in)
+    want = column @ np.kron(np.eye(d_in), m)
+    assert got.shape == want.shape == (n, d_in * cols)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -90,6 +90,31 @@ def test_apply_matches_kraus_sum():
     assert np.abs(apply(phi, x) - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("dims", [(3, 4, 2), (2, 1, 8), (4, 3, 6)])
+def test_apply_on_factors_matches_apply_on_the_choi_matrix(dims):
+    rng = np.random.default_rng(sum(dims))
+    d_in, d_out, k = dims
+    ks = random_kraus(rng, d_in, d_out, k)
+    phi = CpMap.from_kraus(ks)
+    x = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    got = apply(phi, x)
+    via_choi = apply(CpMap.from_choi(phi.choi, d_in, d_out), x)
+    assert got.shape == (d_out, d_out)
+    assert np.abs(got - via_choi).max() <= 1e-13 * np.abs(via_choi).max()
+    # the factors' terms are summed in order from zero, as a loop sums them
+    # (d_out = 1 is where a numpy reduction would pair them instead)
+    looped = np.zeros((d_out, d_out), dtype=complex)
+    for f in ks:
+        looped += f.conj().T @ x @ f
+    assert got.tobytes() == looped.tobytes()
+
+
+def test_apply_of_the_zero_map_is_an_exact_zero():
+    out = apply(CpMap.zero(2, 3), np.ones((2, 2)))
+    assert out.shape == (3, 3) and out.dtype == complex
+    assert out.tobytes() == np.zeros((3, 3), dtype=complex).tobytes()
+
+
 def test_apply_is_linear_and_positive():
     rng = np.random.default_rng(5)
     phi = random_map(rng, 3, 3, 2)

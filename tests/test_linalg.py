@@ -187,3 +187,94 @@ def test_projection_helpers_match():
     assert linalg.numerical_rank(p) == 2
     assert np.allclose(linalg.range_projection(p), p, atol=1e-10)
     assert np.allclose(pseudo_inverse(p), p, atol=1e-10)
+
+
+# the equality and Hermitian rules, read cheapest-first, are the written
+# inequalities at every scale, at their cutoffs and one ulp to each side
+
+EXPONENTS = st.floats(min_value=-14.0, max_value=14.0)
+TOLERANCES = st.sampled_from([linalg.DEFAULT_TOL, Tolerance(eps_eq=3e-7),
+                              Tolerance(eps_eq=1.7e-12)])
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _scaled(rng, size, n=3):
+    """A complex ``n x n`` matrix whose largest modulus is exactly ``size``."""
+    m = size * (rng.uniform(-0.5, 0.5, (n, n))
+                + 1j * rng.uniform(-0.5, 0.5, (n, n)))
+    m[rng.integers(n), rng.integers(n)] = size
+    return m
+
+
+def _written_negligible(x, tol, *operands):
+    scale = max([1.0] + [np.abs(a).max() for a in operands])
+    return np.abs(x).max() <= tol.eps_eq * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPONENTS, st.lists(EXPONENTS, max_size=3), TOLERANCES, SEEDS)
+def test_negligible_is_the_written_rule(x_exp, op_exps, tol, seed):
+    rng = np.random.default_rng(seed)
+    operands = [_scaled(rng, 10.0 ** e) for e in op_exps]
+    x = _scaled(rng, 10.0 ** x_exp)
+    assert linalg.negligible(x, tol, *operands) == _written_negligible(
+        x, tol, *operands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(EXPONENTS, max_size=3), st.sampled_from([-1, 0, 1]),
+       TOLERANCES, SEEDS)
+def test_negligible_at_its_cutoff(op_exps, ulps, tol, seed):
+    rng = np.random.default_rng(seed)
+    operands = [_scaled(rng, 10.0 ** e) for e in op_exps]
+    cutoff = tol.eps_eq * max([1.0] + [10.0 ** e for e in op_exps])
+    size = cutoff if ulps == 0 else np.nextafter(cutoff, np.inf * ulps)
+    x = _scaled(rng, size)
+    got = linalg.negligible(x, tol, *operands)
+    assert got == _written_negligible(x, tol, *operands) == (ulps <= 0)
+
+
+def _asymmetric(rng, size, gap):
+    """A real-diagonal matrix of largest modulus ``size`` that is Hermitian
+    but for one entry, so that ``max |m - m*| == gap`` exactly."""
+    m = _scaled(rng, size, 4)
+    m = np.triu(m, 1) + np.triu(m, 1).conj().T + np.diag(np.diag(m).real)
+    m[0, 0] = size
+    m[2, 3], m[3, 2] = gap, 0.0
+    return m
+
+
+def _written_hermitian(m):
+    gap = np.abs(m - m.conj().T).max()
+    return not gap > linalg.HERMITIAN_RESIDUAL * max(1.0, np.abs(m).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPONENTS, st.floats(min_value=-3.0, max_value=3.0), SEEDS)
+def test_require_hermitian_is_the_written_rule(exp, gap_exp, seed):
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** exp
+    gap = linalg.HERMITIAN_RESIDUAL * max(1.0, size) * 10.0 ** gap_exp
+    m = _asymmetric(rng, size, gap)
+    try:
+        linalg.require_hermitian(m)
+        accepted = True
+    except NonHermitianInput:
+        accepted = False
+    assert accepted == _written_hermitian(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPONENTS, st.sampled_from([-1, 0, 1]), SEEDS)
+def test_require_hermitian_at_its_cutoff(exp, ulps, seed):
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** exp
+    cutoff = linalg.HERMITIAN_RESIDUAL * max(1.0, size)
+    gap = cutoff if ulps == 0 else np.nextafter(cutoff, np.inf * ulps)
+    m = _asymmetric(rng, size, gap)
+    assert _written_hermitian(m) == (ulps <= 0)
+    if ulps <= 0:
+        linalg.require_hermitian(m)
+    else:
+        with pytest.raises(NonHermitianInput):
+            linalg.require_hermitian(m)

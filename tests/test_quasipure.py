@@ -1080,3 +1080,17 @@ def test_strict_kernel_growth_at_a_witness():
     base_nullity = linalg.kernel_basis(apply(phi, np.eye(2))).shape[1]
     rest_nullity = linalg.kernel_basis(apply(rest, np.eye(2))).shape[1]
     assert rest_nullity > base_nullity
+
+
+def test_internal_consistency_checks_raise_input_not_reduced():
+    """Both internal raises of InputNotReduced, reached directly."""
+    # a zero column has no pivot to keep
+    with pytest.raises(InputNotReduced, match="row reduction lost a pivot"):
+        quasipure._reduce_rows([[(0, 0)], [(0, 0)]], [[(1, 0)], [(0, 0)]], 1)
+    # e_1 is cyclic for {I, sigma_x}: rank F(e_1) = 2 = k, no witness
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(InputNotReduced,
+                       match="candidate witness failed the rank window"):
+        quasipure._not_quasipure([np.eye(2, dtype=complex), sigma_x],
+                                 np.array([1, 0], dtype=complex),
+                                 quasipure.METHOD_NECESSARY, linalg.DEFAULT_TOL)
