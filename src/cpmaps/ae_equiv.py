@@ -48,7 +48,8 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .quasipure import QUASI_PURE, QuasiPurityVerdict, is_quasipure
-from .stinespring import _minimal_triple, cyclic_projection, map_from_dilation
+from .stinespring import (_minimal_triple, cyclic_projection,
+                          map_from_dilation, reducing_projection)
 
 __all__ = [
     "EquivalenceContext",
@@ -120,7 +121,8 @@ def support_projection(xi: CpMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     for k in factors:
         gram += k @ k.conj().T
     p = linalg.range_projection(gram, tol)
-    if not linalg.negligible(apply(xi, p) - xi.unit(), tol, xi.unit()):
+    unit = xi.unit()
+    if not linalg.negligible(apply(xi, p) - unit, tol, unit):
         raise NotCP("internal error: the support projection P fails "
                     "xi(P) = xi(I)")
     return p
@@ -146,10 +148,14 @@ def r_equivalent(phi: CpMap, psi: CpMap,
     """
     if (phi.d_in, phi.d_out) != (psi.d_in, psi.d_out):
         raise DimensionMismatch("maps act on different algebras")
-    p = _coerce_context(ctx).projection(tol)
+    return _equivalent(_coerce_context(ctx).projection(tol),
+                       phi.choi - psi.choi, phi, psi, tol)
+
+
+def _equivalent(p, diff, phi: CpMap, psi: CpMap, tol: Tolerance) -> bool:
+    """:func:`r_equivalent` against ``p``, given ``phi.choi - psi.choi``."""
     if p.shape != (phi.d_out, phi.d_out):
         raise DimensionMismatch("comparison operator has the wrong dimension")
-    diff = phi.choi - psi.choi
     masked = _times_blocks(diff, p, phi.d_in)
     return linalg.negligible(masked, tol, phi.choi, psi.choi)
 
@@ -170,18 +176,22 @@ def decompose_along(phi: CpMap, r,
                     tol: Tolerance = DEFAULT_TOL) -> DecompositionResult:
     """Decompose a CP map along an operator.
 
-    ``phi`` itself is a completion of its own partial data, so it seeds the
-    Stinespring-route minimal completion; the remainder is CP because the
-    compression is dominated by ``phi``.
+    ``phi`` itself completes its own data, so ``alpha`` compresses phi's own
+    minimal dilation to the subspace generated by ``V P_R``, with no partial
+    map built; the remainder is CP because ``alpha`` is dominated by ``phi``.
     """
     if not is_cp(phi, tol):
         raise NotCP("decomposition requires a completely positive map")
     r = linalg.as_matrix(r)
+    if r.shape != (phi.d_out, phi.d_out):
+        raise DimensionMismatch("R does not act on the codomain of phi")
     if phi.is_zero():
         zero = CpMap.zero(phi.d_in, phi.d_out)
         return DecompositionResult(alpha=zero, phi1=zero)
-    beta = PartialCpMap.from_map(phi, r)
-    alpha = minimal_cp_completion_stinespring(beta, phi, tol)
+    triple = _minimal_triple(phi, tol)
+    q = reducing_projection(triple, linalg.range_projection(r, tol), tol)
+    alpha = map_from_dilation(q @ triple.v, phi.d_in, phi.d_out,
+                              triple.multiplicity)
     return DecompositionResult(alpha=alpha, phi1=phi - alpha)
 
 
@@ -229,14 +239,14 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
     if not linalg.negligible(units[0] - units[1], tol, *units):
         raise HypothesisFailed("unit-values", "phi(I) != psi(I)")
 
-    if not r_equivalent(phi, psi, ctx, tol):
+    diff = phi.choi - psi.choi  # R-equivalence, equality and the deviation
+    if not _equivalent(ctx.projection(tol), diff, phi, psi, tol):
         raise HypothesisFailed("r-equivalence", "phi(X) R != psi(X) R")
 
     masked = _times_blocks(phi.choi, ctx.projection(tol), phi.d_in)
     if linalg.negligible(masked, tol, phi.choi):
         raise HypothesisFailed("vanishes-on-r", "phi(.) R is identically zero")
 
-    diff = phi.choi - psi.choi  # maps_close's difference, and the deviation
     status = (THEOREM_HOLDS if linalg.negligible(diff, tol, phi.choi, psi.choi)
               else COUNTEREXAMPLE_FOUND)
     deviation = linalg.max_abs(diff)
@@ -395,12 +405,13 @@ def counterexample_construct(phi: CpMap, witness,
                            phi.d_in, phi.d_out)
     psi_unit = psi.unit()
     r = np.outer(h0, h0.conj())
+    diff = phi.choi - psi.choi
     # final validation of the promised postconditions
     if (not is_cp(psi, tol)
             or not linalg.negligible(psi_unit - unit, tol, psi_unit, unit)
-            or not r_equivalent(phi, psi,
-                                EquivalenceContext.from_operator(r), tol)
-            or maps_close(phi, psi, tol)):
+            or not _equivalent(linalg.range_projection(r, tol), diff,
+                               phi, psi, tol)
+            or linalg.negligible(diff, tol, phi.choi, psi.choi)):
         return None
     return psi, r
 
@@ -421,7 +432,6 @@ def forced_equality_scan(phi: CpMap, r, *,
     completion differs from ``phi`` (distinct unit-matched completions
     may then exist).
     """
-    r = linalg.as_matrix(r)
     beta = PartialCpMap.from_map(phi, r)
     via_choi = minimal_cp_completion_choi(beta, tol)
     via_stine = minimal_cp_completion_stinespring(beta, phi, tol)

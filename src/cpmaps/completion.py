@@ -42,13 +42,14 @@ the eigenvectors of ``P``; ``from_blocks`` accepts the familiar compact
 ``[[A, C*], [C, *]]`` corner layout.
 
 Column form.  ``PartialCpMap`` stacks its blocks once into the known Choi
-column ``[beta(E_ij)]``; each route splits it once and decides once, from
-the smallest eigenvalue of ``A`` and the leak ``||C|_{ker A}||_2`` -- the
-two numbers a ``NotCompletable`` carries.  The leak is tested by its
-Frobenius norm first, an upper bound on the 2-norm: below the cutoff it
-settles the test with the same answer, and the 2-norm (an SVD) is taken
-only when it does not or ``A`` fails the PSD test, so a
-``NotCompletable`` still carries the exact number.
+column ``[beta(E_ij)]`` and factorizes ``R`` once, by its ideal check's SVD;
+each route splits the column once and decides once, from the smallest
+eigenvalue of ``A`` and the leak ``||C|_{ker A}||_2`` -- the two numbers a
+``NotCompletable`` carries.  The leak is tested by its Frobenius norm
+first, an upper bound on the 2-norm: below the cutoff it settles the test
+with the same answer, and the 2-norm (an SVD) is taken only when it does
+not or ``A`` fails the PSD test, so a ``NotCompletable`` still carries the
+exact number; ``cp_completable``, which carries none, stops at its verdict.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _compress(problem: BlockCompletionProblem) -> _Split:
 
 
 def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
-            exact: bool = False):
+            exact: bool = False, verdict: bool = False):
     """``(completable, min eigenvalue of A, leak, kept eigenpairs of A)``.
 
     ``A >= 0`` and ``ker A <= ker C`` are read at the data's own scale
@@ -185,7 +186,9 @@ def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
     eigenpairs it keeps are returned for ``A^+``.  Since ``||X||_2 <=
     ||X||_F``, a Frobenius norm the rule drops passes the leak test; then,
     unless ``exact`` is set, the leak returned is that Frobenius norm.
-    Otherwise it is the 2-norm.
+    Otherwise it is the 2-norm.  With ``verdict`` set only ``completable``
+    is returned, once known: after a failed PSD test, or when the rule keeps
+    half of ``||X||_F / sqrt(min(rows, cols)) <= ||X||_2``, no 2-norm.
     """
     w, v = np.linalg.eigh(a)
     min_eig = float(w[0]) if w.size else 0.0
@@ -195,14 +198,20 @@ def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
         min_eig = min(min_eig, 0.0)
     scale = max(linalg.max_abs(w), linalg.max_abs(c))
     psd = w.size == 0 or min_eig >= -linalg._psd_slack(w, tol, scale)
+    if verdict and not psd:
+        return False
     keep = linalg.kept(np.abs(w), tol, scale)
     null_leak = c @ v[:, ~keep]
     leak = float(np.linalg.norm(null_leak))
     if null_leak.size and (exact or not psd
                            or linalg.kept([leak], tol, scale)[0]):
+        if verdict and linalg.kept([leak / 2.0 / np.sqrt(min(null_leak.shape))],
+                                   tol, scale)[0]:
+            return False
         leak = float(np.linalg.norm(null_leak, ord=2))
     completable = psd and not linalg.kept([leak], tol, scale)[0]
-    return completable, min_eig, leak, (w[keep], v[:, keep])
+    return completable if verdict else (completable, min_eig, leak,
+                                        (w[keep], v[:, keep]))
 
 
 def _least_completion(split: _Split, tol: Tolerance) -> np.ndarray:
@@ -235,7 +244,7 @@ def block_completable(problem: BlockCompletionProblem,
     quadratic criterion ``C* C <= q A``.
     """
     split = _compress(problem)
-    return _decide(split.a, split.c, tol)[0]
+    return _decide(split.a, split.c, tol, verdict=True)
 
 
 def minimal_block_completion(problem: BlockCompletionProblem,
@@ -258,10 +267,10 @@ class PartialCpMap:
     """The data ``beta(X) = phi(X) R`` of an unknown CP map ``phi``.
 
     ``blocks[i][j]`` holds ``beta(E_ij)``; every block must lie in the
-    right ideal ``M_{d_out} . R`` (i.e. vanish against the orthocomplement
-    of ``ran R``), otherwise MalformedPartialMap is raised.  The blocks are
-    also kept stacked as the known Choi column ``[beta(E_ij)]``, which
-    equals ``Choi(phi) (I (x) R)``.
+    right ideal ``M_{d_out} . R`` (i.e. vanish on ``ker R``, the
+    orthocomplement of ``ran R*``), otherwise MalformedPartialMap is raised.
+    The blocks are also kept stacked as the known Choi column
+    ``[beta(E_ij)]``, which equals ``Choi(phi) (I (x) R)``.
     """
 
     d_in: int
@@ -269,6 +278,7 @@ class PartialCpMap:
     r: np.ndarray
     blocks: tuple
     _column: np.ndarray = field(init=False, repr=False)
+    _svd: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.d_out
@@ -287,7 +297,10 @@ class PartialCpMap:
             raise ValueError("matrix entries must be finite")
         column.reshape(self.d_in, d, self.d_in, d)[...] = stacked.swapaxes(1, 2)
         blocks = column.reshape(self.d_in, d, self.d_in, d).swapaxes(1, 2)
-        comp = np.eye(d, dtype=complex) - linalg.range_projection(r)
+        object.__setattr__(self, "_svd",
+                           np.linalg.svd(r, full_matrices=False))
+        _, _, vh, rank = self._ranked_svd(DEFAULT_TOL)
+        comp = np.eye(d, dtype=complex) - vh[:rank].conj().T @ vh[:rank]
         leaks = _times_blocks(column, comp, self.d_in).reshape(
             self.d_in, d, self.d_in, d).swapaxes(1, 2)
         if not linalg.negligible(leaks, DEFAULT_TOL, column):
@@ -305,8 +318,14 @@ class PartialCpMap:
         blocks = column.reshape(d1, d2, d1, d2).swapaxes(1, 2)
         return cls(d_in=d1, d_out=d2, r=r, blocks=blocks)
 
+    def _ranked_svd(self, tol: Tolerance):
+        """:func:`linalg.ranked_svd` of ``R``, from the SVD taken at build."""
+        u, s, vh = self._svd
+        return u, s, vh, int(np.count_nonzero(linalg.kept(s, tol)))
+
     def range_projection(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        return linalg.range_projection(self.r, tol)
+        u, _, _, rank = self._ranked_svd(tol)
+        return u[:, :rank] @ u[:, :rank].conj().T
 
     def evaluate(self, x) -> np.ndarray:
         """beta(X) by linearity from the unit blocks."""
@@ -354,7 +373,7 @@ def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> _Split:
     """
     d1, d2 = beta.d_in, beta.d_out
     n = d1 * d2
-    u, s, vh, r = linalg.ranked_svd(beta.r, tol)
+    u, s, vh, r = beta._ranked_svd(tol)
     known = _times_blocks(beta._column, vh[:r].conj().T / s[:r], d1)
     rotated = u.conj().T @ known.reshape(d1, d2, d1 * r)
     a = rotated[:, :r].reshape(d1 * r, d1 * r)
@@ -389,7 +408,7 @@ def cp_completable(beta: PartialCpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
         split = _split_blocks(beta, tol)
     except NotCompletable:
         return False
-    return _decide(split.a, split.c, tol)[0]
+    return _decide(split.a, split.c, tol, verdict=True)
 
 
 def minimal_cp_completion_choi(beta: PartialCpMap,

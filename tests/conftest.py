@@ -56,6 +56,13 @@ def random_projection(rng, n, rank):
     return q @ q.conj().T
 
 
+def random_non_normal(rng, n, rank):
+    """``R = G H*`` of the given rank, with ``ran R != ran R*``."""
+    g, h = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            for _ in range(2))
+    return g @ h.conj().T
+
+
 def random_unit(rng, n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
@@ -124,3 +131,15 @@ def count_linalg_calls(monkeypatch, names):
             return _original(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def record_norm_orders(monkeypatch):
+    """Record the ``ord`` of every call to ``numpy.linalg.norm``."""
+    orders = []
+    original = np.linalg.norm
+
+    def norm(x, ord=None, *args, **kwargs):
+        orders.append(ord)
+        return original(x, ord, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return orders

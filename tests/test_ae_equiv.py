@@ -7,6 +7,7 @@ import pytest
 
 from cpmaps import (
     CpMap,
+    PartialCpMap,
     DimensionMismatch,
     EquivalenceContext,
     HypothesisFailed,
@@ -22,6 +23,7 @@ from cpmaps import (
     is_cp,
     is_quasipure,
     maps_close,
+    minimal_cp_completion_stinespring,
     minimal_kraus,
     r_equivalent,
     rigidity_check,
@@ -38,7 +40,12 @@ from cpmaps.gallery import (
     transpose_map,
 )
 
-from conftest import counterexample_population, random_projection
+from conftest import (
+    counterexample_population,
+    random_non_normal,
+    random_projection,
+    random_psd,
+)
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -182,6 +189,51 @@ def test_decompose_flip_twirl_at_witness():
 def test_decompose_rejects_non_cp():
     with pytest.raises(NotCP):
         decompose_along(transpose_map(2), E11)
+    with pytest.raises(DimensionMismatch):
+        decompose_along(flip_twirl_map(), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        decompose_along(flip_twirl_map(), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        decompose_along(flip_twirl_map(), np.diag([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("kind", ["psd", "projection", "non-normal"])
+@pytest.mark.parametrize("form", ["kraus", "choi"])
+def test_decomposition_is_the_stinespring_completion_of_its_own_data(
+        form, kind):
+    rng = np.random.default_rng(90)
+    phi = random_cp_map(3, 4, 3, rng=rng)
+    if form == "choi":
+        phi = CpMap.from_choi(phi.choi, 3, 4)
+    r = {"psd": random_psd(rng, 4, rank=2),
+         "projection": random_projection(rng, 4, 2),
+         "non-normal": random_non_normal(rng, 4, 2)}[kind]
+    dec = decompose_along(phi, r)
+    want = minimal_cp_completion_stinespring(PartialCpMap.from_map(phi, r),
+                                             phi)
+    assert dec.alpha.choi.tobytes() == want.choi.tobytes()
+    assert ([k.tobytes() for k in dec.alpha.kraus]
+            == [k.tobytes() for k in want.kraus])
+    assert dec.phi1.choi.tobytes() == (phi - want).choi.tobytes()
+
+
+def test_decompose_along_a_non_normal_operator():
+    # phi(.) R used to be refused as partial data of phi itself
+    small = random_cp_map(3, 2, 2, seed=1)
+    assert r_equivalent(decompose_along(small, [[0, 1], [0, 0]]).alpha,
+                        small, [[0, 1], [0, 0]])
+    # with more factors than d_in the split is proper; only ran R matters
+    phi = random_cp_map(2, 3, 4, seed=1)
+    r = np.zeros((3, 3))
+    r[0, 2] = 1.0  # ran R = span(e_1), ran R* = span(e_3)
+    dec = decompose_along(phi, r)
+    zero = CpMap.zero(2, 3)
+    assert not maps_close(dec.phi1, zero)
+    assert r_equivalent(dec.alpha, phi, r)
+    assert r_equivalent(dec.phi1, zero, r)
+    assert is_cp(dec.phi1) and dominates(phi, dec.alpha)
+    assert maps_close(dec.alpha,
+                      decompose_along(phi, np.diag([1.0, 0.0, 0.0])).alpha)
 
 
 def test_decomposition_component_is_shared_by_equivalent_maps():
@@ -410,6 +462,10 @@ def test_forced_equality_scan():
     witness = is_quasipure(phi).witness
     r = np.outer(witness, witness.conj())
     assert not forced_equality_scan(phi, r)
+    # only ran R matters, so non-normal operators with those ranges agree
+    assert forced_equality_scan(flip_twirl_map(), np.array([[0, 1], [0, 0]]))
+    assert not forced_equality_scan(
+        phi, np.outer(witness, witness.conj() + [0.0, 0.0, 1.0]))
 
 
 def test_forced_equality_scan_draws_no_random_numbers(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from cpmaps import MalformedDocument, apply, maps_close, serialize
 from cpmaps.gallery import flip_twirl_map, random_cp_map
 
-from conftest import DATA, run_cli
+from conftest import DATA, random_non_normal, run_cli
 
 
 class SerializationTests(unittest.TestCase):
@@ -324,6 +324,23 @@ def test_complete_splits_and_decides_once(monkeypatch, capsys, beta_file,
     assert code == expected_code, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["completable"] == (code == 0)
     assert calls == {"_split_blocks": 1, "_decide": 1}
+
+
+def test_complete_accepts_a_non_normal_operator(tmp_path, capsys):
+    # phi(.) R for a rank-2 R with ran R != ran R* is valid partial data
+    from cpmaps import PartialCpMap, cli
+    rng = np.random.default_rng(5)
+    phi = random_cp_map(3, 4, 3, rng=rng)
+    r = random_non_normal(rng, 4, 2)
+    beta_path, r_path = tmp_path / "beta.json", tmp_path / "r.json"
+    beta_path.write_text(json.dumps(
+        serialize.encode_partial_map(PartialCpMap.from_map(phi, r))))
+    r_path.write_text(json.dumps({"matrix": serialize.encode_matrix(r)}))
+    code = cli.main(["complete", str(beta_path), str(r_path)])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads(capsys.readouterr().out)
+    assert report["completable"]
+    assert report["route_discrepancy"] < 1e-12
 
 
 def test_complete_reads_the_callers_eq_tolerance(tmp_path):

@@ -24,6 +24,7 @@ from cpmaps import (
     minimal_cp_completion_stinespring,
 )
 from cpmaps import linalg, serialize
+from cpmaps.completion import _decide, _split_blocks
 from cpmaps.gallery import (
     flip_twirl_map,
     identity_map,
@@ -35,8 +36,10 @@ from conftest import (
     DATA,
     count_linalg_calls,
     haar_unitary,
+    random_non_normal,
     random_projection,
     random_psd,
+    record_norm_orders,
 )
 from oracles import pseudo_inverse
 
@@ -196,6 +199,37 @@ def test_partial_map_rejects_leaky_blocks():
         PartialCpMap(d_in=1, d_out=2, r=E11, blocks=((bad,),))
 
 
+def test_partial_map_accepts_non_normal_r():
+    # phi(X) R vanishes on ker R = ran(R*)^perp, which for a non-normal R
+    # is not ran(R)^perp; both routes complete such data alike
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        phi = random_cp_map(3, 4, 3, rng=rng)
+        r = random_non_normal(rng, 4, 2)
+        beta = PartialCpMap.from_map(phi, r)
+        via_choi = minimal_cp_completion_choi(beta)
+        via_stine = minimal_cp_completion_stinespring(beta, phi)
+        assert maps_close(via_choi, via_stine)
+        assert np.abs(via_choi.choi - via_stine.choi).max() <= 1e-14 * max(
+            1.0, np.abs(phi.choi).max())
+        data = phi.choi @ np.kron(np.eye(3), r)
+        assert np.allclose(via_choi.choi @ np.kron(np.eye(3), r), data)
+        assert dominates(phi, via_choi)
+
+
+def test_partial_map_ideal_is_the_kernel_of_r():
+    # R = E_12: ran R = ker R = span(e_1), so M_2 . R holds the matrices
+    # with a zero first column.  E_12 = E_11 R lies there; E_11 does not,
+    # though it vanishes on the orthocomplement of ran R
+    r = np.array([[0.0, 1.0], [0.0, 0.0]])
+    e12 = r.astype(complex)
+    beta = PartialCpMap(d_in=1, d_out=2, r=r, blocks=((e12,),))
+    alpha = minimal_cp_completion_choi(beta)
+    assert np.allclose(apply(alpha, np.eye(1)) @ r, e12)
+    with pytest.raises(MalformedPartialMap, match=r"block \(0,0\)"):
+        PartialCpMap(d_in=1, d_out=2, r=r, blocks=((E11,),))
+
+
 def test_partial_map_validates_blocks_as_before():
     eye, big = np.eye(2), np.eye(3)
     r = np.eye(2)
@@ -315,19 +349,81 @@ def test_a_small_leak_is_passed_without_an_svd(monkeypatch):
     phi = random_cp_map(4, 6, 3, rng=rng)
     beta = PartialCpMap.from_map(phi, random_psd(rng, 6, rank=3))
     calls = count_linalg_calls(monkeypatch, ["svd"])
-    norms = []
-    original = np.linalg.norm
-
-    def norm(x, ord=None, *args, **kwargs):
-        norms.append(ord)
-        return original(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", norm)
+    norms = record_norm_orders(monkeypatch)
     assert cp_completable(beta)
-    # the one SVD is that of R; ker A (12 x 12, rank 3) leaks nothing, as
-    # its Frobenius norm shows without a 2-norm
-    assert calls == [("svd", (6, 6))]
+    # R's SVD was taken when beta was built; ker A (12 x 12, rank 3) leaks
+    # nothing, as its Frobenius norm shows without a 2-norm
+    assert calls == []
     assert norms == [None]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def _corner_data(a, c):
+    """Partial data with ``R = E_11`` whose known blocks are ``A = a`` and
+    ``C = c`` (``d_in = len(a)``, ``d_out = 2``)."""
+    d1 = len(a)
+    column = np.zeros((2 * d1, 2 * d1), dtype=complex)
+    column[0::2, 0::2] = a
+    column[1::2, 0::2] = c
+    blocks = column.reshape(d1, 2, d1, 2).swapaxes(1, 2)
+    return PartialCpMap(d_in=d1, d_out=2, r=E11, blocks=blocks)
+
+
+def _leak_cases():
+    """``(name, A, C)``: feasible, not PSD, leaking well past the cutoff,
+    and 2-norm leaks at once and twice the cutoff times ``1 -+ 1e-6`` on a
+    ``k``-dimensional ``ker A``: ``C`` there is ``size * [I_k; 0]``, whose
+    Frobenius norm ``sqrt(k) size`` settles neither test by itself."""
+    a = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    c = np.zeros((3, 3), dtype=complex)
+    c[:, 0] = [0.5, 0.25j, -0.125]
+    null = np.eye(3, 2, dtype=complex)
+    cases = [("feasible", a, c),
+             ("negative", np.diag([1.0, -0.5, 0.0]).astype(complex), c),
+             ("leak", a, c + np.hstack([np.zeros((3, 1)), 0.3 * null]))]
+    cutoff = linalg.DEFAULT_TOL.eps_rank
+    for k in (2, 8):
+        a = np.diag([1.0] + [0.0] * k).astype(complex)
+        null = np.eye(k + 1, k, dtype=complex)
+        for times in (1.0, 2.0):
+            for side in (-1e-6, 1e-6):
+                size = times * cutoff * (1.0 + side)
+                cases.append((f"k{k}-{times:g}x{side:+g}", a, np.hstack(
+                    [np.zeros((k + 1, 1)), size * null])))
+    return cases
+
+
+@pytest.mark.parametrize("name, a, c", _leak_cases(),
+                         ids=[case[0] for case in _leak_cases()])
+def test_cp_completable_is_the_exact_decision(monkeypatch, name, a, c):
+    tol = linalg.DEFAULT_TOL
+    beta = _corner_data(a, c)
+    split = _split_blocks(beta, tol)
+    want = _decide(split.a, split.c, tol, exact=True)[0]
+    assert want == (name == "feasible" or name.endswith("-1x-1e-06"))
+    calls = count_linalg_calls(monkeypatch, ["svd"])
+    norms = record_norm_orders(monkeypatch)
+    assert cp_completable(beta) == want
+    assert calls == []
+    # a failed PSD test reads no leak; a leak whose lower bound already
+    # fails takes no 2-norm
+    if name == "negative":
+        assert norms == []
+    if name in ("feasible", "leak") or name.endswith("-2x+1e-06"):
+        assert norms == [None]
+
+
+def test_r_is_factorized_once_per_partial_map(monkeypatch):
+    rng = np.random.default_rng(78)
+    phi = random_cp_map(3, 4, 3, rng=rng)
+    r = random_psd(rng, 4, rank=2)
+    calls = count_linalg_calls(monkeypatch, ["svd"])
+    beta = PartialCpMap.from_map(phi, r)
+    assert cp_completable(beta)
+    via_choi = minimal_cp_completion_choi(beta)
+    via_stine = minimal_cp_completion_stinespring(beta, phi)
+    assert maps_close(via_choi, via_stine)
+    assert [call for call in calls if call[1] == (4, 4)] == [("svd", (4, 4))]
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -542,10 +638,12 @@ def _compare_with_reference(p, a, c, hermitian, decide, complete, tol):
 
 
 def _comparison_operators(rng, d):
-    """R invertible, of rank 1, zero, and PSD but not a projection."""
+    """R invertible, of rank 1, zero, PSD but not a projection, and
+    rank-deficient and not normal."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     psd = random_psd(rng, d, rank=max(1, d - 1))
-    return [g, random_projection(rng, d, 1), np.zeros((d, d)), psd]
+    return [g, random_projection(rng, d, 1), np.zeros((d, d)), psd,
+            random_non_normal(rng, d, d - 1)]
 
 
 def _infeasible_choi(rng, choi, r, d1, d2, kind):
