@@ -48,8 +48,8 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .quasipure import QUASI_PURE, QuasiPurityVerdict, is_quasipure
-from .stinespring import (_minimal_triple, cyclic_projection,
-                          map_from_dilation, reducing_projection)
+from .stinespring import (cyclic_projection, map_from_dilation,
+                          minimal_stinespring, reducing_projection)
 
 __all__ = [
     "EquivalenceContext",
@@ -109,11 +109,9 @@ def support_projection(xi: CpMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     For Kraus factors ``K_j`` of ``xi`` this is the range projection of
     ``sum_j K_j K_j*``; its complement generates the null ideal
-    ``{X : xi(X* X) = 0} = M . (I - P)``.  Raises NotCP / ZeroMap on
-    inputs without a support.
+    ``{X : xi(X* X) = 0} = M . (I - P)``.  Raises ZeroMap on the zero map,
+    and NotCP, from :func:`minimal_kraus`, on a non-CP map.
     """
-    if not is_cp(xi, tol):
-        raise NotCP("support projections are defined for CP maps")
     if xi.is_zero():
         raise ZeroMap("the zero map has empty support")
     factors = minimal_kraus(xi, tol)
@@ -179,16 +177,15 @@ def decompose_along(phi: CpMap, r,
     ``phi`` itself completes its own data, so ``alpha`` compresses phi's own
     minimal dilation to the subspace generated by ``V P_R``, with no partial
     map built; the remainder is CP because ``alpha`` is dominated by ``phi``.
+    Raises NotCP, from :func:`minimal_stinespring`, on a non-CP ``phi``.
     """
-    if not is_cp(phi, tol):
-        raise NotCP("decomposition requires a completely positive map")
     r = linalg.as_matrix(r)
     if r.shape != (phi.d_out, phi.d_out):
         raise DimensionMismatch("R does not act on the codomain of phi")
     if phi.is_zero():
         zero = CpMap.zero(phi.d_in, phi.d_out)
         return DecompositionResult(alpha=zero, phi1=zero)
-    triple = _minimal_triple(phi, tol)
+    triple = minimal_stinespring(phi, tol)
     q = reducing_projection(triple, linalg.range_projection(r, tol), tol)
     alpha = map_from_dilation(q @ triple.v, phi.d_in, phi.d_out,
                               triple.multiplicity)
@@ -223,7 +220,8 @@ def rigidity_check(phi: CpMap, psi: CpMap, r,
     """
     if (phi.d_in, phi.d_out) != (psi.d_in, psi.d_out):
         raise DimensionMismatch("maps act on different algebras")
-    if not is_cp(phi, tol) or not is_cp(psi, tol):
+    # phi's complete positivity is decided by is_quasipure's factorization
+    if not is_cp(psi, tol):
         raise NotCP("rigidity concerns completely positive maps")
     ctx = _coerce_context(r)
 
@@ -322,11 +320,11 @@ def counterexample_construct(phi: CpMap, witness,
     :func:`maps_close`, or fails a postcondition.  Raises WitnessInvalid
     when ``phi(I) h0 = 0``, when the compression fails to annihilate the
     witness numerically, or when the map is provably quasi-pure (no
-    witness exists at all).  Every equality here is the package's one
-    rule, :func:`linalg.negligible`.
+    witness exists at all); the witness is checked before the map, whose
+    complete positivity the one factorization, :func:`minimal_stinespring`,
+    decides (NotCP).  Every equality here is the package's one rule,
+    :func:`linalg.negligible`.
     """
-    if not is_cp(phi, tol):
-        raise NotCP("counterexamples start from a completely positive map")
     h0 = np.asarray(witness, dtype=complex).reshape(-1)
     if h0.shape != (phi.d_out,):
         raise DimensionMismatch("witness has the wrong length")
@@ -338,8 +336,9 @@ def counterexample_construct(phi: CpMap, witness,
     if linalg.negligible(unit @ h0, tol, unit):
         raise WitnessInvalid("phi(I) annihilates the witness")
 
-    # one factorization: the triple's factors are minimal_kraus(phi)
-    triple = _minimal_triple(phi, tol)
+    # one factorization, which also decides that phi is CP: the triple's
+    # factors are minimal_kraus(phi)
+    triple = minimal_stinespring(phi, tol)
     factors = triple.kraus
     cols = np.column_stack([k @ h0 for k in factors])
     rank = linalg.numerical_rank(cols, tol)
@@ -397,8 +396,8 @@ def counterexample_construct(phi: CpMap, witness,
     swap = np.eye(rank_s) - np.outer(v, v.conj())
     z = s_inv_half @ swap @ s_half.conj().T
 
-    # psi's family: alpha's factors twisted by z, then the factors
-    # (q V)[j::k] of the kept part phi - alpha
+    # psi's family, so psi is CP by construction: alpha's factors twisted
+    # by z, then the factors (q V)[j::k] of the kept part phi - alpha
     kept, k = q @ triple.v, triple.multiplicity
     psi = CpMap.from_kraus([f @ z for f in alpha.kraus]
                            + [kept[j::k, :] for j in range(k)],
@@ -407,8 +406,7 @@ def counterexample_construct(phi: CpMap, witness,
     r = np.outer(h0, h0.conj())
     diff = phi.choi - psi.choi
     # final validation of the promised postconditions
-    if (not is_cp(psi, tol)
-            or not linalg.negligible(psi_unit - unit, tol, psi_unit, unit)
+    if (not linalg.negligible(psi_unit - unit, tol, psi_unit, unit)
             or not _equivalent(linalg.range_projection(r, tol), diff,
                                phi, psi, tol)
             or linalg.negligible(diff, tol, phi.choi, psi.choi)):

@@ -60,17 +60,18 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .cp_map import CpMap, is_cp
+from .cp_map import CpMap
 from .errors import (
     DimensionMismatch,
     MalformedPartialMap,
     NotCompletable,
-    NotPSD,
+    NotCP,
     RNotProjection,
     SeedNotACompletion,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .stinespring import _minimal_triple, map_from_dilation, reducing_projection
+from .stinespring import (map_from_dilation, minimal_stinespring,
+                          reducing_projection)
 
 __all__ = [
     "BlockCompletionProblem",
@@ -314,6 +315,8 @@ class PartialCpMap:
     def from_map(cls, phi: CpMap, r) -> "PartialCpMap":
         r = linalg.as_matrix(r)
         d1, d2 = phi.d_in, phi.d_out
+        if r.shape != (d2, d2):
+            raise DimensionMismatch(f"R has shape {r.shape}, expected {(d2, d2)}")
         column = _times_blocks(phi.choi, r, d1)
         blocks = column.reshape(d1, d2, d1, d2).swapaxes(1, 2)
         return cls(d_in=d1, d_out=d2, r=r, blocks=blocks)
@@ -424,16 +427,13 @@ def minimal_cp_completion_choi(beta: PartialCpMap,
 
 
 def _seed_completes(beta: PartialCpMap, seed: CpMap, tol: Tolerance) -> bool:
-    """Whether ``seed`` matches the data.
+    """Whether ``seed`` matches the data, complete positivity aside.
 
-    Complete positivity is tested here only for a seed that stores Kraus
-    factors (free when its Choi matrix was built from them); a seed given
-    by its Choi matrix alone is tested by the one eigendecomposition that
-    extracts its factors.
+    A seed given by Kraus factors is CP by construction; one given by its
+    Choi matrix is tested by the one eigendecomposition that extracts its
+    factors, in :func:`minimal_stinespring`.
     """
     if (seed.d_in, seed.d_out) != (beta.d_in, beta.d_out):
-        return False
-    if seed.kraus is not None and not is_cp(seed, tol):
         return False
     got = _times_blocks(seed.choi, beta.r, beta.d_in)
     return linalg.negligible(got - beta._column, tol, got, beta._column)
@@ -455,8 +455,8 @@ def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,
     if seed.is_zero():
         return CpMap.zero(beta.d_in, beta.d_out)
     try:
-        triple = _minimal_triple(seed, tol)
-    except NotPSD:
+        triple = minimal_stinespring(seed, tol)
+    except NotCP:
         raise SeedNotACompletion(message) from None
     p_r = beta.range_projection(tol)
     q = reducing_projection(triple, p_r, tol)

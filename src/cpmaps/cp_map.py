@@ -22,13 +22,13 @@ minimal Kraus family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotCP, NotPSD
+from .errors import DimensionMismatch, NotCP
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -70,51 +70,46 @@ def _canonical_phase(k: np.ndarray) -> np.ndarray:
 class CpMap:
     """A linear map ``M_{d_in} -> M_{d_out}`` with Hermitian Choi matrix.
 
-    Instances always carry a Choi matrix; Kraus factors are kept when the
-    map was built from them (or extracted on request).  Given only Kraus
-    factors, the constructor builds the Choi matrix from them, as one Gram
-    product (:func:`kraus_to_choi`); given both, it checks that they agree.
-    Each factor is coerced to a complex array and checked finite once, here
-    (:meth:`from_kraus` only reads the first one's shape).  Despite the
-    name, construction does not require complete positivity -- differences
-    of CP maps and other Hermiticity-preserving maps are legal values, and
-    :func:`is_cp` decides positivity.
+    A map is given either by Kraus factors or by its Choi matrix, never by
+    both (the constructor raises DimensionMismatch).  Given factors, each
+    is coerced to a complex array and checked finite once, here
+    (:meth:`from_kraus` only reads the first one's shape), and the Choi
+    matrix is formed from them as one Gram product (:func:`kraus_to_choi`),
+    so the map is CP by construction.  Given a Choi matrix, ``kraus`` stays
+    None.  Despite the name, construction does not require complete
+    positivity -- differences of CP maps and other Hermiticity-preserving
+    maps are legal values: :func:`is_cp` decides positivity, and
+    :func:`minimal_kraus` raises NotCP when asked for the factors of a
+    non-CP map.
     """
 
     d_in: int
     d_out: int
     choi: Optional[np.ndarray] = None
-    kraus: Optional[tuple] = field(default=None)
-    # True when the Choi matrix was assembled here from the stored factors
-    _choi_from_kraus: bool = field(default=False, init=False, repr=False)
+    kraus: Optional[tuple] = None
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
             raise DimensionMismatch("dimensions must be positive")
-        rebuilt = None
         if self.kraus is not None:
+            if self.choi is not None:
+                raise DimensionMismatch(
+                    "give Kraus factors or a Choi matrix, not both")
             # the one coercion and finite check of each factor
             ks = tuple(linalg.as_matrix(k) for k in self.kraus)
             object.__setattr__(self, "kraus", ks)
-            # _gram_choi also checks the factor shapes
-            rebuilt = _gram_choi(ks, self.d_in, self.d_out)
-        elif self.choi is None:
-            raise DimensionMismatch("a Choi matrix or Kraus factors are required")
-        if self.choi is None:
-            # exactly Hermitian and of shape (n, n) by construction
-            object.__setattr__(self, "_choi_from_kraus", True)
-            object.__setattr__(self, "choi", rebuilt)
+            # _gram_choi checks the factor shapes; its result is exactly
+            # Hermitian and of shape (n, n)
+            object.__setattr__(self, "choi",
+                               _gram_choi(ks, self.d_in, self.d_out))
             return
+        if self.choi is None:
+            raise DimensionMismatch("a Choi matrix or Kraus factors are required")
         n = self.d_in * self.d_out
         choi = linalg.require_hermitian(self.choi)
         if choi.shape != (n, n):
             raise DimensionMismatch(
                 f"Choi matrix has shape {choi.shape}, expected {(n, n)}"
-            )
-        if rebuilt is not None and not linalg.negligible(
-                rebuilt - choi, DEFAULT_TOL, rebuilt, choi):
-            raise DimensionMismatch(
-                "stored Kraus factors and Choi matrix disagree"
             )
         object.__setattr__(self, "choi", choi)
 
@@ -276,9 +271,9 @@ def choi_to_kraus(choi, d_in: int, d_out: int,
     are scaled
     by the square root of their eigenvalue and reshaped; the resulting
     factors are linearly independent, mutually orthogonal in the trace
-    inner product, and their number equals the Choi rank.  Raises NotPSD
-    when the Choi matrix fails :func:`linalg.psd_check`'s rule, read from
-    the same eigendecomposition.
+    inner product, and their number equals the Choi rank.  Raises NotCP,
+    a NotPSD, when the Choi matrix fails :func:`linalg.psd_check`'s rule,
+    read from the same eigendecomposition.
     """
     choi = linalg.require_hermitian(choi)
     n = d_in * d_out
@@ -288,7 +283,7 @@ def choi_to_kraus(choi, d_in: int, d_out: int,
         )
     w, u = np.linalg.eigh(choi)
     if w.size and w[0] < -linalg._psd_slack(w, tol):
-        raise NotPSD(f"Choi matrix has eigenvalue {w[0]:.3e}")
+        raise NotCP(f"Choi matrix has eigenvalue {w[0]:.3e}")
     keep = np.nonzero(linalg.kept(w, tol))[0]
     factors = []
     for idx in keep[::-1]:  # largest eigenvalue first
@@ -299,6 +294,11 @@ def choi_to_kraus(choi, d_in: int, d_out: int,
 
 def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
     """A minimal (linearly independent) Kraus family for a CP map.
+
+    This is where a caller that needs factors learns whether the map is
+    CP: stored factors make it CP, and a map given by its Choi matrix is
+    factorized by :func:`choi_to_kraus`, whose one eigendecomposition
+    raises NotCP (a NotPSD) on a non-CP map.
 
     If the map already stores a linearly independent Kraus family it is
     returned unchanged -- any independent family is a legitimate minimal
@@ -330,15 +330,15 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
 def is_cp(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the Choi matrix of ``phi`` is PSD within the tolerance.
 
-    A Choi matrix the map assembled from its own Kraus factors is the
-    Gram matrix ``sum_j v_j v_j*``, PSD by construction, so it is accepted
-    without an eigensolve.  A Choi matrix given as such, or one given
-    alongside factors, is tested on its smallest eigenvalue against
-    ``-eps_psd * max(1, max |lambda|)`` (:func:`linalg.psd_check`), the
-    rule :func:`choi_to_kraus` applies too: rounding scales with the
-    matrix, so the verdict holds at every scale.
+    A map given by Kraus factors is CP by construction, so it is accepted
+    without an eigensolve.  A map given by its Choi matrix is tested on
+    its smallest eigenvalue against ``-eps_psd * max(1, max |lambda|)``
+    (:func:`linalg.psd_check`), the rule :func:`choi_to_kraus` applies
+    too: rounding scales with the matrix, so the verdict holds at every
+    scale.  A caller that goes on to need the factors calls
+    :func:`minimal_kraus` alone, which decides the same question.
     """
-    return phi._choi_from_kraus or linalg.psd_check(phi.choi, tol)
+    return phi.kraus is not None or linalg.psd_check(phi.choi, tol)
 
 
 def choi_rank(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -409,11 +409,13 @@ def _eb_form(factors: list, d_in: int, d_out: int, tol: Tolerance):
 
 
 def classify(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> MapClass:
-    """Structural facts about a CP map; raises NotCP on a non-CP input."""
-    if not is_cp(phi, tol):
-        raise NotCP("classify requires a completely positive map")
-    rank = choi_rank(phi, tol)
+    """Structural facts about a CP map; raises NotCP on a non-CP input.
+
+    The one factorization, :func:`minimal_kraus`, decides complete
+    positivity, and its length is the Choi rank.
+    """
     factors = minimal_kraus(phi, tol)
+    rank = len(factors)
     # the operand I is the floor of the rule
     unital = linalg.negligible(phi.unit() - np.eye(phi.d_out), tol)
     eb = _eb_form(factors, phi.d_in, phi.d_out, tol)

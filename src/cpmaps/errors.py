@@ -4,7 +4,9 @@ Everything derives from :class:`ToolkitError` so callers can catch the whole
 family with one clause.  The names mirror the failure they report; only
 :class:`HypothesisFailed` (which hypothesis of the rigidity statement was
 violated) and :class:`NotCompletable` (the two numbers the feasibility
-decision rests on) carry state beyond the message.
+decision rests on) carry state beyond the message.  :class:`NotCP` is a
+:class:`NotPSD`: a map is CP iff its Choi matrix is PSD, so a caller that
+catches the matrix error also catches the map error.
 """
 
 
@@ -24,7 +26,7 @@ class NotPSD(ToolkitError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
 
-class NotCP(ToolkitError):
+class NotCP(NotPSD):
     """A map required to be completely positive has a non-PSD Choi matrix."""
 
 

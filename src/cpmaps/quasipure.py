@@ -88,12 +88,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .cp_map import CpMap, _canonical_phase, is_cp, minimal_kraus
-from .errors import (
-    InputNotReduced,
-    NotCP,
-    ZeroMap,
-)
+from .cp_map import CpMap, _canonical_phase, minimal_kraus
+from .errors import InputNotReduced, ZeroMap
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -503,6 +499,8 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     the ``N`` columns of its Sylvester-type matrix (reported as
     ``samples_used``); a budget below them gives ``Inconclusive``.  No step
     draws random numbers, so the verdict is a function of the input.
+    Raises ZeroMap for the zero map, and NotCP, from :func:`minimal_kraus`,
+    for a map given by a Choi matrix that is not PSD.
 
     Step 1 runs first, on the family the map holds, because an injective
     ``T`` makes every step before it a no-op.  Write ``r = sigma_min(T) /
@@ -528,8 +526,6 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     runs on the reduced family, which may be shorter.  When the family is
     not reduced, the rank of ``T`` is reused while the basis is ``I``.
     """
-    if not is_cp(phi, tol):
-        raise NotCP("quasi-purity is defined for completely positive maps")
     if phi.is_zero():
         raise ZeroMap("quasi-purity is undefined for the zero map")
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .cp_map import CpMap, is_cp, minimal_kraus
-from .errors import DimensionMismatch, NotCP, NotDominated, ZeroMap
+from .cp_map import CpMap, minimal_kraus
+from .errors import DimensionMismatch, NotDominated, ZeroMap
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -78,16 +78,11 @@ def _isometry_like(kraus, d_in: int, d_out: int) -> np.ndarray:
 def minimal_stinespring(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> StinespringTriple:
     """Minimal Stinespring triple of a nonzero CP map.
 
-    Raises NotCP for a non-CP input and ZeroMap for the zero map (which has
-    no dilation space to speak of).
+    The package's one dilation builder.  Raises ZeroMap for the zero map
+    (which has no dilation space to speak of), and NotCP for a non-CP
+    input from the one factorization, :func:`minimal_kraus`, that also
+    supplies the factors.
     """
-    if not is_cp(phi, tol):
-        raise NotCP("minimal_stinespring requires a completely positive map")
-    return _minimal_triple(phi, tol)
-
-
-def _minimal_triple(phi: CpMap, tol: Tolerance) -> StinespringTriple:
-    """:func:`minimal_stinespring` of a map already known to be CP."""
     if phi.is_zero():
         raise ZeroMap("the zero map has no minimal dilation")
     factors = minimal_kraus(phi, tol)

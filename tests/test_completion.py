@@ -18,6 +18,7 @@ from cpmaps import (
     block_completable,
     cp_completable,
     dominates,
+    forced_equality_scan,
     maps_close,
     minimal_block_completion,
     minimal_cp_completion_choi,
@@ -228,6 +229,15 @@ def test_partial_map_ideal_is_the_kernel_of_r():
     assert np.allclose(apply(alpha, np.eye(1)) @ r, e12)
     with pytest.raises(MalformedPartialMap, match=r"block \(0,0\)"):
         PartialCpMap(d_in=1, d_out=2, r=r, blocks=((E11,),))
+
+
+def test_partial_map_from_a_map_checks_the_shape_of_r():
+    # a 3 x 3 R against a map into M_4 is refused before any product
+    phi = random_cp_map(3, 4, 3)
+    with pytest.raises(DimensionMismatch, match=r"R has shape \(3, 3\)"):
+        PartialCpMap.from_map(phi, np.eye(3))
+    with pytest.raises(DimensionMismatch, match=r"R has shape \(3, 3\)"):
+        forced_equality_scan(phi, np.eye(3))
 
 
 def test_partial_map_validates_blocks_as_before():

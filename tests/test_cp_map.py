@@ -12,15 +12,20 @@ from cpmaps import (
     choi_rank,
     choi_to_kraus,
     classify,
+    counterexample_construct,
+    decompose_along,
     is_cp,
     is_quasipure,
     kraus_to_choi,
     maps_close,
     minimal_kraus,
+    minimal_stinespring,
+    support_projection,
 )
 from cpmaps.gallery import (
     SIGMA_X,
     conjugation_map,
+    diagonal_pair_map,
     flip_twirl_map,
     identity_map,
     random_cp_map,
@@ -28,7 +33,13 @@ from cpmaps.gallery import (
     transpose_map,
 )
 
-from conftest import random_kraus, random_map, random_psd, matrix_unit
+from conftest import (
+    count_linalg_calls,
+    matrix_unit,
+    random_kraus,
+    random_map,
+    random_psd,
+)
 
 
 IDENTITY_CHOI_2 = np.array(
@@ -416,6 +427,56 @@ def test_constructor_builds_or_cross_checks_choi_from_kraus():
         CpMap(d_in=2, d_out=3, choi=wrong, kraus=ks)
     with pytest.raises(DimensionMismatch):
         CpMap(d_in=2, d_out=3)
+
+
+def test_a_map_holds_kraus_factors_or_a_choi_matrix_not_both():
+    ks = random_kraus(np.random.default_rng(9), 2, 3, 2)
+    with pytest.raises(DimensionMismatch):
+        CpMap(d_in=2, d_out=3, kraus=ks, choi=kraus_to_choi(ks))
+    assert CpMap.from_choi(kraus_to_choi(ks), 2, 3).kraus is None
+
+
+#: every public function that factorizes a CP map, called on one map
+FACTORIZING = {
+    "minimal_kraus": minimal_kraus,
+    "minimal_stinespring": minimal_stinespring,
+    "classify": classify,
+    "is_quasipure": is_quasipure,
+    "support_projection": support_projection,
+    "decompose_along": lambda phi: decompose_along(
+        phi, np.diag(np.arange(phi.d_out, dtype=float))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZING))
+def test_the_factorization_decides_complete_positivity(name):
+    # transpose_map(2) is given by its Choi matrix, which has eigenvalue
+    # -1; a NotCP is a NotPSD
+    with pytest.raises(NotPSD) as caught:
+        FACTORIZING[name](transpose_map(2))
+    assert caught.type is NotCP
+
+
+@pytest.mark.parametrize("name", sorted(set(FACTORIZING) - {"minimal_kraus"}))
+def test_a_choi_given_map_is_factorized_by_one_eigensolve(name, monkeypatch):
+    phi = CpMap.from_choi(random_cp_map(3, 4, 3).choi, 3, 4)
+    calls = count_linalg_calls(monkeypatch, ["eigh", "eigvalsh", "svd"])
+    FACTORIZING[name](phi)
+    # the eigendecomposition that extracts the factors also decides that
+    # phi is CP: no separate eigvalsh
+    assert [c for c in calls if c[0] != "svd"] == [("eigh", (12, 12))]
+    if name == "classify":  # the rank is the number of factors
+        assert len([c for c in calls if c[0] == "svd"]) == 1
+
+
+def test_a_counterexample_from_a_choi_given_map_tests_it_once(monkeypatch):
+    phi = diagonal_pair_map()
+    given = CpMap.from_choi(phi.choi, 3, 3)
+    calls = count_linalg_calls(monkeypatch, ["eigvalsh"])
+    found = counterexample_construct(given, np.array([1.0, 0.0, 0.0]))
+    assert calls == []
+    assert found is not None
+
 
 def test_from_choi_stores_hermitian_cp_checked_lazily():
     # from_choi stores any Hermitian matrix; CP-ness is a separate query

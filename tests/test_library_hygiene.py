@@ -7,6 +7,8 @@ package but the standard library, numpy and ``cpmaps`` itself.  And no
 module outside ``linalg`` sets a threshold of its own or reads a
 ``Tolerance`` field, the CLI's flag plumbing aside: every equality, PSD
 and rank judgement reads the caller's ``Tolerance`` through ``linalg``.
+The private names one module imports from another are pinned, so a
+private twin of a public function shows up as a change to this file.
 """
 
 import ast
@@ -106,6 +108,29 @@ def foreign_imports(tree):
         found += [(node.lineno, name) for name in modules
                   if name.split(".")[0] not in ALLOWED_PACKAGES]
     return sorted(found)
+
+
+def private_imports(tree):
+    """``(line, "module._name")`` of each private name imported from a
+    ``cpmaps`` module, relatively or absolutely, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.split(".")[0] != "cpmaps":
+                continue
+            module = module.partition(".")[2]
+        found += [(node.lineno, f"{module}.{alias.name}")
+                  for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+#: ``(module, "home module._name")`` of each private name a library
+#: module imports from another
+PRIVATE_IMPORTS = {("ae_equiv.py", "completion._times_blocks"),
+                   ("quasipure.py", "cp_map._canonical_phase")}
 
 
 TOLERANCE_FIELDS = ("eps_rank", "eps_psd", "eps_eq")
@@ -229,6 +254,25 @@ def test_library_imports_only_the_standard_library_and_numpy(path):
     stray = [f"{path.name}:{line} {name}"
              for line, name in foreign_imports(parse(path))]
     assert stray == []
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    found = {(path.name, name) for path in LIBRARY
+             for _, name in private_imports(parse(path))}
+    assert found == PRIVATE_IMPORTS
+
+
+def test_the_private_import_scan_sees_what_it_looks_for():
+    # a private name from a sibling, relative or absolute, at the top
+    # level or inside a function, is flagged; public names, modules and
+    # private names of other packages are not
+    tree = ast.parse("from .stinespring import _twin, dominates\n"
+                     "from . import linalg\n"
+                     "from numpy.linalg import _umath_linalg\n"
+                     "def f():\n"
+                     "    from cpmaps.cp_map import _canonical_phase\n")
+    assert private_imports(tree) == [(1, "stinespring._twin"),
+                                     (5, "cp_map._canonical_phase")]
 
 
 def test_the_import_scan_sees_what_it_looks_for():
