@@ -262,11 +262,17 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap,
     the composition ``xi . phi`` must not vanish (checked on its Choi
     matrix); then delegates to :func:`rigidity_check` with the support
     projection.  ``xi`` may also be a reference-map context, whose
-    projection is then reused.
+    projection is then reused.  The projection is taken first: its one
+    factorization of ``xi`` decides the first gate.
     """
     ctx = _coerce_context(xi)
     xi = ctx.xi
-    if xi is None or not is_cp(xi, tol) or xi.is_zero():
+    if xi is not None:
+        try:
+            ctx.projection(tol)
+        except (NotCP, ZeroMap):
+            xi = None
+    if xi is None:
         raise HypothesisFailed("reference-map",
                                "the reference map must be CP and nonzero")
     if xi.d_in != phi.d_out:

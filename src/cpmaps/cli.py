@@ -129,17 +129,17 @@ def _cmd_analyze(args) -> int:
     tol = _tolerance(args)
     phi = decode_map(load_document(args.map_file))
     spectrum = [float(x) for x in np.linalg.eigvalsh(phi.choi)]
+    info = classify(phi, tol) if is_cp(phi, tol) else None
     report = {
         "command": "analyze",
         "tolerances": _tolerance_fields(tol),
         "d_in": phi.d_in,
         "d_out": phi.d_out,
-        "is_cp": bool(is_cp(phi, tol)),
-        "choi_rank": choi_rank(phi, tol),
+        "is_cp": info is not None,
+        "choi_rank": choi_rank(phi, tol) if info is None else info.choi_rank,
         "choi_spectrum": spectrum,
     }
-    if report["is_cp"]:
-        info = classify(phi, tol)
+    if info is not None:
         report["is_pure"] = info.is_pure
         report["is_unital"] = info.is_unital
         report["is_entanglement_breaking_quasipure_form"] = (

@@ -342,8 +342,16 @@ def is_cp(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def choi_rank(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank of the Choi matrix = minimal Kraus count."""
-    return linalg.numerical_rank(phi.choi, tol)
+    """Numerical rank of the Choi matrix.
+
+    For a CP map this is the minimal Kraus count, ``len(minimal_kraus(phi))``,
+    whose rank rule reads signed eigenvalues; a map that is not CP has no
+    Kraus family, and its rank counts the singular values the rule keeps.
+    """
+    try:
+        return len(minimal_kraus(phi, tol))
+    except NotCP:
+        return linalg.numerical_rank(phi.choi, tol)
 
 
 def maps_close(phi: CpMap, psi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -42,8 +42,7 @@ class InputNotReduced(ToolkitError):
     """An internal consistency check of the quasi-purity pipeline failed.
 
     Raised only when a step's own precondition breaks: a vector the
-    pipeline has shown to be a witness fails the rank window, or the exact
-    row reduction of an injective factor loses a pivot.
+    pipeline has shown to be a witness fails the rank window.
     """
 
 

@@ -32,13 +32,11 @@ operands are named, so ``dominates(c phi, c psi)`` is the same for every
 ``c > 0``; with the floor, a map below ``eps_psd`` would dominate one twice
 its size.  The rank rule has no floor.
 
-Five constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
-(how far from Hermitian an input may be before it is rejected),
-the quasi-purity polisher's stopping rules (iteration constants, not
-judgements), the ``2^12`` from which only integers are read as exact
-pencil entries and the ``2^53`` from which nothing is, every double there
-being an integer (the two reading rules), and the ``0.5`` that splits a
-splitting projection's eigenvalues (0 or 1) in :mod:`completion`.
+Three constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
+(how far from Hermitian an input may be before it is rejected), the
+quasi-purity polisher's stopping rules (iteration constants, not
+judgements), and the ``0.5`` that splits a splitting projection's
+eigenvalues (0 or 1) in :mod:`completion`.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex`` dtype.  The
 helpers here never mutate their inputs.

@@ -38,43 +38,38 @@ the steps below.  Then:
    ``M(c) = sum_i c_i M_i`` is injective for all ``c != 0``, with
    ``M_j = K_j`` (``M = P``) when ``k <= m`` and
    ``M_i = G_i = [K_1 e_i | ... | K_k e_i]`` (``M = F``) otherwise; a
-   dependency vector ``a`` gives the witness ``h = ker P(a)``.  For
-   ``n == 2`` the pencil ``z M_1 + M_2`` supplies the candidates ``c = (z,
-   1)`` and, over ``Z[i]``, a proof.  It needs ``M_1`` injective: on the
-   ``K`` side the short-factor test made it so; on the ``G`` side (``m ==
-   2 < k``) ``c = (1, 0)``, ``h = B e_1``, is tested first, and once it
-   fails ``G_1 = F(B e_1)`` is injective (the ``G_i`` have no common
-   kernel, as ``sum_j a_j K_j B = 0`` forces ``a = 0``).  With ``Q M_1 =
-   [I; 0]`` and ``Q M_2 = [-N; C]``, ``(z M_1 + M_2) v = 0`` reads ``N v =
-   z v`` and ``C v = 0``; an ``N``-invariant subspace of ``ker C`` holds
-   an eigenvector, and the largest is ``ker [C; CN; CN^2; ...]``, so the
-   pencil is injective iff that has full column rank (Hautus/Kalman
-   observability).  Only a proof is exact: for Gaussian-rational input
-   with every part below ``2^53`` that rank is taken over ``Z[i]``.  Every
-   candidate point is a floating-point eigenvalue of ``-M_1^+ M_2`` at
-   which the pencil is singular by the rank rule; the points prove
-   nothing, and when none gives a witness step 3 decides.
-3. Otherwise, and behind a pencil not proved injective, the first
-   candidate is the chart centre ``e_i`` of ``CP^{n-1}`` with the lowest
-   ``sigma_p(M_i)`` (``p`` columns): ``n`` cells, against the ``N`` of
-   ``S``.  The bidegree-``(1, k)`` Sylvester-type matrix ``S`` of ``T (a
-   (x) h) = 0`` (Sturmfels & Zelevinsky, J. Algebra 163, 1994) has a row
-   per row ``r`` of ``T`` and monomial ``h^g``, ``|g| = k-1``, a column
-   per monomial ``a_j h^b``, ``|b| = k`` (``N = k C(m+k-1, k)``), and
-   ``T[r, (j, l)]`` at row ``(r, g)``, column ``(j, g + e_l)``.  A
-   witness's zero ``(a, h)`` gives the kernel vector ``(a_j h^b) != 0``,
-   so full column rank proves ``QuasiPure`` by step 1's Weyl margin: ``S``
-   copies the entries of ``T``.  Otherwise each kernel vector, in SVD
-   order, is read (``h_l`` from ``a_j h_l0^(k-1) h_l`` at its largest
-   ``a_j h_l0^k``) as a candidate; none passing, or a budget below ``n +
-   N``, gives ``Inconclusive``.
+   dependency vector ``a`` gives the witness ``h = ker P(a)``.  This step
+   only supplies candidates, and proves nothing.  For ``n == 2`` they are
+   the points ``c = (z, 1)`` of the pencil ``z M_1 + M_2``: the
+   floating-point eigenvalues of ``-M_1^+ M_2`` at which the pencil is
+   singular by the rank rule.  That needs ``M_1`` injective: on the ``K``
+   side the short-factor test made it so; on the ``G`` side (``m == 2 <
+   k``) ``c = (1, 0)``, ``h = B e_1``, is tested first, and once it fails
+   ``G_1 = F(B e_1)`` is injective (the ``G_i`` have no common kernel, as
+   ``sum_j a_j K_j B = 0`` forces ``a = 0``).  Both chart centres of
+   ``CP^1`` are then covered, ``c = (0, 1)`` being the point ``z = 0``.
+   For ``n > 2`` the one candidate is the chart centre ``e_i`` of
+   ``CP^{n-1}`` with the lowest ``sigma_p(M_i)`` (``p`` columns): ``n``
+   cells, against the ``N`` of ``S``.
+3. The bidegree-``(1, k)`` Sylvester-type matrix ``S`` of ``T (a (x) h)
+   = 0`` (Sturmfels & Zelevinsky, J. Algebra 163, 1994) decides every map
+   that no candidate of step 2 settles.  It has a row per row ``r`` of
+   ``T`` and monomial ``h^g``, ``|g| = k-1``, a column per monomial ``a_j
+   h^b``, ``|b| = k`` (``N = k C(m+k-1, k)``), and ``T[r, (j, l)]`` at row
+   ``(r, g)``, column ``(j, g + e_l)``.  A witness's zero ``(a, h)`` gives
+   the kernel vector ``(a_j h^b) != 0``, so full column rank proves
+   ``QuasiPure`` by step 1's Weyl margin: ``S`` copies the entries of
+   ``T``.  Otherwise each kernel vector, in SVD order, is read (``h_l``
+   from ``a_j h_l0^(k-1) h_l`` at its largest ``a_j h_l0^k``) as a
+   candidate; none passing, or a budget below the cells of steps 2 and 3
+   (``N``, plus ``n`` for ``n > 2``), gives ``Inconclusive``.
 
 Every candidate becomes a witness in one place, :func:`_candidate_verdict`:
 its direction, :func:`_refine_candidate`, ``B h`` and the rank window.
 
-Tags: ``Pure``, ``NecessaryConditionViolated``, ``ExactPencil`` (steps 1
-and 2), ``SylvesterMatrix`` (step 3); each ``QuasiPure`` is proof-grade,
-each witness re-verified.
+Tags: ``Pure``, ``NecessaryConditionViolated``, ``ExactPencil`` (step 1
+and the pencil of step 2), ``SylvesterMatrix`` (step 2's chart centre and
+step 3); each ``QuasiPure`` is proof-grade, each witness re-verified.
 """
 
 from __future__ import annotations
@@ -82,7 +77,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -123,8 +117,8 @@ class QuasiPurityVerdict:
 
     ``witness`` is present exactly when ``status == NotQuasiPure`` and is a
     unit vector with ``0 < rank F(witness) < k``.  ``samples_used`` counts
-    the cells step 3 spent: its ``n`` chart centres, then the ``N`` columns
-    of the Sylvester-type matrix once it is built.
+    the cells spent: the ``n`` chart centres of step 2 when ``n > 2``, then
+    the ``N`` columns of the Sylvester-type matrix once it is built.
     """
 
     status: str
@@ -226,155 +220,17 @@ def _short_factor_verdict(factors, stack, basis,
 # the k = 2 pencil
 
 
-def _rationalize(x: float) -> Optional[Fraction]:
-    """Recognize a float as a small rational (exact round-trip), else None.
-
-    A non-integer is read only below ``2^12`` in absolute value: above it
-    doubles are spaced wider than the rationals ``p/q``, ``q <= 10^6``
-    (about ``1e-12`` apart), and would round-trip through one by chance.
-    Nothing is read from ``2^53`` up: every double there is an integer, so
-    being one says nothing about whether the entry was rounded.
-    """
-    if not abs(x) < 2 ** 53 or (abs(x) >= 2 ** 12 and not x.is_integer()):
-        return None
-    fr = Fraction(x).limit_denominator(10 ** 6)
-    return fr if float(fr) == x else None
-
-
-def _gaussian_integer_pencil(mats):
-    """The matrices times one common denominator, or None.
-
-    Each comes back as rows of Gaussian integers ``(re, im)``; None when
-    some entry is not a Gaussian rational, or some real or imaginary part
-    is not below ``2^53`` in size (see :func:`_rationalize`).  A common
-    scale leaves the singular points of the pencil where they were.
-    Integer-valued input, the common case, is read by one vectorised test
-    and ``int``, with no :class:`Fraction`; any other entry sends the whole
-    input through :func:`_rationalize` and the least common denominator.
-    """
-    mats = np.array(mats, dtype=complex)
-    parts = mats.view(float).ravel()  # re, im, re, im, ...
-    if not (np.abs(parts) < 2.0 ** 53).all():
-        return None
-    if (parts == np.round(parts)).all():
-        values = [int(x) for x in parts.tolist()]
-    else:
-        fractions = []
-        for x in parts.tolist():
-            fr = _rationalize(x)
-            if fr is None:
-                return None
-            fractions.append(fr)
-        common = math.lcm(*(x.denominator for x in fractions))
-        values = [x.numerator * (common // x.denominator) for x in fractions]
-    entries = list(zip(values[0::2], values[1::2]))
-    n, d, m = mats.shape
-    return [[entries[(i * d + r) * m:(i * d + r + 1) * m] for r in range(d)]
-            for i in range(n)]
-
-
-def _matmul(a, b):
-    """The product of two matrices of Gaussian integers (lists of rows)."""
-    cols = list(zip(*b))
-    return [[(sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)),
-              sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(row, col)))
-             for col in cols] for row in a]
-
-
-def _primitive(vec):
-    """``vec`` divided by the gcd of its integers."""
-    g = math.gcd(*(x for z in vec for x in z))
-    return vec if g <= 1 else [(re // g, im // g) for re, im in vec]
-
-
-def _echelon(rows, width: int):
-    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss).
-
-    Eliminates on the first ``width`` columns of ``rows`` (Gaussian
-    integers).  Each step cross-multiplies every other row with the pivot
-    row and divides it exactly by the previous pivot, so every entry stays
-    a minor of the input.  Returns ``(pivots, d, rows)``: the pivot columns
-    in order, the last pivot ``d``, and rows spanning the same space, the
-    first ``len(pivots)`` of which read ``d`` at their own pivot and zero
-    at the others, the rest zero on the first ``width`` columns.
-    """
-    rows = [list(row) for row in rows]
-    pivots, prev = [], (1, 0)
-    for col in range(width):
-        top = len(pivots)
-        src = next((i for i in range(top, len(rows))
-                    if rows[i][col] != (0, 0)), None)
-        if src is None:
-            continue
-        rows[top], rows[src] = rows[src], rows[top]
-        (pr, pi), pivot_row = rows[top][col], rows[top]
-        # the exact division by prev: times conj(prev), over |prev|^2
-        (qr, qi), norm = prev, prev[0] ** 2 + prev[1] ** 2
-        for i, row in enumerate(rows):
-            if i == top:
-                continue
-            er, ei = row[col]
-            new = []
-            for (xr, xi), (yr, yi) in zip(row, pivot_row):
-                ar = pr * xr - pi * xi - er * yr + ei * yi
-                ai = pr * xi + pi * xr - er * yi - ei * yr
-                new.append(((ar * qr + ai * qi) // norm,
-                            (ai * qr - ar * qi) // norm))
-            rows[i] = new
-        pivots.append(col)
-        prev = (pr, pi)
-    return pivots, prev, rows
-
-
-def _reduce_rows(a, b, r: int):
-    """Row-reduce ``[a | b]`` over Z[i] for ``a`` of full column rank ``r``.
-
-    Some invertible ``Q`` gives ``Q a = [d I_r; 0]`` for a nonzero Gaussian
-    integer ``d``; returns the two blocks of ``Q b`` (its first ``r`` rows,
-    then the rest).
-    """
-    pivots, _, rows = _echelon([x + y for x, y in zip(a, b)], r)
-    if pivots != list(range(r)):
-        raise InputNotReduced("internal error: row reduction lost a pivot")
-    return [row[r:] for row in rows[:r]], [row[r:] for row in rows[r:]]
-
-
-def _exact_injective(k1, k2) -> bool:
-    """Whether ``z K_1 + K_2`` is injective for every ``z``, over Z[i].
-
-    ``K_1`` and ``K_2`` are matrices of Gaussian integers and ``K_1`` must
-    be injective.  With ``Q K_1 = [d I_m; 0]`` and ``Q K_2 = [N; B]`` a
-    singular point is an eigenvalue of ``-N / d`` with an eigenvector in
-    ``ker B``, and there is none iff ``[B; BN; ...; BN^{m-1}]`` has full
-    column rank.
-    """
-    m = len(k1[0])
-    n, block = _reduce_rows(k1, k2, m)
-    rows = list(block)
-    for _ in range(m - 1):
-        block = [_primitive(row) for row in _matmul(block, n)]
-        rows += block
-    return len(_echelon(rows, m)[0]) == m
-
-
 def _singular_points(m1, m2, tol: Tolerance):
     """The singular points ``z`` of ``z M_1 + M_2``, for an injective ``M_1``.
 
-    Returns ``(proved, points)``.  ``proved`` holds, with no point, when
-    every entry is a Gaussian rational with both parts below ``2^53`` (see
-    :func:`_gaussian_integer_pencil`; the common denominator moves no
-    point) and :func:`_exact_injective` proves the pencil injective for
-    every ``(z, 1)``, ``z = 0`` included.  Otherwise the points are the
-    eigenvalues of ``-M_1^+ M_2`` at which ``z M_1 + M_2`` is singular by
-    the rank rule on its Gram matrix, that is on ``sigma^2`` (one batched
-    SVD), ordered by ``(real, imag)``; they prove nothing.  The square
-    keeps a double point: the eigensolve finds it only to about the square
-    root of the unit roundoff, where ``sigma_min / sigma_max`` is near
-    ``1e-8``, while the other eigenvalues sit at ratios of order one.
+    They are the eigenvalues of ``-M_1^+ M_2`` at which ``z M_1 + M_2`` is
+    singular by the rank rule on its Gram matrix, that is on ``sigma^2``
+    (one batched SVD), ordered by ``(real, imag)``; they are candidates and
+    prove nothing.  The square keeps a double point: the eigensolve finds
+    it only to about the square root of the unit roundoff, where
+    ``sigma_min / sigma_max`` is near ``1e-8``, while the other eigenvalues
+    sit at ratios of order one.
     """
-    exact = _gaussian_integer_pencil([m1, m2])
-    if exact is not None and _exact_injective(*exact):
-        return True, []
     x = -np.linalg.lstsq(m1, m2, rcond=None)[0]
     # a real matrix is solved in real arithmetic, whose real eigenvalues
     # come out exactly where the complex solver's may not (the flip twirl's
@@ -383,8 +239,7 @@ def _singular_points(m1, m2, tol: Tolerance):
     points = np.linalg.eigvals(x if x.imag.any() else x.real).astype(complex)
     sigma = np.linalg.svd(points[:, None, None] * m1 + m2, compute_uv=False)
     points = points[~linalg.kept(sigma * sigma, tol)[:, -1]]
-    return False, sorted(points, key=lambda z: (round(z.real, 12),
-                                                round(z.imag, 12)))
+    return sorted(points, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,25 +297,15 @@ def _candidate_verdict(factors, stack, basis, vec, dependency: bool,
     return _witness_verdict(factors, basis @ h, method, tol, samples)
 
 
-def _sylvester_step(factors, stack, basis, side, dependency: bool,
-                    budget: int, tol: Tolerance) -> QuasiPurityVerdict:
-    """Step 3 of the module docstring on ``side``, the ``n`` stacked
-    ``M_i``, whose chart centres are dependency vectors if ``dependency``."""
-    n = side.shape[0]
+def _sylvester_step(factors, stack, basis, spent: int, budget: int,
+                    tol: Tolerance) -> QuasiPurityVerdict:
+    """Step 3 of the module docstring, after the ``spent`` cells of step 2."""
     k, d, m = stack.shape
-    if n > budget:
-        return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER)
-    sigma = np.linalg.svd(side, compute_uv=False)[:, -1]
-    lowest = np.eye(n, dtype=complex)[np.argmin(sigma)]
-    verdict = _candidate_verdict(factors, stack, basis, lowest, dependency,
-                                 METHOD_SYLVESTER, tol, samples=n)
-    if verdict is not None:
-        return verdict
     width = math.comb(m + k - 1, k)  # the monomials h^b, |b| = k
-    cells = n + k * width
+    cells = spent + k * width
     if cells > budget:
         return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER,
-                                  samples_used=n)
+                                  samples_used=spent)
     # the exponents g of the rows; h^(g + e_l) is column columns[g, l]
     picks = itertools.combinations_with_replacement(range(m), k - 1)
     rows = (np.array(list(picks))[:, :, None] == np.arange(m)).sum(axis=1)
@@ -495,12 +340,13 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
                  budget: int = 2000) -> QuasiPurityVerdict:
     """Decide quasi-purity of a nonzero CP map.
 
-    ``budget`` caps the cells step 3 may spend, ``n`` chart centres and
-    the ``N`` columns of its Sylvester-type matrix (reported as
-    ``samples_used``); a budget below them gives ``Inconclusive``.  No step
-    draws random numbers, so the verdict is a function of the input.
-    Raises ZeroMap for the zero map, and NotCP, from :func:`minimal_kraus`,
-    for a map given by a Choi matrix that is not PSD.
+    ``budget`` caps the cells steps 2 and 3 may spend, the ``n`` chart
+    centres when ``n > 2`` and the ``N`` columns of the Sylvester-type
+    matrix (reported as ``samples_used``); a budget below them gives
+    ``Inconclusive``.  No step draws random numbers, so the verdict is a
+    function of the input.  Raises ZeroMap for the zero map, and NotCP,
+    from :func:`minimal_kraus`, for a map given by a Choi matrix that is
+    not PSD.
 
     Step 1 runs first, on the family the map holds, because an injective
     ``T`` makes every step before it a no-op.  Write ``r = sigma_min(T) /
@@ -573,26 +419,37 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     if m == 1:  # the flattening is F(h) for the only direction h
         return _not_quasipure(factors, basis[:, 0], METHOD_EXACT_PENCIL, tol)
 
-    # the smaller mode: M(a) = sum_j a_j K_j, or M(h) = sum_i h_i G_i
+    # step 2, candidates in the smaller mode: M(a) = sum_j a_j K_j, or
+    # M(h) = sum_i h_i G_i
     over_a = k <= m
     side = stack if over_a else stack.transpose(2, 1, 0)
-    if min(k, m) == 2:
-        # step 2: the point c = (1, 0), then those of the pencil z M_1 + M_2;
-        # on the K side the short-factor test covered c = (1, 0)
+    n = side.shape[0]
+    if n == 2:
+        # the point c = (1, 0), then those of the pencil z M_1 + M_2, where
+        # z = 0 is c = (0, 1); on the K side the short-factor test covered
+        # c = (1, 0)
         if not over_a:
             verdict = _witness_verdict(factors, basis[:, 0],
                                        METHOD_EXACT_PENCIL, tol)
             if verdict is not None:
                 return verdict
-        proved, points = _singular_points(side[0], side[1], tol)
-        if proved:
-            return QuasiPurityVerdict(status=QUASI_PURE,
-                                      method=METHOD_EXACT_PENCIL)
-        for z in points:
+        for z in _singular_points(side[0], side[1], tol):
             verdict = _candidate_verdict(factors, stack, basis,
                                          np.array([z, 1.0]), over_a,
                                          METHOD_EXACT_PENCIL, tol)
             if verdict is not None:
                 return verdict
-    # step 3 (and the proof behind a floating-point pencil)
-    return _sylvester_step(factors, stack, basis, side, over_a, budget, tol)
+        spent = 0
+    elif n > budget:
+        return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER)
+    else:
+        # the chart centre e_i of CP^{n-1} with the lowest sigma_p(M_i)
+        sigma = np.linalg.svd(side, compute_uv=False)[:, -1]
+        lowest = np.eye(n, dtype=complex)[np.argmin(sigma)]
+        verdict = _candidate_verdict(factors, stack, basis, lowest, over_a,
+                                     METHOD_SYLVESTER, tol, samples=n)
+        if verdict is not None:
+            return verdict
+        spent = n
+    # step 3: the proof, or the candidates, of the Sylvester-type matrix
+    return _sylvester_step(factors, stack, basis, spent, budget, tol)

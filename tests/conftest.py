@@ -79,7 +79,7 @@ def matrix_unit(n, i, j):
     return e
 
 
-def polynomial_factors(rng, d_in, m, k):
+def polynomial_factors(rng, d_in, m, k, draw=haar_unitary):
     """Factors ``K_j = A (sum_l C_jl S_l) B`` of a quasi-pure map.
 
     ``S_l`` sends the coefficients of ``h(x)`` (degree < m) to those of
@@ -87,9 +87,9 @@ def polynomial_factors(rng, d_in, m, k):
     ``sum_j a_j K_j h = A ((C^T a)(x) (B h)(x))``, a product of nonzero
     polynomials for invertible ``A``, ``B``, ``C``, so no ``a (x) h != 0``
     is sent to zero, while ``rank [K_1 | ... | K_k] = k + m - 1 < k m``.
-    ``A``, ``B``, ``C`` are Haar unitaries.
+    ``A``, ``B``, ``C`` are ``draw(rng, n)``: Haar unitaries by default.
     """
-    a, b, c = (haar_unitary(rng, n) for n in (d_in, m, k))
+    a, b, c = (draw(rng, n) for n in (d_in, m, k))
     shifts = [np.eye(d_in, m, -l) for l in range(k)]
     return [a @ sum(c[j, l] * shifts[l] for l in range(k)) @ b
             for j in range(k)]

@@ -41,6 +41,7 @@ from cpmaps.gallery import (
 )
 
 from conftest import (
+    count_linalg_calls,
     counterexample_population,
     random_non_normal,
     random_projection,
@@ -326,6 +327,26 @@ def test_ae_equal_rigidity_gates():
     assert info.value.hypothesis == "vanishes-on-r"
     with pytest.raises(DimensionMismatch):
         ae_equal_rigidity(eb, identity_map(3), state_map([1.0, 0.0]))
+
+
+def test_ae_equal_rigidity_factorizes_a_choi_given_reference_once(
+        monkeypatch):
+    # the support projection's eigh decides that xi is CP and nonzero: no
+    # separate eigvalsh of the same 6 x 6 Choi matrix
+    phi = random_cp_map(6, 3, 2, seed=4)
+    xi = CpMap.from_choi(random_cp_map(3, 2, 2).choi, 3, 2)
+    calls = count_linalg_calls(monkeypatch, ["eigh", "eigvalsh"])
+    verdict = ae_equal_rigidity(phi, phi, xi)
+    assert verdict.status == "TheoremHolds"
+    assert [c for c in calls if c[1] == (6, 6)] == [("eigh", (6, 6))]
+    monkeypatch.undo()
+    # a non-CP or zero reference map, or none, still fails the first gate
+    eb = trace_state_map(np.diag([1.0, 2.0]) / 3.0, np.array([1.0, 0.0]))
+    for bad in (transpose_map(2), CpMap.zero(2, 2),
+                EquivalenceContext.from_operator(E11)):
+        with pytest.raises(HypothesisFailed) as info:
+            ae_equal_rigidity(eb, eb, bad)
+        assert info.value.hypothesis == "reference-map"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import unittest
 import numpy as np
 import pytest
 
-from cpmaps import MalformedDocument, apply, maps_close, serialize
+from cpmaps import CpMap, MalformedDocument, apply, maps_close, serialize
 from cpmaps.gallery import flip_twirl_map, random_cp_map
 
 from conftest import DATA, random_non_normal, run_cli
@@ -74,6 +74,21 @@ class ExitCodeTests(unittest.TestCase):
         self.assertTrue(report["is_cp"])
         self.assertEqual(report["choi_rank"], 2)
         self.assertTrue(report["is_entanglement_breaking_quasipure_form"])
+
+    def test_analyze_reports_the_rank_of_the_minimal_family(self):
+        # a rounding eigenvalue -5e-11 inside the PSD slack: one minimal
+        # factor, so Choi rank 1 beside is_pure
+        phi = CpMap.from_choi(np.diag([1e-3, -5e-11, 0, 0]), 2, 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/rounded.json"
+            with open(path, "w") as fh:
+                json.dump(serialize.encode_map(phi), fh)
+            code, out, err = run_cli("analyze", path)
+        self.assertEqual(code, 0, err)
+        report = json.loads(out)
+        self.assertTrue(report["is_cp"])
+        self.assertEqual(report["choi_rank"], 1)
+        self.assertTrue(report["is_pure"])
 
     def test_analyze_non_cp_map_still_succeeds(self):
         code, out, err = run_cli("analyze", "transpose_map.json")

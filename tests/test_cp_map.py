@@ -333,6 +333,19 @@ def test_choi_rank():
     assert choi_rank(phi) == 4
 
 
+def test_choi_rank_counts_the_minimal_factors_of_a_cp_map():
+    # -5e-11 is within the PSD slack, so the map is CP, and below the rank
+    # rule's cut on signed eigenvalues: one minimal factor, and Choi rank 1,
+    # where the singular values (|lambda|) would count 2
+    phi = CpMap.from_choi(np.diag([1e-3, -5e-11, 0, 0]), 2, 2)
+    assert is_cp(phi)
+    assert choi_rank(phi) == len(minimal_kraus(phi)) == classify(phi).choi_rank
+    assert choi_rank(phi) == 1
+    # a map that is not CP has no Kraus family: its singular values count
+    assert not is_cp(transpose_map(2))
+    assert choi_rank(transpose_map(2)) == 4
+
+
 def test_from_action_matches_direct_construction():
     phi = CpMap.from_action(lambda x: x.T, d_in=2, d_out=2)
     assert np.allclose(phi.choi, transpose_map(2).choi)

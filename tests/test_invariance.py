@@ -7,15 +7,18 @@ the factors ``U K_j V`` for unitaries ``U`` and ``V``, and the map scaled
 by ``c`` in ``[1e-8, 1e8]``.  No two decided statuses may contradict, and
 every witness, carried back to the original coordinates, passes the rank
 window ``0 < rank [K_1 h | ... | K_k h] < k`` of the original map.
+Quasi-pure Gaussian-integer maps, given by Kraus factors and by their Choi
+matrix, must also agree on the method and the cells spent.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpmaps import CpMap, is_quasipure, linalg, minimal_kraus
+from cpmaps import CpMap, is_quasipure, kraus_to_choi, linalg, minimal_kraus
 from cpmaps.quasipure import INCONCLUSIVE
 
-from conftest import haar_unitary
+from conftest import haar_unitary, polynomial_factors
 
 BUDGET = 300
 
@@ -72,3 +75,37 @@ def test_quasipurity_does_not_depend_on_the_form(d_in, d_out, k, planted,
         h = carry(verdict.witness)
         rank = linalg.numerical_rank(np.column_stack([f @ h for f in original]))
         assert 0 < rank < len(original), name
+
+
+def gaussian_integers(rng, shape):
+    """Gaussian integers with real and imaginary parts in ``{-1, 0, 1}``."""
+    return rng.integers(-1, 2, size=shape) + 1j * rng.integers(-1, 2, size=shape)
+
+
+def invertible_gaussian_integers(rng, n):
+    """An invertible ``n x n`` matrix of :func:`gaussian_integers`."""
+    while True:
+        a = gaussian_integers(rng, (n, n))
+        if abs(np.linalg.det(a)) > 0.5:  # a nonzero Gaussian integer
+            return a
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 2), (6, 3, 2), (5, 2, 3), (3, 2, 2)],
+                         ids="polynomial-{0[0]}{0[1]}{0[2]}".format)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_gaussian_integer_map_is_decided_alike_from_kraus_and_choi(shape,
+                                                                    seed):
+    # quasi-pure maps with k = 2 or m = 2 and exactly representable entries
+    # that step 1 does not prove (rank T = k + m - 1 < k m); (3, 2, 2) is an
+    # injective pair.  The Kraus factors and the Choi matrix, whose minimal
+    # factors are floating-point mixtures of them, take one route and spend
+    # the same cells
+    factors = polynomial_factors(np.random.default_rng(seed), *shape,
+                                 draw=invertible_gaussian_integers)
+    d_in, m, _ = shape
+    forms = [CpMap.from_kraus(factors),
+             CpMap.from_choi(kraus_to_choi(factors), d_in, m)]
+    verdicts = [is_quasipure(phi) for phi in forms]
+    assert {(v.status, v.method, v.samples_used) for v in verdicts} == {
+        ("QuasiPure", "SylvesterMatrix", verdicts[0].samples_used)}
+    assert verdicts[0].is_proof

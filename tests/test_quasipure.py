@@ -388,11 +388,12 @@ def test_planted_witness_found_by_certificate():
                          ids=["random", "fixture"])
 def test_generic_k3_map_is_proved_by_pencil_and_certificate(phi):
     # d_in = 4 < k m = 6, so the flattening is not injective; m = 2 leaves
-    # one pencil over h, and the Sylvester-type matrix then has full rank
+    # one pencil over h, and the Sylvester-type matrix then has full rank;
+    # both chart centres of CP^1 are the pencil's, so only S's N cells count
     v = is_quasipure(phi)
     assert v.status == "QuasiPure"
     assert v.method == "SylvesterMatrix"
-    assert v.samples_used == 2 + 3 * math.comb(4, 3)
+    assert v.samples_used == 3 * math.comb(4, 3)
     assert v.is_proof
     # the brute-force oracle certifies it too (d_out <= 2)
     cert = grid_oracle(phi)
@@ -597,8 +598,8 @@ def test_pencil_diagonal_pair():
     assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
     # singular directions are exactly e1 and e2
     assert np.sort(np.abs(v.witness)).tolist() == pytest.approx([0.0, 1.0])
-    # a repeated singular point, (z + 1)^2 (z + 2), on the exact and the
-    # floating-point route
+    # a repeated singular point, (z + 1)^2 (z + 2), at integer and at
+    # irrational scale
     for scale in (1.0, np.sqrt(2.0)):
         v = pencil_verdict(scale * np.eye(3), scale * np.diag([1.0, 1.0, 2.0]))
         assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
@@ -606,9 +607,8 @@ def test_pencil_diagonal_pair():
 
 
 def test_pencil_never_vanishing_columns():
-    proved, points = quasipure._singular_points(
+    points = quasipure._singular_points(
         np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), linalg.DEFAULT_TOL)
-    assert proved is True
     assert points == []
 
 
@@ -620,38 +620,35 @@ def test_pencil_float_path_singular():
 
 
 def test_pencil_float_path_injective():
-    # the floating-point points prove nothing: step 3 decides
+    # the pencil has no singular point, and step 3 proves the map
     l1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     l2 = np.sqrt(2.0) * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    proved, _ = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
-    assert proved is False
+    assert quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL) == []
     v = pencil_verdict(l1, l2)
     assert (v.status, v.method) == ("QuasiPure", "SylvesterMatrix")
     assert v.witness is None
 
 
-def test_pencil_exact_and_float_routes_agree():
-    # a Gaussian-integer pair is proved injective over Z[i] when it is;
-    # scaled by sqrt(2) it takes the floating-point route, which proves
-    # nothing; both find the same singular points and the same status
+def test_gaussian_integer_pencils_keep_their_verdict_when_scaled():
+    # a Gaussian-integer pair and the same pair scaled by sqrt(2), so that
+    # no entry is a small rational: one floating-point route, the same
+    # singular points, and the same status, method and cells
     rng = np.random.default_rng(41)
     statuses = set()
     for d_in, m in [(2, 2), (3, 2), (4, 2), (4, 3), (5, 3), (6, 3)]:
         for singular in (False, True):
             l1, l2 = gaussian_integer_pair(rng, d_in, m, singular)
-            proved, points = quasipure._singular_points(l1, l2,
-                                                        linalg.DEFAULT_TOL)
-            floated, candidates = quasipure._singular_points(
+            points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
+            scaled = quasipure._singular_points(
                 np.sqrt(2.0) * l1, np.sqrt(2.0) * l2, linalg.DEFAULT_TOL)
+            assert len(points) == len(scaled)
+            assert np.allclose(points, scaled, atol=1e-8), \
+                f"points move at {(d_in, m)}"
             verdicts = [pencil_verdict(l1, l2),
                         pencil_verdict(np.sqrt(2.0) * l1, np.sqrt(2.0) * l2)]
-            assert floated is False
-            assert proved == (verdicts[1].status == "QuasiPure")
-            assert proved == (not points) == (not candidates)
-            assert np.allclose(points, candidates, atol=1e-8), \
-                f"routes disagree at {(d_in, m)}"
-            assert verdicts[0].status == verdicts[1].status
-            assert verdicts[0].method == "ExactPencil"
+            assert len({(v.status, v.method, v.samples_used)
+                        for v in verdicts}) == 1
+            assert (verdicts[0].status == "QuasiPure") == (not points)
             for v in verdicts:
                 if v.witness is not None:
                     cols = np.column_stack([l1 @ v.witness, l2 @ v.witness])
@@ -664,10 +661,9 @@ def test_real_pencil_is_solved_in_real_arithmetic():
     # the flip twirl's pencil z I + sigma_x is singular at -1 and 1: a
     # real -M_1^+ M_2 is solved in real arithmetic, which gives both points
     # exactly, and the witness recorded in the goldens is polished from them
-    proved, points = quasipure._singular_points(
+    points = quasipure._singular_points(
         np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
         linalg.DEFAULT_TOL)
-    assert proved is False
     assert [(z.real.hex(), z.imag.hex()) for z in points] == [
         ((-1.0).hex(), (0.0).hex()), ((1.0).hex(), (0.0).hex())]
 
@@ -682,9 +678,7 @@ def test_real_pencil_is_solved_in_real_arithmetic():
 def test_pencil_verdict_survives_rescaling(phi, method, scale):
     # Kraus factors scaled by c scale the map by c^2; a floating-point
     # pencil's QuasiPure stands on the full rank of the Sylvester matrix,
-    # the polisher stops at the scale of the factors, and large entries are
-    # not read as small rationals, nor, from 2^53 up, where every double is
-    # an integer, as Gaussian integers
+    # and the polisher stops at the scale of the factors
     v = is_quasipure(phi)
     for scaled in (
             CpMap.from_kraus([scale * k for k in minimal_kraus(phi)]),
@@ -699,8 +693,8 @@ def test_pencil_verdict_survives_rescaling(phi, method, scale):
 
 
 def test_quasipurity_never_loads_sympy():
-    # a float decision and the Gaussian-integer witness maps, whose pencils
-    # take the exact route
+    # a float decision and the Gaussian-integer witness maps: no exact
+    # arithmetic, so neither sympy nor fractions nor decimal is loaded
     code = (
         "import sys\n"
         "from cpmaps import gallery, is_quasipure, serialize\n"
@@ -709,7 +703,8 @@ def test_quasipurity_never_loads_sympy():
         "            gallery.diagonal_pair_map(),\n"
         "            serialize.decode_map(special)):\n"
         "    v = is_quasipure(phi)\n"
-        "    print(v.status, v.method, 'sympy' in sys.modules)\n"
+        "    print(v.status, v.method,\n"
+        "          sorted({'sympy', 'fractions', 'decimal'} & set(sys.modules)))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -719,9 +714,9 @@ def test_quasipurity_never_loads_sympy():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "QuasiPure ExactPencil False",
-        "NotQuasiPure ExactPencil False",
-        "NotQuasiPure ExactPencil False",
+        "QuasiPure ExactPencil []",
+        "NotQuasiPure ExactPencil []",
+        "NotQuasiPure ExactPencil []",
     ]
 
 
@@ -735,97 +730,12 @@ def test_singular_points_match_the_exact_roots(case):
             else pinned_pencil(case))
     roots = [complex(float.fromhex(re), float.fromhex(im))
              for re, im in EXACT_ROOTS[case]]
-    proved, points = quasipure._singular_points(*pair, linalg.DEFAULT_TOL)
-    assert proved is False
+    points = quasipure._singular_points(*pair, linalg.DEFAULT_TOL)
     assert points
     gap = np.abs(np.subtract.outer(points, roots)) / np.maximum(
         1.0, np.abs(roots))
     assert gap.min(axis=1).max() < 1e-12
     assert gap.min(axis=0).max() < 1e-12
-
-
-def fraction_reading(mats):
-    """Every real and imaginary part through ``_rationalize``, then one
-    common denominator: the reading ``_gaussian_integer_pencil`` must
-    reproduce."""
-    parts = [[[(quasipure._rationalize(float(z.real)),
-                quasipure._rationalize(float(z.imag))) for z in row]
-              for row in np.asarray(mat, dtype=complex)] for mat in mats]
-    flat = [x for rows in parts for row in rows for z in row for x in z]
-    if any(x is None for x in flat):
-        return None
-    common = math.lcm(*(x.denominator for x in flat))
-    return [[[tuple(x.numerator * (common // x.denominator) for x in z)
-              for z in row] for row in rows] for rows in parts]
-
-
-INTEGER_VALUED = {
-    "small": (np.array([[1, -2j], [3 + 1j, 0]]), np.array([[0, 1], [-1j, 2]])),
-    "negative-zero": (np.array([[-0.0, complex(-0.0, -0.0)], [1.0, -0.0]]),
-                      np.array([[complex(0.0, -0.0), 2.0], [-3.0, 1j]])),
-    "below-2^53": (
-        np.array([[2.0 ** 53 - 1, -(2.0 ** 52)], [1j * (2.0 ** 53 - 1), 1]]),
-        np.array([[1, 0], [0, -(2.0 ** 53 - 1) * 1j]])),
-    "beyond-2^53": (
-        np.array([[2.0 ** 53, 2.0 ** 53 + 2], [-(2.0 ** 60), 1]]),
-        np.array([[3 * 2.0 ** 70 * 1j, 1e300], [1, -2.0 ** 1000]])),
-}
-RATIONAL = {
-    "third": (np.array([[1 / 3, 2], [1j, 1]]),
-              np.array([[0, 1], [5, 1j / 3]])),
-    "tenth": (np.array([[0.1, 2.0 ** 60], [1, 0]]),
-              np.array([[1, 0.1j], [0, 1]])),
-    "tenth-below-2^53": (np.array([[0.1, 2.0 ** 52], [1, 0]]),
-                         np.array([[1, 0.1j], [0, 1]])),
-    "irrational": (np.eye(2), np.diag([np.sqrt(2.0), 1.0])),
-}
-#: cases with a part that is irrational, or not below 2^53 (every double
-#: there is an integer, rounded or not): not read exactly
-UNREAD = {"irrational", "beyond-2^53", "tenth"}
-
-
-@pytest.mark.parametrize("case", list(INTEGER_VALUED) + list(RATIONAL))
-def test_integer_reading_matches_the_fraction_reading(monkeypatch, case):
-    # integer-valued input is read without a Fraction; anything else takes
-    # the common-denominator route; the Gaussian integers come out the same;
-    # a part from 2^53 up leaves the whole input unread on either route
-    mats = {**INTEGER_VALUED, **RATIONAL}[case]
-    want = fraction_reading(mats)
-    if case in INTEGER_VALUED:
-        def refuse(x):
-            raise AssertionError("integer input built a Fraction")
-        monkeypatch.setattr(quasipure, "_rationalize", refuse)
-    got = quasipure._gaussian_integer_pencil(mats)
-    assert got == want
-    if got is not None:
-        assert all(type(x) is int for rows in got for row in rows
-                   for z in row for x in z)
-    assert (got is None) == (case in UNREAD)
-
-
-def test_integer_elimination_keeps_the_row_space():
-    # Gaussian-integer matrices of every rank, a zero column among them:
-    # each pivot row reads d at its pivot and 0 at the others, the rest
-    # vanish on the eliminated columns, and the rank is unchanged
-    rng = np.random.default_rng(2306)
-    for _ in range(200):
-        n, w = (int(x) for x in rng.integers(1, 7, size=2))
-        rank = int(rng.integers(0, min(n, w) + 1))
-        mat = gaussian_integers(rng, (n, rank)) @ gaussian_integers(
-            rng, (rank, w))
-        mat[:, int(rng.integers(0, w))] = 0.0
-        width = int(rng.integers(0, w + 1))
-        pivots, d, rows = quasipure._echelon(
-            quasipure._gaussian_integer_pencil([mat])[0], width)
-        assert len(pivots) == np.linalg.matrix_rank(mat[:, :width])
-        for i, row in enumerate(rows):
-            want = [d if j == i else (0, 0) for j in range(len(pivots))]
-            got = [row[col] for col in pivots]
-            assert got == want if i < len(pivots) else \
-                all(z == (0, 0) for z in row[:width])
-        reduced = np.array([[complex(*z) for z in row] for row in rows])
-        assert np.linalg.matrix_rank(np.vstack([mat, reduced])) == \
-            np.linalg.matrix_rank(mat) == np.linalg.matrix_rank(reduced)
 
 
 def test_double_singular_point_is_kept():
@@ -836,8 +746,7 @@ def test_double_singular_point_is_kept():
     l1 = np.array([[0, 0], [-1 + 2j, 2], [-1j, -1], [-3 + 1j, 2 + 2j]])
     l2 = np.array([[-1j, -1], [2 - 1j, -2 - 1j], [-1 + 1j, 1 + 1j],
                    [1 + 2j, -1j]])
-    proved, points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
-    assert proved is False
+    points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
     assert np.allclose(points, [1 + 1j, 1 + 1j], atol=1e-6)
     v = pencil_verdict(l1, l2)
     assert (v.status, v.method, v.samples_used) == (
@@ -869,8 +778,7 @@ def test_pencil_polishes_singular_candidates_first(monkeypatch):
     l2[:, 0] = -2.0 * l1[:, 0]
     candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
     assert sorted(candidates.real)[-1] == pytest.approx(2.0)
-    proved, points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
-    assert proved is False
+    points = quasipure._singular_points(l1, l2, linalg.DEFAULT_TOL)
     assert points == [pytest.approx(2.0)]
     polished = count_polishes(monkeypatch)
     v = pencil_verdict(l1, l2)
@@ -883,24 +791,25 @@ def test_pencil_polishes_singular_candidates_first(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spurious_pencil_points_are_not_polished(monkeypatch, seed):
     # a float k = 2 polynomial map, quasi-pure with rank T = 4 < 6: none of
-    # the three eigenvalues of -K_1^+ K_2 is a singular point, so only step
-    # 3's chart centre is polished before S proves the map
+    # the three eigenvalues of -K_1^+ K_2 is a singular point, so nothing
+    # is polished before S proves the map
     phi = CpMap.from_kraus(polynomial_factors(np.random.default_rng(seed),
                                               6, 3, 2))
     polished = count_polishes(monkeypatch)
     v = is_quasipure(phi)
     assert (v.status, v.method) == ("QuasiPure", "SylvesterMatrix")
-    assert len(polished) == 1
+    assert len(polished) == 0
 
 
 def test_inconclusive_fixture_polishes_one_chart_centre(monkeypatch):
-    # the G-side pencil (m = 2 < k = 3) has no singular point, so the one
-    # polish is the chart centre's before S's 12 columns prove the map
+    # the G-side pencil (m = 2 < k = 3) has no singular point, and both
+    # chart centres of CP^1 are the pencil's, so nothing is polished before
+    # S's 12 columns prove the map
     polished = count_polishes(monkeypatch)
     v = is_quasipure(load_map("inconclusive_map.json"))
     assert (v.status, v.method, v.samples_used) == (
-        "QuasiPure", "SylvesterMatrix", 14)
-    assert len(polished) == 1
+        "QuasiPure", "SylvesterMatrix", 12)
+    assert len(polished) == 0
 
 
 @pytest.mark.parametrize("name, decision, line", [
@@ -995,12 +904,11 @@ def test_pencil_agrees_with_grid_on_small_maps():
         assert fast.status != "Inconclusive"
         assert slow.status != "Inconclusive"
         assert fast.status == slow.status, f"disagreement on trial {trial}"
-    # Gaussian-integer maps with d_out = 2 take the exact QQ_I route
+    # and on Gaussian-integer maps with d_out = 2
     for trial in range(8):
         pair = gaussian_integer_pair(rng, 2 + trial % 3, 2, trial % 2 == 1)
         phi = CpMap.from_kraus(list(pair))
         fast = is_quasipure(phi)
-        assert fast.method == "ExactPencil"
         assert fast.status == grid_oracle(phi).status, \
             f"disagreement on Gaussian-integer trial {trial}"
     # and on the curated boundary case
@@ -1083,10 +991,7 @@ def test_strict_kernel_growth_at_a_witness():
 
 
 def test_internal_consistency_checks_raise_input_not_reduced():
-    """Both internal raises of InputNotReduced, reached directly."""
-    # a zero column has no pivot to keep
-    with pytest.raises(InputNotReduced, match="row reduction lost a pivot"):
-        quasipure._reduce_rows([[(0, 0)], [(0, 0)]], [[(1, 0)], [(0, 0)]], 1)
+    """The one internal raise of InputNotReduced, reached directly."""
     # e_1 is cyclic for {I, sigma_x}: rank F(e_1) = 2 = k, no witness
     sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(InputNotReduced,
