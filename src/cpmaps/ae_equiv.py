@@ -430,13 +430,17 @@ def forced_equality_scan(phi: CpMap, r, *,
     completes ``beta``, so ``psi - phi`` is CP.  If also
     ``psi(I) = phi(I)``, that excess has zero unit value; its Choi matrix
     is then PSD with trace ``tr (psi - phi)(I) = 0``, so ``psi = phi``.
+    On ``M_1`` every CP ``psi`` is ``x -> x psi(1)``, so a matched unit
+    value alone forces ``psi = phi``.
 
-    Returns True iff the minimal completion, computed by both routes,
-    equals ``phi``; False when the routes disagree or the minimal
-    completion differs from ``phi`` (distinct unit-matched completions
-    may then exist).
+    Returns True when ``d_in == 1``, and otherwise iff the minimal
+    completion, computed by both routes, equals ``phi``; False when the
+    routes disagree or the minimal completion differs from ``phi``
+    (distinct unit-matched completions may then exist).
     """
     beta = PartialCpMap.from_map(phi, r)
+    if phi.d_in == 1:
+        return True
     via_choi = minimal_cp_completion_choi(beta, tol)
     via_stine = minimal_cp_completion_stinespring(beta, phi, tol)
     return (maps_close(via_choi, via_stine, tol)

@@ -34,20 +34,32 @@ the steps below.  Then:
    ``sigma_min(T)`` is positive.  For ``m == 1``, ``T = F(h)`` for the
    only direction, so this step decides.  Taken before the reduction, it
    gives the answer the reduction would reach: see :func:`is_quasipure`.
-2. In the smaller mode ``n = min(k, m)`` the question is whether
-   ``M(c) = sum_i c_i M_i`` is injective for all ``c != 0``, with
-   ``M_j = K_j`` (``M = P``) when ``k <= m`` and
+2. This step only supplies candidates, and proves nothing.  The first
+   is read from the kernel of the reduced flattening ``T' = [K_1 B | ...
+   | K_k B]`` when it has ``d_in >= k m`` rows.  A witness ``h`` with
+   dependency vectors ``A`` puts ``A (x) h`` in ``ker T'``, which step 1
+   found nonzero.  When that is all of ``ker T'``, its last right
+   singular vector (one SVD with vectors), read as a ``k x m`` matrix, is
+   ``a h^T``, and its largest row lies along ``h``.  ``ker T'`` moves with
+   the family by ``U^T (x) I`` (Nielsen & Chuang, Thm 8.2) and keeps its
+   rank-one vectors, so the read does not depend on the family.  Two
+   witness lines, or a quasi-pure map, leave in general a vector of higher
+   rank there, whose row then fails the rank window.  A wider ``T'`` has a kernel
+   of dimension ``k m - d_in`` or more whatever the map, and is not read.
+   The other candidates live in the smaller mode ``n = min(k, m)``, where
+   the question is whether ``M(c) = sum_i c_i M_i`` is injective for all
+   ``c != 0``, with ``M_j = K_j`` (``M = P``) when ``k <= m`` and
    ``M_i = G_i = [K_1 e_i | ... | K_k e_i]`` (``M = F``) otherwise; a
-   dependency vector ``a`` gives the witness ``h = ker P(a)``.  This step
-   only supplies candidates, and proves nothing.  For ``n == 2`` they are
-   the points ``c = (z, 1)`` of the pencil ``z M_1 + M_2``: the
-   floating-point eigenvalues of ``-M_1^+ M_2`` at which the pencil is
-   singular by the rank rule.  That needs ``M_1`` injective: on the ``K``
-   side the short-factor test made it so; on the ``G`` side (``m == 2 <
-   k``) ``c = (1, 0)``, ``h = B e_1``, is tested first, and once it fails
-   ``G_1 = F(B e_1)`` is injective (the ``G_i`` have no common kernel, as
-   ``sum_j a_j K_j B = 0`` forces ``a = 0``).  Both chart centres of
-   ``CP^1`` are then covered, ``c = (0, 1)`` being the point ``z = 0``.
+   dependency vector ``a`` gives the witness ``h = ker P(a)``.  For
+   ``n == 2`` they are the points ``c = (z, 1)`` of the pencil
+   ``z M_1 + M_2``: the floating-point eigenvalues of ``-M_1^+ M_2`` at
+   which the pencil is singular by the rank rule.  That needs ``M_1``
+   injective: on the ``K`` side the short-factor test made it so; on the
+   ``G`` side (``m == 2 < k``) ``c = (1, 0)``, ``h = B e_1``, is tested
+   first, and once it fails ``G_1 = F(B e_1)`` is injective (the ``G_i``
+   have no common kernel, as ``sum_j a_j K_j B = 0`` forces ``a = 0``).
+   Both chart centres of ``CP^1`` are then covered, ``c = (0, 1)`` being
+   the point ``z = 0``.
    For ``n > 2`` the one candidate is the chart centre ``e_i`` of
    ``CP^{n-1}`` with the lowest ``sigma_p(M_i)`` (``p`` columns): ``n``
    cells, against the ``N`` of ``S``.
@@ -64,12 +76,16 @@ the steps below.  Then:
    candidate; none passing, or a budget below the cells of steps 2 and 3
    (``N``, plus ``n`` for ``n > 2``), gives ``Inconclusive``.
 
-Every candidate becomes a witness in one place, :func:`_candidate_verdict`:
-its direction, :func:`_refine_candidate`, ``B h`` and the rank window.
+Two candidates of step 2 take no polish and go to the rank window
+directly: ``c = (1, 0)``, a fixed direction, and the kernel vector, a
+witness to rounding when it is one at all.  Every other candidate becomes
+a witness in one place, :func:`_candidate_verdict`: its direction,
+:func:`_refine_candidate`, ``B h`` and the rank window.
 
-Tags: ``Pure``, ``NecessaryConditionViolated``, ``ExactPencil`` (step 1
-and the pencil of step 2), ``SylvesterMatrix`` (step 2's chart centre and
-step 3); each ``QuasiPure`` is proof-grade, each witness re-verified.
+Tags: ``Pure``, ``NecessaryConditionViolated``, ``ExactPencil`` (step 1,
+the kernel read and the pencil of step 2), ``SylvesterMatrix`` (step 2's
+chart centre and step 3); each ``QuasiPure`` is proof-grade, each witness
+re-verified.
 """
 
 from __future__ import annotations
@@ -343,10 +359,10 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     ``budget`` caps the cells steps 2 and 3 may spend, the ``n`` chart
     centres when ``n > 2`` and the ``N`` columns of the Sylvester-type
     matrix (reported as ``samples_used``); a budget below them gives
-    ``Inconclusive``.  No step draws random numbers, so the verdict is a
-    function of the input.  Raises ZeroMap for the zero map, and NotCP,
-    from :func:`minimal_kraus`, for a map given by a Choi matrix that is
-    not PSD.
+    ``Inconclusive``.  The kernel read of step 2 spends no cells.  No
+    step draws random numbers, so the verdict is a function of the input.
+    Raises ZeroMap for the zero map, and NotCP, from :func:`minimal_kraus`,
+    for a map given by a Choi matrix that is not PSD.
 
     Step 1 runs first, on the family the map holds, because an injective
     ``T`` makes every step before it a no-op.  Write ``r = sigma_min(T) /
@@ -371,6 +387,9 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     alone, returns here too.  For a smaller ``r`` the pipeline
     runs on the reduced family, which may be shorter.  When the family is
     not reduced, the rank of ``T`` is reused while the basis is ``I``.
+    Step 1 takes singular values only, at either place: the kernel read
+    factorizes ``T'`` again, with vectors, only once ``T'`` is known to be
+    deficient, so a map that step 1 proves pays for no vectors.
     """
     if phi.is_zero():
         raise ZeroMap("quasi-purity is undefined for the zero map")
@@ -419,8 +438,19 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     if m == 1:  # the flattening is F(h) for the only direction h
         return _not_quasipure(factors, basis[:, 0], METHOD_EXACT_PENCIL, tol)
 
-    # step 2, candidates in the smaller mode: M(a) = sum_j a_j K_j, or
-    # M(h) = sum_i h_i G_i
+    # step 2, first candidate when T' has k m rows or more: its last right
+    # singular vector, read as the k x m matrix a h^T, at its largest row
+    if phi.d_in >= k * m:
+        x = np.linalg.svd(np.hstack(stack), full_matrices=False)[2][-1]
+        x = x.conj().reshape(k, m)
+        verdict = _witness_verdict(
+            factors, basis @ x[np.argmax(np.linalg.norm(x, axis=1))],
+            METHOD_EXACT_PENCIL, tol)
+        if verdict is not None:
+            return verdict
+
+    # step 2, the other candidates, in the smaller mode: M(a) =
+    # sum_j a_j K_j, or M(h) = sum_i h_i G_i
     over_a = k <= m
     side = stack if over_a else stack.transpose(2, 1, 0)
     n = side.shape[0]

@@ -120,14 +120,22 @@ def counterexample_population():
     return pairs
 
 
-def count_linalg_calls(monkeypatch, names):
-    """Record the input shape of every call to the named numpy.linalg routines."""
+def count_linalg_calls(monkeypatch, names, compute_uv=False):
+    """Record the input shape of every call to the named numpy.linalg routines.
+
+    With ``compute_uv`` each record also holds whether an ``svd`` call asked
+    for singular vectors (its own ``compute_uv``, True by default).
+    """
     calls = []
     for name in names:
         original = getattr(np.linalg, name)
 
         def counted(m, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.shape(m)))
+            record = (_name, np.shape(m))
+            if compute_uv:
+                record += (args[1] if len(args) > 1
+                           else kwargs.get("compute_uv", True),)
+            calls.append(record)
             return _original(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls

@@ -489,6 +489,20 @@ def test_forced_equality_scan():
         phi, np.outer(witness, witness.conj() + [0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forced_equality_scan_on_a_one_dimensional_domain(seed):
+    # on M_1 every CP psi is x -> x psi(1): a matched unit value is the map,
+    # although the minimal completion of phi(.) R is smaller than phi
+    phi = random_cp_map(1, 3, 2, seed=seed)
+    r = np.diag([1.0, 0.0, 0.0])
+    alpha = minimal_cp_completion_stinespring(PartialCpMap.from_map(phi, r),
+                                              phi)
+    assert not maps_close(alpha, phi)
+    assert forced_equality_scan(phi, r)
+    with pytest.raises(DimensionMismatch):
+        forced_equality_scan(phi, np.eye(2))
+
+
 def test_forced_equality_scan_draws_no_random_numbers(monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("forced_equality_scan drew random numbers")

@@ -8,7 +8,11 @@ by ``c`` in ``[1e-8, 1e8]``.  No two decided statuses may contradict, and
 every witness, carried back to the original coordinates, passes the rank
 window ``0 < rank [K_1 h | ... | K_k h] < k`` of the original map.
 Quasi-pure Gaussian-integer maps, given by Kraus factors and by their Choi
-matrix, must also agree on the method and the cells spent.
+matrix, must also agree on the method and the cells spent, and so must
+planted witness maps with a square flattening ``T = [K_1 | ... | K_k]``,
+given by Kraus factors, by their Choi matrix and by a unitary mixing of the
+family: ``ker T`` moves with the family by ``U^T (x) I`` and keeps its
+rank-one vectors, so the witness is read from it in every form.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpmaps import CpMap, is_quasipure, kraus_to_choi, linalg, minimal_kraus
+from cpmaps.gallery import planted_witness_map
 from cpmaps.quasipure import INCONCLUSIVE
 
 from conftest import haar_unitary, polynomial_factors
@@ -109,3 +114,19 @@ def test_a_gaussian_integer_map_is_decided_alike_from_kraus_and_choi(shape,
     assert {(v.status, v.method, v.samples_used) for v in verdicts} == {
         ("QuasiPure", "SylvesterMatrix", verdicts[0].samples_used)}
     assert verdicts[0].is_proof
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_a_square_flattening_witness_is_decided_alike_in_every_form(seed):
+    # n = min(k, m) = 3 > 2 and T is 9 x 9: the witness comes from ker T
+    # before any chart centre, whose coordinates would be the family's
+    phi, h0 = planted_witness_map(9, 3, 3, seed=seed)
+    mix = haar_unitary(np.random.default_rng(seed), 3)
+    forms = [phi, CpMap.from_choi(phi.choi, 9, 3),
+             CpMap.from_kraus([sum(u * f for u, f in zip(row, phi.kraus))
+                               for row in mix])]
+    verdicts = [is_quasipure(form) for form in forms]
+    assert {(v.status, v.method, v.samples_used) for v in verdicts} == {
+        ("NotQuasiPure", "ExactPencil", 0)}
+    for v in verdicts:
+        assert abs(np.vdot(h0, v.witness)) == pytest.approx(1.0, abs=1e-9)

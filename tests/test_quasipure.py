@@ -515,12 +515,15 @@ def test_injective_flattening_is_decided_by_one_svd(monkeypatch, phi):
 ], ids=["square", "wide"])
 def test_flattening_rank_is_taken_once(monkeypatch, phi, verdict):
     # not injective, and with no common kernel the reduced flattening is
-    # the stored one: a square T is factorized up front and its rank
-    # reused, a wide one (4 < 3 * 2 rows) only after the reduction
-    calls = count_linalg_calls(monkeypatch, ["svd"])
+    # the stored one: a square T is factorized up front, sigma only, and
+    # its rank reused, then once more with vectors for the kernel read; a
+    # wide one (4 < 3 * 2 rows) only after the reduction, and never read
+    calls = count_linalg_calls(monkeypatch, ["svd"], compute_uv=True)
     v = is_quasipure(phi)
     assert (v.status, v.method) == verdict
-    assert calls.count(("svd", (phi.d_in, 3 * phi.d_out))) == 1
+    shape = (phi.d_in, 3 * phi.d_out)
+    assert calls.count(("svd", shape, False)) == 1
+    assert calls.count(("svd", shape, True)) == (phi.d_in >= shape[1])
 
 
 def test_common_kernel_complement_takes_one_svd(monkeypatch):
@@ -771,9 +774,10 @@ def count_polishes(monkeypatch):
 def test_pencil_polishes_singular_candidates_first(monkeypatch):
     # K_2 e_1 = -2 K_1 e_1: -K_1^+ K_2 has the singular point 2 and two
     # spurious eigenvalues, which the rank rule drops; the genuine one is
-    # polished alone
+    # polished alone.  T = [K_1 | K_2] has 5 < 6 rows, so its kernel is not
+    # read first
     rng = np.random.default_rng(0)
-    l1, l2 = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    l1, l2 = (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
               for _ in range(2))
     l2[:, 0] = -2.0 * l1[:, 0]
     candidates = np.linalg.eigvals(-np.linalg.lstsq(l1, l2, rcond=None)[0])
@@ -866,6 +870,86 @@ def test_k2_decision_reuses_the_reduction(monkeypatch, factors):
     if k > m:
         assert calls.count(("svd", (2 * d, k))) == 0  # the stacked G_1, G_2
         assert np.allclose(v.witness, np.eye(m)[0])
+
+
+def square_pencil_witness(rng):
+    """A ``k = 2`` pair of shape (6, 3) with ``K_2 e_1 = -2 K_1 e_1``, its
+    columns mixed by a unitary: ``T = [K_1 | K_2]`` is square."""
+    l1, l2 = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+              for _ in range(2))
+    l2[:, 0] = -2.0 * l1[:, 0]
+    b = haar_unitary(rng, 3)
+    return CpMap.from_kraus([l1 @ b, l2 @ b])
+
+
+@pytest.mark.parametrize("phi", [
+    square_pencil_witness(np.random.default_rng(4)),
+    planted_witness_map(6, 2, 3)[0],
+    planted_witness_map(9, 3, 3)[0],
+    planted_witness_map(9, 3, 3, seed=5)[0],
+], ids=["pencil-6x3", "planted-623", "planted-933", "planted-933-seed5"])
+def test_square_flattening_witness_is_read_from_its_kernel(monkeypatch, phi):
+    # a witness h with dependency vectors A puts A (x) h in ker T; with
+    # k m <= d_in rows and one witness, the last right singular vector of T
+    # is such a tensor, and its largest row passes the rank window with no
+    # pencil, no chart centre and no polish
+    def refuse(*args, **kwargs):
+        raise AssertionError("a later candidate ran")
+
+    monkeypatch.setattr(quasipure, "_singular_points", refuse)
+    monkeypatch.setattr(quasipure, "_refine_candidate", refuse)
+    calls = count_linalg_calls(monkeypatch, ["svd"], compute_uv=True)
+    v = is_quasipure(phi)
+    monkeypatch.undo()
+    assert (v.status, v.method, v.samples_used) == (
+        "NotQuasiPure", "ExactPencil", 0)
+    assert witness_is_sound(phi, v.witness)
+    k, (d, m) = len(phi.kraus), phi.kraus[0].shape
+    assert calls.count(("svd", (d, k * m), True)) == 1
+    # the chart centres' sigma_p(M_i) would be one batched sigma-only SVD
+    assert not [c for c in calls if len(c[1]) == 3 and not c[2]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quasipure_square_flattening_pays_one_read(monkeypatch, seed):
+    # quasi-pure with rank T = 4 < 6 = k m = d_in: the read costs one SVD
+    # of T with vectors and one rank window on F(h), 6 x 2, and polishes
+    # nothing before S proves the map
+    phi = CpMap.from_kraus(polynomial_factors(np.random.default_rng(seed),
+                                              6, 3, 2))
+    polished = count_polishes(monkeypatch)
+    calls = count_linalg_calls(monkeypatch, ["svd"], compute_uv=True)
+    v = is_quasipure(phi)
+    assert (v.status, v.method) == ("QuasiPure", "SylvesterMatrix")
+    assert calls.count(("svd", (6, 6), True)) == 1
+    assert calls.count(("svd", (6, 2), False)) == 1
+    assert polished == []
+
+
+def test_two_witnesses_fall_through_to_the_pencil(monkeypatch):
+    # K_1 = A [I; 0] and K_2 = A [D; 0] for an upper triangular D with
+    # distinct diagonal: the eigenvectors of D are two witnesses, ker T
+    # holds two rank-one tensors, and its last singular vector, a mixture
+    # of them, reads no witness; the pencil still finds one
+    rng = np.random.default_rng(11)
+    while True:
+        a = gaussian_integers(rng, (4, 4))
+        if abs(np.linalg.det(a)) > 0.5:
+            break
+    d = np.array([[1 + 1j, 2], [0, -1]])
+    phi = CpMap.from_kraus([a[:, :2], a[:, :2] @ d])
+    pencils = []
+    original = quasipure._singular_points
+
+    def counted(m1, m2, tol):
+        pencils.append(m1.shape)
+        return original(m1, m2, tol)
+
+    monkeypatch.setattr(quasipure, "_singular_points", counted)
+    v = is_quasipure(phi)
+    assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
+    assert witness_is_sound(phi, v.witness)
+    assert pencils == [(4, 2)]
 
 
 # ---------------------------------------------------------------------------
