@@ -85,11 +85,15 @@ print("  genuinely different:",
       f"max Choi deviation {np.abs(target.choi - psi2.choi).max():.3f}")
 
 # ---------------------------------------------------------------------------
-# 4. Not every witness admits one.  The flip twirl compressed at e1 pins
-#    the map completely: every completion of that data is the map itself.
+# 4. Every witness admits one, and at e1 the data pins the map.  The flip
+#    twirl at its witness w has a counterexample too; compressed at e1,
+#    which is no witness, every completion of its data is the map itself.
 # ---------------------------------------------------------------------------
+psi3, _ = counterexample_construct(phi_nqp, w)
+print("\nflip twirl at its witness: max Choi deviation of psi",
+      f"{np.abs(phi_nqp.choi - psi3.choi).max():.3f}")
 e1 = np.array([1.0, 0.0])
-print("\nflip twirl at e1: construction returns",
+print("flip twirl at e1: construction returns",
       counterexample_construct(flip_twirl_map(), e1))
 print("minimal completion of phi(.) R is phi itself (forced equality):",
       forced_equality_scan(flip_twirl_map(), np.diag([1.0, 0.0])))

@@ -16,12 +16,22 @@ The central structural facts made executable here:
 * rigidity: if ``phi`` is quasi-pure, ``phi(I) = psi(I)``, the maps are
   R-equivalent, and ``phi(.) R`` is not identically zero, then
   ``phi = psi`` (:func:`rigidity_check`);
-* without quasi-purity, equality can genuinely fail:
-  :func:`counterexample_construct` builds a distinct ``psi`` that is
-  CP, unit-matched and R-equivalent to ``phi`` by twisting the dominated
-  part of ``phi`` that vanishes on a quasi-purity witness, with one
-  unitary read off the commutant of that part; None means no twist
-  moves the map at that witness.
+* whether R-equivalence and a matched unit pin ``phi`` down, and the
+  counterexample when they do not (:func:`forced_equality_scan`,
+  :func:`counterexample_construct`), are one decision.  A CP ``psi``
+  R-equivalent to ``phi`` completes the same data, so by minimality
+  ``psi = alpha + rho`` with ``rho`` CP and ``rho(.) R = 0``; then
+  ``psi(I) = phi(I)`` iff ``rho(I) = D := phi(I) - alpha(I) >= 0``.  If
+  ``D = 0``, ``rho`` is CP with zero unit value, so ``rho = 0`` and
+  ``psi = phi``.  Otherwise every ``rho_i(X) = <e_i, X e_i> D`` qualifies
+  (``D R = 0`` because the remainder vanishes on ``R``); for
+  ``d_in >= 2``, ``rho_0 != rho_1``, so ``alpha + rho_0`` or
+  ``alpha + rho_1`` is a distinct ``psi``, and for ``d_in = 1`` every CP
+  ``psi`` is ``x -> x psi(1)``, fixed by its unit.  Hence ``phi`` is rigid
+  at ``R`` iff ``phi = alpha`` or ``d_in = 1``.  At a quasi-purity
+  witness ``h0`` the vector ``V h0`` is not cyclic, so ``alpha != phi`` at
+  ``R = |h0><h0|``: every witness of a map on ``M_{d_in}``,
+  ``d_in >= 2``, carries a counterexample.
 """
 
 from __future__ import annotations
@@ -32,12 +42,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import linalg
-from .completion import (
-    PartialCpMap,
-    _times_blocks,
-    minimal_cp_completion_choi,
-    minimal_cp_completion_stinespring,
-)
+from .completion import _times_blocks
 from .cp_map import CpMap, apply, is_cp, maps_close, minimal_kraus
 from .errors import (
     DimensionMismatch,
@@ -48,8 +53,8 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .quasipure import QUASI_PURE, QuasiPurityVerdict, is_quasipure
-from .stinespring import (cyclic_projection, map_from_dilation,
-                          minimal_stinespring, reducing_projection)
+from .stinespring import (map_from_dilation, minimal_stinespring,
+                          reducing_projection)
 
 __all__ = [
     "EquivalenceContext",
@@ -181,7 +186,8 @@ def decompose_along(phi: CpMap, r,
     """
     r = linalg.as_matrix(r)
     if r.shape != (phi.d_out, phi.d_out):
-        raise DimensionMismatch("R does not act on the codomain of phi")
+        raise DimensionMismatch(
+            f"R has shape {r.shape}, expected {(phi.d_out, phi.d_out)}")
     if phi.is_zero():
         zero = CpMap.zero(phi.d_in, phi.d_out)
         return DecompositionResult(alpha=zero, phi1=zero)
@@ -289,7 +295,35 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap,
 
 
 # ---------------------------------------------------------------------------
-# counterexamples without quasi-purity
+# forced equality and counterexamples
+
+
+def _distinct_completion(phi: CpMap, r,
+                         tol: Tolerance) -> Optional[CpMap]:
+    """A CP ``psi != phi``, R-equivalent and unit-matched, or None.
+
+    ``psi = alpha + rho_i`` with ``alpha`` from :func:`decompose_along` and
+    ``rho_i(X) = <e_i, X e_i> D``, ``D = phi(I) - alpha(I)``, built from
+    ``alpha``'s factors and ``e_i f_a*`` for the kept columns ``f_a`` of
+    ``D^{1/2}``; ``i = 1`` is tried when ``psi_0`` equals ``phi``.  None
+    when ``D`` keeps no eigenvalue at the scale of ``phi(I)``, or when no
+    ``psi_i`` differs from ``phi`` (always so on ``M_1``).
+    """
+    alpha = decompose_along(phi, r, tol).alpha
+    unit = phi.unit()
+    w, u = linalg.eigh(unit - alpha.unit())
+    pos = linalg.kept(w, tol, linalg.max_abs(unit))
+    if not pos.any():
+        return None
+    rows = (u[:, pos] * np.sqrt(w[pos])).conj().T  # the f_a*
+    for i in range(min(phi.d_in, 2)):
+        extra = np.zeros((len(rows), phi.d_in, phi.d_out), dtype=complex)
+        extra[:, i, :] = rows
+        psi = CpMap.from_kraus(list(alpha.kraus) + list(extra),
+                               phi.d_in, phi.d_out)
+        if not maps_close(psi, phi, tol):
+            return psi
+    return None
 
 
 def counterexample_construct(phi: CpMap, witness,
@@ -297,39 +331,17 @@ def counterexample_construct(phi: CpMap, witness,
                              ) -> Optional[Tuple[CpMap, np.ndarray]]:
     """Build ``psi != phi`` that matches ``phi`` through the witness.
 
-    Given a quasi-purity witness ``h0``, the compression of ``phi`` to the
-    complement of the witness's cyclic subspace is a nonzero CP map
-    ``alpha <= phi`` with ``alpha(X) h0 = 0`` for every ``X``.  Any ``Z``
-    with ``Z h0 = 0`` and ``Z* alpha(I) Z = alpha(I)`` yields
-
-        ``psi = Z* alpha(.) Z + (phi - alpha)``,
-
-    which is CP, unit-matched and R-equivalent to ``phi`` for
-    ``R = |h0><h0|``; it differs from ``phi`` iff the twist moves some
-    ``alpha(X)``.  Writing ``S = alpha(I)``, every admissible twist acts
-    as ``Z = S^{+1/2} U S^{1/2}`` for a unitary ``U`` of ``ran S`` (plus
-    irrelevant pieces into ``ker S``).  With
-    ``B_ij = S^{+1/2} alpha(E_ij) S^{+1/2}`` on ``ran S`` we have
-    ``alpha(E_ij) = S^{1/2} B_ij S^{1/2}`` and
-    ``Z* alpha(E_ij) Z = S^{1/2} U* B_ij U S^{1/2}``, so a twist moves
-    ``alpha`` exactly when ``U`` fails to commute with some ``B_ij``, and
-    some twist does exactly when some ``B_ij`` is not a scalar.  The one
-    candidate takes the Hermitian or anti-Hermitian part of the ``B_ij``
-    farthest (in Frobenius norm) from a scalar and swaps its eigenvectors
-    for the smallest and the largest eigenvalue: that moves the part by
-    the whole spread of its spectrum.
-
-    Returns ``(psi, R)`` on success, and None when no admissible twist
-    moves the map at this witness: every ``B_ij`` is a scalar (always so
-    when ``rank S = 1``, and when a cyclic ``h0`` leaves nothing to
-    twist), or the candidate leaves ``phi`` equal to itself by
-    :func:`maps_close`, or fails a postcondition.  Raises WitnessInvalid
-    when ``phi(I) h0 = 0``, when the compression fails to annihilate the
-    witness numerically, or when the map is provably quasi-pure (no
-    witness exists at all); the witness is checked before the map, whose
-    complete positivity the one factorization, :func:`minimal_stinespring`,
-    decides (NotCP).  Every equality here is the package's one rule,
-    :func:`linalg.negligible`.
+    The construction of the module docstring at ``R = |h0><h0|``: at a
+    quasi-purity witness ``h0`` the vector ``V h0`` is not cyclic, so the
+    minimal completion of ``phi(.) R`` falls short of ``phi`` and, for
+    ``d_in >= 2``, a counterexample exists.  Returns ``(psi, R)``, checked
+    once more against the promised postconditions (CP by construction, the
+    same unit, R-equivalent, distinct), and None when ``phi`` is rigid at
+    ``R`` (so ``h0`` is no witness) or a postcondition fails.  Raises
+    WitnessInvalid for the zero vector, when ``phi(I) h0 = 0``, and when
+    ``phi`` is rigid at ``R`` and provably quasi-pure (no witness exists at
+    all); the witness is checked before the map, whose complete positivity
+    the one factorization, :func:`minimal_stinespring`, decides (NotCP).
     """
     h0 = np.asarray(witness, dtype=complex).reshape(-1)
     if h0.shape != (phi.d_out,):
@@ -342,79 +354,18 @@ def counterexample_construct(phi: CpMap, witness,
     if linalg.negligible(unit @ h0, tol, unit):
         raise WitnessInvalid("phi(I) annihilates the witness")
 
-    # one factorization, which also decides that phi is CP: the triple's
-    # factors are minimal_kraus(phi)
-    triple = minimal_stinespring(phi, tol)
-    factors = triple.kraus
-    cols = np.column_stack([k @ h0 for k in factors])
-    rank = linalg.numerical_rank(cols, tol)
-    if rank >= len(factors):
-        # h0 is cyclic, so the dominated part vanishing on it is zero and
-        # the construction can only reproduce phi.  Distinguish "the map
-        # has no witnesses at all" from "this h0 just is not one".
+    r = np.outer(h0, h0.conj())
+    psi = _distinct_completion(phi, r, tol)
+    if psi is None:
         verdict = is_quasipure(phi, tol)
         if verdict.status == QUASI_PURE and verdict.is_proof:
             raise WitnessInvalid("the map is quasi-pure; no witness exists")
         return None
-
-    q = cyclic_projection(triple, h0, tol)
-    eye = np.eye(triple.dilation_dim, dtype=complex)
-    alpha = map_from_dilation((eye - q) @ triple.v, phi.d_in, phi.d_out,
-                              triple.multiplicity)
-    if linalg.negligible(alpha.choi, tol, phi.choi):
-        raise WitnessInvalid("the witness generates a cyclic subspace; "
-                             "no dominated map vanishes on it")
-    s = alpha.unit()
-    if not linalg.negligible(s @ h0, tol, s):
-        raise WitnessInvalid("the compression does not annihilate the witness")
-
-    w, u = linalg.eigh(s)
-    pos = linalg.kept(w, tol)
-    rank_s = int(np.count_nonzero(pos))
-    if rank_s == 0:
-        raise WitnessInvalid("the compression has zero unit value")
-    if rank_s == 1:
-        # every B_ij is 1 x 1, a scalar: no twist moves alpha
-        return None
-    basis = u[:, pos]  # orthonormal basis of ran S
-    sqrt_w = np.sqrt(w[pos])
-    s_half = basis * sqrt_w          # S^{1/2} restricted: C^{rank} <- ...
-    s_inv_half = basis / sqrt_w
-
-    # alpha(E_ij) for every matrix unit: the blocks of its Choi matrix
-    alpha_units = alpha.choi.reshape(
-        phi.d_in, phi.d_out, phi.d_in, phi.d_out).swapaxes(1, 2)
-
-    # every B_ij on ran S, and its squared Frobenius distance to the
-    # scalars, ||B||^2 - |tr B|^2 / r
-    b = (s_inv_half.conj().T @ alpha_units @ s_inv_half).reshape(
-        -1, rank_s, rank_s)
-    distance = (np.einsum("kpq,kpq->k", b, b.conj()).real
-                - np.abs(np.trace(b, axis1=1, axis2=2)) ** 2 / rank_s)
-    far = b[np.argmax(distance)]
-    parts = [(far + far.conj().T) / 2.0, (far - far.conj().T) / 2.0j]
-    offsets = [np.linalg.norm(p - np.trace(p).real / rank_s * np.eye(rank_s))
-               for p in parts]
-    _, vecs = np.linalg.eigh(parts[int(offsets[1] > offsets[0])])
-    # the reflection I - v v*, v = x - y, exchanges the eigenvectors x and
-    # y of the smallest and the largest eigenvalue
-    v = vecs[:, 0] - vecs[:, -1]
-    swap = np.eye(rank_s) - np.outer(v, v.conj())
-    z = s_inv_half @ swap @ s_half.conj().T
-
-    # psi's family, so psi is CP by construction: alpha's factors twisted
-    # by z, then the factors (q V)[j::k] of the kept part phi - alpha
-    kept, k = q @ triple.v, triple.multiplicity
-    psi = CpMap.from_kraus([f @ z for f in alpha.kraus]
-                           + [kept[j::k, :] for j in range(k)],
-                           phi.d_in, phi.d_out)
     psi_unit = psi.unit()
-    r = np.outer(h0, h0.conj())
     diff = phi.choi - psi.choi
     # final validation of the promised postconditions
     if (not linalg.negligible(psi_unit - unit, tol, psi_unit, unit)
-            or not _equivalent(linalg.range_projection(r, tol), diff,
-                               phi, psi, tol)
+            or not _equivalent(r, diff, phi, psi, tol)
             or linalg.negligible(diff, tol, phi.choi, psi.choi)):
         return None
     return psi, r
@@ -424,24 +375,10 @@ def forced_equality_scan(phi: CpMap, r, *,
                          tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether R-equivalence plus a matched unit value pin ``phi`` down.
 
-    By the minimal completion theorem the data ``beta = phi(.) R`` has a
-    unique minimal CP completion ``alpha``, dominated by every completion.
-    If ``alpha = phi``, any CP ``psi`` that is R-equivalent to ``phi``
-    completes ``beta``, so ``psi - phi`` is CP.  If also
-    ``psi(I) = phi(I)``, that excess has zero unit value; its Choi matrix
-    is then PSD with trace ``tr (psi - phi)(I) = 0``, so ``psi = phi``.
-    On ``M_1`` every CP ``psi`` is ``x -> x psi(1)``, so a matched unit
-    value alone forces ``psi = phi``.
-
-    Returns True when ``d_in == 1``, and otherwise iff the minimal
-    completion, computed by both routes, equals ``phi``; False when the
-    routes disagree or the minimal completion differs from ``phi``
-    (distinct unit-matched completions may then exist).
+    True iff no CP ``psi != phi`` with ``psi(I) = phi(I)`` is R-equivalent
+    to ``phi``: by the argument of the module docstring, iff ``phi`` is the
+    minimal completion of ``phi(.) R`` (``D = 0``) or ``d_in = 1``.
+    Raises DimensionMismatch for an ``R`` of the wrong shape and NotCP for
+    a non-CP ``phi``.
     """
-    beta = PartialCpMap.from_map(phi, r)
-    if phi.d_in == 1:
-        return True
-    via_choi = minimal_cp_completion_choi(beta, tol)
-    via_stine = minimal_cp_completion_stinespring(beta, phi, tol)
-    return (maps_close(via_choi, via_stine, tol)
-            and maps_close(via_choi, phi, tol))
+    return _distinct_completion(phi, r, tol) is None

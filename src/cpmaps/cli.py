@@ -285,7 +285,7 @@ _DEMO_NAMES = (
     "eb-map-is-quasipure",
     "flip-twirl-not-quasipure",
     "flip-twirl-forced-equality-at-e1",
-    "flip-twirl-no-twist-at-witness",
+    "flip-twirl-counterexample-at-witness",
     "diagonal-pair-counterexample",
     "decomposition-on-random-maps",
     "rigidity-on-eb-maps",
@@ -334,25 +334,33 @@ def _demo_rows(seed: int, tol: Tolerance):
         ok = found is None and forced
         return ok, f"twist_found={found is not None} forced_equality={forced}"
 
+    def postconditions(phi, found):
+        psi, r = found
+        return [
+            is_cp(psi, tol),
+            linalg.max_abs(psi.unit() - phi.unit()) <= 1e-8,
+            r_equivalent(phi, psi, EquivalenceContext.from_operator(r), tol),
+            linalg.max_abs(phi.choi - psi.choi) > 1e-6,
+        ]
+
     def special_counterexample():
         phi = flip_twirl_map()
         h0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
         found = counterexample_construct(phi, h0, tol)
-        return found is None, f"twist_found={found is not None}"
+        if found is None:
+            return False, "no counterexample found"
+        checks = postconditions(phi, found)
+        deviation = linalg.max_abs(phi.choi - found[0].choi)
+        return all(checks), (f"postconditions={checks} "
+                             f"deviation={deviation:.3f}")
 
     def diagonal_counterexample():
         phi = diagonal_pair_map((1.0, 2.0, 3.0))
         h0 = np.array([1.0, 0.0, 0.0])
         found = counterexample_construct(phi, h0, tol)
         if found is None:
-            return False, "no twist found"
-        psi, r = found
-        checks = [
-            is_cp(psi, tol),
-            linalg.max_abs(psi.unit() - phi.unit()) <= 1e-8,
-            r_equivalent(phi, psi, EquivalenceContext.from_operator(r), tol),
-            linalg.max_abs(phi.choi - psi.choi) > 1e-6,
-        ]
+            return False, "no counterexample found"
+        checks = postconditions(phi, found)
         return all(checks), f"postconditions={checks}"
 
     def decomposition_random():

@@ -91,8 +91,8 @@ def diagonal_pair_map(diag: Sequence[float] = (1.0, 2.0, 3.0)) -> CpMap:
 
     For distinct nonzero ``c_i`` this is *not* quasi-pure: every standard
     basis vector ``e_i`` is a witness (both factors send it into the same
-    line), and the twist construction produces genuinely different maps
-    agreeing with it through ``R = |e_i><e_i|``.
+    line), and :func:`cpmaps.counterexample_construct` produces genuinely
+    different maps agreeing with it through ``R = |e_i><e_i|``.
     """
     c = np.asarray(diag, dtype=complex)
     d = c.size

@@ -313,11 +313,11 @@ def test_criterion_7_rigidity():
 
 
 def test_criterion_8_counterexample_soundness():
-    successes = 0
-    for phi, witness in counterexample_population():
+    pairs = counterexample_population()
+    assert len(pairs) >= 10
+    for phi, witness in pairs:
         out = counterexample_construct(phi, witness)
-        if out is None:
-            continue
+        assert out is not None, "no counterexample at a witness"
         psi, r = out
         d1 = phi.d_in
         scale = max(np.abs(phi.choi).max(), 1.0)
@@ -327,14 +327,12 @@ def test_criterion_8_counterexample_soundness():
         assert r_equivalent(phi, psi, r)
         assert np.abs(phi.choi - psi.choi).max() > 1e-6
         assert linalg.numerical_rank(r) == 1
-        successes += 1
-    assert successes >= 10, f"only {successes} constructions succeeded"
 
     # the boundary case: restriction at e1 forces the whole map back
     special = flip_twirl_map()
     assert counterexample_construct(special, np.array([1.0, 0.0])) is None
     assert forced_equality_scan(special, E11)
-    announce(8, f"{successes} counterexamples with all postconditions; "
+    announce(8, f"{len(pairs)} counterexamples with all postconditions; "
                 "forced equality confirmed at the boundary case")
 
 

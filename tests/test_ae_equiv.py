@@ -23,29 +23,35 @@ from cpmaps import (
     is_cp,
     is_quasipure,
     maps_close,
+    minimal_cp_completion_choi,
     minimal_cp_completion_stinespring,
     minimal_kraus,
     r_equivalent,
     rigidity_check,
     support_projection,
 )
-from cpmaps import linalg
+from cpmaps import linalg, serialize
 from cpmaps.gallery import (
     conjugation_map,
     diagonal_pair_map,
     flip_twirl_map,
     identity_map,
+    planted_witness_map,
     random_cp_map,
     trace_state_map,
     transpose_map,
 )
 
 from conftest import (
+    DATA,
     count_linalg_calls,
     counterexample_population,
+    matrix_unit,
+    polynomial_factors,
     random_non_normal,
     random_projection,
     random_psd,
+    random_unit,
 )
 
 
@@ -418,52 +424,112 @@ def test_counterexample_draws_no_random_numbers(monkeypatch):
         is None
 
 
-def test_flip_twirl_admits_no_twist():
-    # both at the true witness and at e1 no twist moves the map: rigidity
-    # without quasi-purity, as the forced-equality scan confirms
-    phi = flip_twirl_map()
-    h0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert counterexample_construct(phi, h0) is None
-    assert counterexample_construct(phi, np.array([1.0, 0.0])) is None
-
-
-def twist_room(phi, h0):
-    """Largest Frobenius distance of a ``B_ij`` from the scalars.
-
-    Plain numpy, from a Kraus family of ``phi``: the mixtures
-    ``sum_j c_j K_j`` with ``c`` in the kernel of ``[K_1 h0 | ... ]`` are
-    the factors of the part ``alpha`` that vanishes on ``h0``; with
-    ``S = alpha(I)``, ``B_ij = S^{+1/2} alpha(E_ij) S^{+1/2}`` on ``ran S``.
-    """
-    h0 = np.asarray(h0, dtype=complex) / np.linalg.norm(h0)
-    ks = np.stack(minimal_kraus(phi))
-    _, sv, vh = np.linalg.svd((ks @ h0).T)
-    rank = int(np.count_nonzero(sv > 1e-9 * sv[0]))
-    factors = np.einsum("lj,jap->lap", vh[rank:].conj(), ks)
-    units = np.einsum("lap,lbq->abpq", factors.conj(), factors)
-    w, u = np.linalg.eigh(np.einsum("aapq->pq", units))
-    keep = w > 1e-9 * max(w.max(), 0.0)
-    if np.count_nonzero(keep) < 2:
-        return 0.0
-    inv_half = u[:, keep] / np.sqrt(w[keep])
-    b = inv_half.conj().T @ units @ inv_half
-    mean = np.trace(b, axis1=-2, axis2=-1)[..., None, None] / b.shape[-1]
-    return float(np.linalg.norm(b - mean * np.eye(b.shape[-1]),
-                                axis=(-2, -1)).max())
-
-
-def test_counterexample_exactly_when_some_b_is_not_scalar():
+def test_every_witness_carries_a_counterexample():
+    # the paper's rigidity theorem made an if-and-only-if: at a quasi-purity
+    # witness h0 of a map on M_d, d >= 2, the vector V h0 is not cyclic, so
+    # phi is not the minimal completion of phi(.) |h0><h0| and the data
+    # does not pin phi down
     flip = flip_twirl_map()
     pairs = counterexample_population() + [
-        (flip, np.array([1.0, 0.0])),
         (flip, np.array([1.0, 1.0]) / np.sqrt(2.0))]
+    for phi, h0 in pairs:
+        out = counterexample_construct(phi, h0)
+        assert out is not None
+        check_counterexample(phi, *out)
+        assert not forced_equality_scan(phi, np.outer(h0, h0.conj()))
+    # the flip twirl's counterexample moves the map by half its entries
+    psi, _ = counterexample_construct(*pairs[-1])
+    assert np.isclose(np.abs(flip.choi - psi.choi).max(), 0.5)
+
+
+def quasipure_maps(rng):
+    """Proof-grade quasi-pure maps: trace-state, random and polynomial."""
+    maps = [trace_state_map(random_psd(rng, d), random_unit(rng, m))
+            for d, m in ((2, 2), (3, 2), (2, 3))]
+    maps += [random_cp_map(6, 2, 2, rng=rng) for _ in range(3)]
+    maps += [CpMap.from_kraus(polynomial_factors(rng, 6, 3, 2)),
+             CpMap.from_kraus(polynomial_factors(rng, 5, 3, 3)),
+             serialize.decode_map(
+                 serialize.load_document(DATA / "polynomial_744_map.json"))]
+    return maps
+
+
+def test_quasipure_maps_are_rigid_at_every_r_they_see():
+    # the other direction: for a proof-grade quasi-pure phi and any R with
+    # phi(.) R != 0, R-equivalence and a matched unit force psi = phi
+    rng = np.random.default_rng(2027)
+    cases = 0
+    for phi in quasipure_maps(rng):
+        verdict = is_quasipure(phi)
+        assert verdict.status == "QuasiPure" and verdict.is_proof
+        d = phi.d_out
+        for rank in range(1, d + 1):
+            for r in (random_projection(rng, d, rank),
+                      random_psd(rng, d, rank),
+                      random_non_normal(rng, d, rank)):
+                assert np.abs(phi.unit() @ r).max() > 1e-6
+                assert forced_equality_scan(phi, r)
+                cases += 1
+    assert cases >= 60
+
+
+def test_a_counterexample_exists_exactly_when_the_scan_says_so():
+    rng = np.random.default_rng(31)
+    flip = flip_twirl_map()
+    pairs = [(flip, np.array([1.0, 0.0])), (flip, np.array([0.0, 1.0])),
+             (flip, np.array([1.0, 1.0])), (flip, random_unit(rng, 2))]
+    for phi, h0 in counterexample_population()[:12]:
+        pairs += [(phi, h0), (phi, random_unit(rng, phi.d_out))]
+    # on M_1 nothing moves; with more factors than d_in every h0 is a witness
+    pairs += [(random_cp_map(1, 3, 2, rng=rng), random_unit(rng, 3)),
+              (random_cp_map(2, 3, 3, rng=rng), random_unit(rng, 3)),
+              (diagonal_pair_map(), random_unit(rng, 3))]
     found = 0
     for phi, h0 in pairs:
-        room = twist_room(phi, h0)
+        h0 = np.asarray(h0, dtype=complex) / np.linalg.norm(h0)
         out = counterexample_construct(phi, h0)
-        assert (out is not None) == (room > 1e-6), room
+        assert (out is None) == forced_equality_scan(
+            phi, np.outer(h0, h0.conj()))
         found += out is not None
-    assert 10 <= found < len(pairs)
+    assert 0 < found < len(pairs)
+
+
+def reference_scan(phi, r):
+    """The scan by its definition: ``d_in = 1``, or the minimal completion
+    of ``phi(.) R``, by the Choi route, equals ``phi``."""
+    return phi.d_in == 1 or maps_close(
+        minimal_cp_completion_choi(PartialCpMap.from_map(phi, r)), phi)
+
+
+def test_forced_equality_scan_agrees_with_the_minimal_completion():
+    rng = np.random.default_rng(302)
+    # X -> X_00 I: at R = E_00 the first candidate alpha + rho_0 is phi
+    # itself, so only rho_1 moves it
+    corner = CpMap.from_kraus([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)])
+    maps = [corner, CpMap.zero(2, 3), CpMap.zero(1, 2), flip_twirl_map(),
+            diagonal_pair_map(), identity_map(2),
+            conjugation_map(rng.normal(size=(3, 2))),
+            trace_state_map(random_psd(rng, 2), random_unit(rng, 3))]
+    for d_in in range(1, 5):
+        for d_out, k in ((2, 1), (2, 3), (3, 2)):
+            maps.append(random_cp_map(d_in, d_out, k, rng=rng))
+        if d_in > 1:
+            maps.append(planted_witness_map(
+                d_in, 3, 2, seed=int(rng.integers(1000)))[0])
+    cases = forced = 0
+    for phi in maps:
+        d = phi.d_out
+        # E_00 projects onto the planted maps' witness e1
+        ops = [np.zeros((d, d)), np.eye(d), matrix_unit(d, 0, 0)]
+        for rank in range(1, d + 1):
+            ops += [random_projection(rng, d, rank),
+                    random_non_normal(rng, d, rank)]
+        for r in ops:
+            got = forced_equality_scan(phi, r)
+            assert got == reference_scan(phi, r), (phi, r)
+            cases += 1
+            forced += got
+    assert 0 < forced < cases
 
 
 def test_counterexample_gates():
