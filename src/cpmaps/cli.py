@@ -87,8 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quasipure", help="decide quasi-purity of a CP map")
     p.add_argument("map_file")
     p.add_argument("--budget", type=int, default=2000,
-                   help="cells step 3 may spend: chart centres, then the "
-                        "columns of the Sylvester-type matrix")
+                   help="non-negative number of cells steps 2 and 3 may "
+                        "spend: chart centres, then the columns of the "
+                        "Sylvester-type matrix")
     _tolerance_args(p)
 
     p = sub.add_parser("complete",
@@ -107,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comparison operator document")
     ctx.add_argument("--xi", dest="xi_file", metavar="XI_FILE",
                      help="reference map document (support projection)")
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=int, default=2000,
+                   help="non-negative number of cells the quasi-purity "
+                        "decision of phi may spend")
     _tolerance_args(p)
 
     p = sub.add_parser("demo", help="run the built-in example suite")

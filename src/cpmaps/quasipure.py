@@ -15,13 +15,28 @@ A *witness* is an ``h0`` with ``0 < rank F(h0) < k`` for
 holds (its stored Kraus factors, else its minimal ones) when ``k >= 2``
 and ``k d_out <= d_in``: ``rank T == k d_out`` with ``sigma_min(T)^2 >
 eps_rank sigma_max(T)^2`` proves ``QuasiPure`` from that one SVD (step
-1).  Otherwise it settles ``k == 1`` (pure), reduces modulo the common
-kernel (``K_j B`` for an orthonormal basis ``B`` of its complement,
-``m`` columns) and checks two necessary conditions, each violation
-yielding a witness.  One is ``k <= d_in``.  The other is that the factor
-kernels coincide: after the reduction they meet in ``0``, so they
-coincide iff every ``K_j B`` is injective, which one batched SVD of the
-``(k, d_in, m)`` stack decides.  A short ``K_j B`` sends its last right
+1).  When it does not, two more of those singular values may still vouch
+for the reduction, by Courant-Fischer on the subspaces ``{c (x) x}`` and
+``{c (x) h}`` of a fixed ``c``, resp. ``h``:
+
+    ``sigma_{km-m+1}(T) <= s_min(W)``, ``s_max(W)^2 <= m sigma_max(T)^2``
+    for the stacked factor vectors ``W``, and
+    ``sigma_{km-k+1}(T) <= s_min(V)``, ``s_max(V)^2 <= k sigma_max(T)^2``
+    for the stacked factors ``V``.
+
+Kept by the rank rule against ``2 m sigma_max(T)^2`` (squared) and
+``sqrt(2k) sigma_max(T)``, they show the held family independent and its
+common kernel trivial, the answers :func:`minimal_kraus` and the
+common-kernel SVD would give; the factor 2 absorbs the rounding of all
+three SVDs, which is of the unit roundoff, far below ``eps_rank``.
+It then settles ``k == 1`` (pure), reduces modulo the common kernel
+(``K_j B`` for an orthonormal basis ``B`` of its complement, ``m``
+columns; ``B = I`` once step 1 vouched) and checks two necessary
+conditions, each violation yielding a witness.  One is ``k <= d_in``.
+The other is that the factor kernels coincide: after the reduction they
+meet in ``0``, so they coincide iff every ``K_j B`` is injective, which
+one batched sigma-only SVD of the ``(k, d_in, m)`` stack decides when
+``d_in >= m``.  A short ``K_j B`` sends its last right
 singular vector ``x`` to zero while some other factor does not, so
 ``B x`` is the witness once it passes the rank window; a factor short
 only by its own scale, with ``F(B x)`` still of rank ``k``, is left to
@@ -204,28 +219,50 @@ def _common_kernel_complement(factors, tol: Tolerance) -> np.ndarray:
     return vh[:r].conj().T
 
 
+def _reduction_is_trivial(s, k: int, m: int, tol: Tolerance) -> bool:
+    """Whether step 1's ``sigma(T)`` vouches for the reduction.
+
+    ``s`` holds the ``k m`` singular values of a tall ``T = [K_1 | ... |
+    K_k]``, descending.  The rank rule keeping ``sigma_{km-m+1}(T)^2``
+    against ``2 m sigma_max(T)^2`` and ``sigma_{km-k+1}(T)`` against
+    ``sqrt(2k) sigma_max(T)`` shows that :func:`minimal_kraus` keeps the
+    held family and that :func:`_common_kernel_complement` is ``I``: the
+    bounds and the rounding margin are in :func:`is_quasipure`.
+    """
+    top = s[0]
+    return bool(linalg.kept([s[-m] ** 2], tol, 2 * m * top * top)[0]
+                and linalg.kept([s[-k]], tol, math.sqrt(2 * k) * top)[0])
+
+
 def _short_factor_verdict(factors, stack, basis,
                           tol: Tolerance) -> Optional[QuasiPurityVerdict]:
     """NotQuasiPure on a witness ``B x`` with ``K_j B x = 0``, or None.
 
-    ``stack`` holds the reduced factors ``K_j B`` (``k x d x m``).  One
-    batched SVD gives every factor's rank by the rank rule
-    :func:`linalg.kept`, row by row; a factor is short when its rank is
-    below ``m`` (always so when ``d < m``).  Short factors are tried
-    shortest first, by the ratio of their smallest singular value to their
-    largest, and ``B x`` for the last right singular vector ``x`` is kept
-    only when it passes the rank window: a factor short by its own scale
-    can still leave ``F(B x)`` of rank ``k`` (its image is small, not
-    zero, next to the others), and then the steps after this test
-    decide.  That check is the verdict's own, so the witness is ranked
-    once.
+    ``stack`` holds the reduced factors ``K_j B`` (``k x d x m``).  A factor
+    is short when its rank is below ``m``, always so when ``d < m``.
+    Otherwise one batched sigma-only SVD gives every factor's rank by the
+    rank rule :func:`linalg.kept`, row by row, and the test ends there
+    when every factor keeps all ``m``: singular vectors are computed only
+    for the short factors.  They are tried shortest first, by the ratio of
+    their smallest singular value to their largest, and ``B x`` for the
+    last right singular vector ``x`` is kept only when it passes the rank
+    window: a factor short by its own scale can still leave ``F(B x)`` of
+    rank ``k`` (its image is small, not zero, next to the others), and then
+    the steps after this test decide.  That check is the verdict's own, so
+    the witness is ranked once.
     """
     _, d, m = stack.shape
-    _, s, vh = np.linalg.svd(stack, full_matrices=d < m)
-    short = np.flatnonzero(np.count_nonzero(linalg.kept(s, tol), axis=1) < m)
-    ratio = s[short, -1] / s[short, 0] if d >= m else np.zeros(short.size)
-    for j in short[np.argsort(ratio, kind="stable")]:
-        verdict = _witness_verdict(factors, basis @ vh[j, -1].conj(),
+    if d < m:
+        short = np.arange(len(stack))
+    else:
+        s = np.linalg.svd(stack, compute_uv=False)
+        short = np.flatnonzero(linalg.kept(s, tol).sum(axis=1) < m)
+        if short.size == 0:
+            return None
+        short = short[np.argsort(s[short, -1] / s[short, 0], kind="stable")]
+    vh = np.linalg.svd(stack[short], full_matrices=d < m)[2]
+    for x in vh[:, -1]:
+        verdict = _witness_verdict(factors, basis @ x.conj(),
                                    METHOD_NECESSARY, tol)
         if verdict is not None:
             return verdict
@@ -361,8 +398,9 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     matrix (reported as ``samples_used``); a budget below them gives
     ``Inconclusive``.  The kernel read of step 2 spends no cells.  No
     step draws random numbers, so the verdict is a function of the input.
-    Raises ZeroMap for the zero map, and NotCP, from :func:`minimal_kraus`,
-    for a map given by a Choi matrix that is not PSD.
+    Raises ValueError for a negative budget, before any step, ZeroMap for
+    the zero map, and NotCP, from :func:`minimal_kraus`, for a map given
+    by a Choi matrix that is not PSD.
 
     Step 1 runs first, on the family the map holds, because an injective
     ``T`` makes every step before it a no-op.  Write ``r = sigma_min(T) /
@@ -384,13 +422,37 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     the stacked factor vectors as well, so :func:`minimal_kraus` keeps the
     family, and the same map given by its Choi matrix, whose minimal
     factors mix these by a unitary and leave the singular values of ``T``
-    alone, returns here too.  For a smaller ``r`` the pipeline
-    runs on the reduced family, which may be shorter.  When the family is
-    not reduced, the rank of ``T`` is reused while the basis is ``I``.
-    Step 1 takes singular values only, at either place: the kernel read
-    factorizes ``T'`` again, with vectors, only once ``T'`` is known to be
-    deficient, so a map that step 1 proves pays for no vectors.
+    alone, returns here too.
+
+    For a smaller ``r`` the same singular values may still vouch for the
+    reduction (:func:`_reduction_is_trivial`).  For a unit ``c``, the
+    ``m``-dimensional space ``{c (x) x}`` holds, by Courant-Fischer, a
+    unit vector with ``||T v|| >= sigma_{km-m+1}(T)``, and ``||T v||^2 <=
+    sum_l ||T (c (x) e_l)||^2 = ||sum_j c_j K_j||_F^2 <= m
+    sigma_max(T)^2``: for the stacked factor vectors ``W``,
+    ``sigma_{km-m+1}(T) <= s_min(W)`` and ``s_max(W)^2 <= m
+    sigma_max(T)^2``.  For a unit ``h``, the ``k``-dimensional ``{c (x)
+    h}`` likewise gives ``sigma_{km-k+1}(T) <= ||sum_j c_j K_j h|| <=
+    (sum_j ||K_j h||^2)^(1/2) <= sqrt(k) sigma_max(T)``: for the stacked
+    factors ``V``, ``sigma_{km-k+1}(T) <= s_min(V)`` and ``s_max(V) <=
+    sqrt(k) sigma_max(T)``.  So when the rank rule keeps
+    ``sigma_{km-m+1}(T)^2`` against ``2 m sigma_max(T)^2`` and
+    ``sigma_{km-k+1}(T)`` against ``sqrt(2k) sigma_max(T)``, the exact
+    ``s(W)^2`` and ``s(V)`` pass it with a factor 2, resp. ``sqrt 2``, to
+    spare.  As in step 1, rounding moves each computed singular value by a
+    small multiple of the unit roundoff times the largest, far below
+    ``eps_rank`` times it, and that margin covers all three SVDs: the
+    held family is the one :func:`minimal_kraus` keeps, its common kernel
+    is trivial, and the pipeline runs on it with the basis ``I``, taking
+    neither SVD.  Otherwise it runs on the reduced family, which may be
+    shorter.  When the family is not reduced, the rank of ``T`` is reused
+    while the basis is ``I``.  Step 1 takes singular values only, at
+    either place: the kernel read factorizes ``T'`` again, with vectors,
+    only once ``T'`` is known to be deficient, so a map that
+    step 1 proves pays for no vectors.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget!r}")
     if phi.is_zero():
         raise ZeroMap("quasi-purity is undefined for the zero map")
 
@@ -398,6 +460,7 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     given = list(phi.kraus) if phi.kraus else minimal_kraus(phi, tol)
     columns = len(given) * phi.d_out
     flat_rank = None
+    trivial = False
     if len(given) >= 2 and columns <= phi.d_in:  # else T cannot be injective
         s = np.linalg.svd(np.hstack(given), compute_uv=False)
         # s descends, so the last s^2 kept keeps them all, and every s:
@@ -406,15 +469,17 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
             return QuasiPurityVerdict(status=QUASI_PURE,
                                       method=METHOD_EXACT_PENCIL)
         flat_rank = int(np.count_nonzero(linalg.kept(s, tol)))
+        trivial = _reduction_is_trivial(s, len(given), phi.d_out, tol)
 
-    factors = minimal_kraus(phi, tol) if phi.kraus else given
+    factors = minimal_kraus(phi, tol) if phi.kraus and not trivial else given
     k = len(factors)
     if k == 1:
         return QuasiPurityVerdict(status=QUASI_PURE, method=METHOD_PURE)
     if k != len(given):  # a dependent stored family was reduced
         flat_rank = None
 
-    basis = _common_kernel_complement(factors, tol)
+    basis = (np.eye(phi.d_out, dtype=complex) if trivial
+             else _common_kernel_complement(factors, tol))
 
     # necessary condition: Choi rank at most d_in
     if k > phi.d_in:

@@ -95,6 +95,16 @@ def polynomial_factors(rng, d_in, m, k, draw=haar_unitary):
             for j in range(k)]
 
 
+def pencil_witness(rng, d_in, m):
+    """A ``k = 2`` pair with ``K_2 e_1 = -2 K_1 e_1``, its columns mixed by
+    a unitary: ``T = [K_1 | K_2]`` has a one-dimensional kernel."""
+    l1, l2 = (rng.normal(size=(d_in, m)) + 1j * rng.normal(size=(d_in, m))
+              for _ in range(2))
+    l2[:, 0] = -2.0 * l1[:, 0]
+    b = haar_unitary(rng, m)
+    return CpMap.from_kraus([l1 @ b, l2 @ b])
+
+
 def counterexample_population():
     """(map, witness) pairs of the counterexample soundness criterion.
 

@@ -117,6 +117,19 @@ class ExitCodeTests(unittest.TestCase):
         self.assertFalse(report["is_proof"])
         self.assertLessEqual(report["samples_used"], report["budget"])
 
+    def test_negative_budget_exits_2(self):
+        # inconclusive_map.json is proved with the default budget; a
+        # negative one is invalid input, for quasipure and for aeq alike
+        code, out, err = run_cli("quasipure", "inconclusive_map.json",
+                                 "--budget", "-5")
+        self.assertEqual(code, 2, err)
+        self.assertEqual(out, "")
+        self.assertIn("budget must be non-negative", err)
+        code, out, err = run_cli("aeq", "eb_map.json", "eb_map.json",
+                                 "--r", "e11_operator.json", "--budget", "-1")
+        self.assertEqual(code, 2, err)
+        self.assertIn("budget must be non-negative", err)
+
     def test_quasipure_proves_the_k3_map(self):
         code, out, err = run_cli("quasipure", "inconclusive_map.json")
         self.assertEqual(code, 0, err)

@@ -23,7 +23,7 @@ from cpmaps import CpMap, is_quasipure, kraus_to_choi, linalg, minimal_kraus
 from cpmaps.gallery import planted_witness_map
 from cpmaps.quasipure import INCONCLUSIVE
 
-from conftest import haar_unitary, polynomial_factors
+from conftest import haar_unitary, pencil_witness, polynomial_factors
 
 BUDGET = 300
 
@@ -130,3 +130,24 @@ def test_a_square_flattening_witness_is_decided_alike_in_every_form(seed):
         ("NotQuasiPure", "ExactPencil", 0)}
     for v in verdicts:
         assert abs(np.vdot(h0, v.witness)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: pencil_witness(np.random.default_rng(seed), 4, 2),
+    lambda seed: pencil_witness(np.random.default_rng(seed), 6, 3),
+    lambda seed: planted_witness_map(6, 2, 3, seed=seed)[0],
+    lambda seed: planted_witness_map(8, 2, 4, seed=seed)[0],
+], ids=["pencil-42", "pencil-63", "planted-623", "planted-824"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_a_tall_flattening_witness_is_decided_alike_in_every_form(make, seed):
+    # whether step 1's sigma(T) vouches for the reduction depends on
+    # sigma(T) alone, which the Choi form's minimal factors and a unitary
+    # mixing of the family leave unchanged: every form takes one route
+    phi = make(seed)
+    mix = haar_unitary(np.random.default_rng(seed), len(phi.kraus))
+    forms = [phi, CpMap.from_choi(phi.choi, phi.d_in, phi.d_out),
+             CpMap.from_kraus([sum(u * f for u, f in zip(row, phi.kraus))
+                               for row in mix])]
+    verdicts = [is_quasipure(form) for form in forms]
+    assert len({(v.status, v.method, v.samples_used) for v in verdicts}) == 1
+    assert verdicts[0].status == "NotQuasiPure"

@@ -22,6 +22,7 @@ from cpmaps import (
     map_from_dilation,
     minimal_kraus,
     minimal_stinespring,
+    rigidity_check,
 )
 from cpmaps import linalg, quasipure, serialize
 from cpmaps.quasipure import METHOD_SYLVESTER
@@ -43,6 +44,7 @@ from conftest import (
     count_linalg_calls,
     haar_unitary,
     matrix_unit,
+    pencil_witness,
     polynomial_factors,
     random_kraus,
     random_unit,
@@ -544,6 +546,68 @@ def test_common_kernel_complement_takes_one_svd(monkeypatch):
         np.eye(4))
 
 
+def near_reduction_families(rng, d_in, m, k, rel):
+    """Dependent, common-kernel and short-factor families of ``k`` factors
+    ``(d_in, m)``, each moved by ``rel`` times its largest entry."""
+    g = random_kraus(rng, d_in, m, k)
+    x = random_unit(rng, m)
+    cut = np.eye(m) - np.outer(x, x.conj())
+    families = [g[:-1] + [g[0] + 0.5j * g[-2]],  # K_k in the span of the rest
+                [f @ cut for f in g],            # every K_j kills x
+                [g[0] @ cut] + g[1:]]            # K_1 alone kills x
+    noise = random_kraus(rng, d_in, m, k)
+    return [[f + rel * max(map(linalg.max_abs, fam)) * n
+             for f, n in zip(fam, noise)] for fam in families]
+
+
+def verdict_record(phi):
+    v = is_quasipure(phi)
+    return (v.status, v.method, v.samples_used,
+            None if v.witness is None else v.witness.tobytes())
+
+
+@pytest.mark.parametrize("d_in, m, k", [(4, 2, 2), (6, 3, 2), (6, 2, 3),
+                                        (8, 2, 4), (9, 3, 3)])
+def test_step_one_vouches_for_the_reduction_soundly(monkeypatch, d_in, m, k):
+    # families on either side of a dependency, a common kernel and a short
+    # factor, in Kraus and Choi form: whenever sigma(T) vouches for the
+    # reduction, minimal_kraus keeps the held family and the common-kernel
+    # complement is I, and every verdict is the one the full reduction
+    # gives, byte for byte
+    tol = linalg.DEFAULT_TOL
+    rng = np.random.default_rng(d_in * 100 + m * 10 + k)
+    maps = []
+    for rel in 3 * ([0.0] + [10.0 ** -e for e in range(3, 14)]):
+        for factors in near_reduction_families(rng, d_in, m, k, rel):
+            phi = CpMap.from_kraus(factors)
+            maps += [phi, CpMap.from_choi(phi.choi, d_in, m)]
+    gates = []
+    real = quasipure._reduction_is_trivial
+
+    def spy(*args):
+        gates.append(real(*args))
+        return gates[-1]
+
+    monkeypatch.setattr(quasipure, "_reduction_is_trivial", spy)
+    vouched, gated = [], []
+    for phi in maps:
+        gates.clear()
+        gated.append(verdict_record(phi))
+        vouched.append(gates == [True])
+        if vouched[-1]:
+            if phi.kraus:  # minimal_kraus keeps the stored factors themselves
+                kept = minimal_kraus(phi, tol)
+                assert len(kept) == k
+                assert all(a is b for a, b in zip(kept, phi.kraus))
+            held = phi.kraus or minimal_kraus(phi, tol)
+            assert np.array_equal(
+                quasipure._common_kernel_complement(held, tol), np.eye(m))
+    monkeypatch.setattr(quasipure, "_reduction_is_trivial",
+                        lambda *args: False)
+    assert [verdict_record(phi) for phi in maps] == gated
+    assert 0 < sum(vouched) < len(maps)
+
+
 def test_decisions_draw_no_random_numbers(monkeypatch):
     maps = [load_map("inconclusive_map.json"),
             planted_witness_map(3, 3, 3, seed=2)[0]]
@@ -561,6 +625,23 @@ def test_input_gates():
         is_quasipure(transpose_map(2))
     with pytest.raises(ZeroMap):
         is_quasipure(CpMap.zero(2, 2))
+
+
+def test_a_negative_budget_is_rejected_before_step_one(monkeypatch):
+    # step 1 proves this map without spending a cell, and still a negative
+    # budget is refused, before any factorization; the rigidity check
+    # passes its budget through and refuses it alike
+    phi = random_cp_map(5, 2, 2, seed=3)
+    calls = count_linalg_calls(monkeypatch, ["svd", "eigh"])
+    with pytest.raises(ValueError, match="non-negative"):
+        is_quasipure(phi, budget=-5)
+    with pytest.raises(ValueError, match="non-negative"):
+        is_quasipure(CpMap.zero(2, 2), budget=-1)
+    assert calls == []
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="non-negative"):
+        rigidity_check(phi, phi, np.eye(2), budget=-1)
+    assert is_quasipure(phi, budget=0).status == "QuasiPure"
 
 
 @pytest.mark.parametrize("scale", [1e-10, 1e-12])
@@ -842,17 +923,22 @@ def test_pencil_decisions_on_the_fixtures(name, decision, line):
             assert abs(np.vdot(v.witness, line)) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("factors", [
-    minimal_kraus(planted_witness_map(5, 3, 2)[0]),
-    gaussian_integer_pair(np.random.default_rng(7), 5, 2, singular=True),
-    minimal_kraus(planted_witness_map(6, 2, 3)[0]),
+@pytest.mark.parametrize("factors, kernel_svds", [
+    (minimal_kraus(planted_witness_map(5, 3, 2)[0]), 1),
+    (gaussian_integer_pair(np.random.default_rng(7), 5, 2, singular=True), 0),
+    (minimal_kraus(planted_witness_map(6, 2, 3)[0]), 1),
 ], ids=["float", "gaussian-integer", "g-side"])
-def test_k2_decision_reuses_the_reduction(monkeypatch, factors):
+def test_k2_decision_reuses_the_reduction(monkeypatch, factors, kernel_svds):
     # is_quasipure has removed the common kernel and tested the short
     # factors itself: on the K side (k = 2) the pencil takes neither the SVD
     # of the stacked pair again nor a kernel SVD of either factor; on the G
     # side (m = 2 < k) the G_i have no common kernel, and the planted e_1 is
-    # the point c = (1, 0), tested before the pencil
+    # the point c = (1, 0), tested before the pencil.  The Gaussian-integer
+    # pair has a tall T = [K_1 | K_2] (4 columns, 5 rows) with a
+    # one-dimensional kernel, so step 1's sigma(T) shows the common kernel
+    # trivial and the stacked factors are not factorized at all; the
+    # planted g-side kernel a (x) e_1 is m = 2 dimensional, and T vouches
+    # for nothing
     k, (d, m) = len(factors), factors[0].shape
     kernels = []
     original = linalg.kernel_basis
@@ -865,25 +951,15 @@ def test_k2_decision_reuses_the_reduction(monkeypatch, factors):
     calls = count_linalg_calls(monkeypatch, ["svd"])
     v = is_quasipure(CpMap.from_kraus(factors))
     assert (v.status, v.method) == ("NotQuasiPure", "ExactPencil")
-    assert calls.count(("svd", (k * d, m))) == 1  # the common kernel
+    assert calls.count(("svd", (k * d, m))) == kernel_svds  # common kernel
     assert kernels == []
     if k > m:
         assert calls.count(("svd", (2 * d, k))) == 0  # the stacked G_1, G_2
         assert np.allclose(v.witness, np.eye(m)[0])
 
 
-def square_pencil_witness(rng):
-    """A ``k = 2`` pair of shape (6, 3) with ``K_2 e_1 = -2 K_1 e_1``, its
-    columns mixed by a unitary: ``T = [K_1 | K_2]`` is square."""
-    l1, l2 = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-              for _ in range(2))
-    l2[:, 0] = -2.0 * l1[:, 0]
-    b = haar_unitary(rng, 3)
-    return CpMap.from_kraus([l1 @ b, l2 @ b])
-
-
 @pytest.mark.parametrize("phi", [
-    square_pencil_witness(np.random.default_rng(4)),
+    pencil_witness(np.random.default_rng(4), 6, 3),
     planted_witness_map(6, 2, 3)[0],
     planted_witness_map(9, 3, 3)[0],
     planted_witness_map(9, 3, 3, seed=5)[0],
@@ -892,7 +968,11 @@ def test_square_flattening_witness_is_read_from_its_kernel(monkeypatch, phi):
     # a witness h with dependency vectors A puts A (x) h in ker T; with
     # k m <= d_in rows and one witness, the last right singular vector of T
     # is such a tensor, and its largest row passes the rank window with no
-    # pencil, no chart centre and no polish
+    # pencil, no chart centre and no polish.  Step 1's sigma(T) vouches for
+    # the reduction except on planted-623, whose kernel {a (x) e_1} has
+    # dimension m = 2; either way the one batched sigma-only SVD is the
+    # short-factor test, which finds every factor injective and asks for no
+    # vectors
     def refuse(*args, **kwargs):
         raise AssertionError("a later candidate ran")
 
@@ -906,8 +986,7 @@ def test_square_flattening_witness_is_read_from_its_kernel(monkeypatch, phi):
     assert witness_is_sound(phi, v.witness)
     k, (d, m) = len(phi.kraus), phi.kraus[0].shape
     assert calls.count(("svd", (d, k * m), True)) == 1
-    # the chart centres' sigma_p(M_i) would be one batched sigma-only SVD
-    assert not [c for c in calls if len(c[1]) == 3 and not c[2]]
+    assert [c for c in calls if len(c[1]) == 3] == [("svd", (k, d, m), False)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
