@@ -175,6 +175,20 @@ class DecompositionResult:
     phi1: CpMap
 
 
+def _completion_along(phi: CpMap, r, tol: Tolerance) -> CpMap:
+    """The ``alpha`` of :func:`decompose_along`, without the remainder."""
+    r = linalg.as_matrix(r)
+    if r.shape != (phi.d_out, phi.d_out):
+        raise DimensionMismatch(
+            f"R has shape {r.shape}, expected {(phi.d_out, phi.d_out)}")
+    if phi.is_zero():
+        return CpMap.zero(phi.d_in, phi.d_out)
+    triple = minimal_stinespring(phi, tol)
+    q = reducing_projection(triple, linalg.range_projection(r, tol), tol)
+    return map_from_dilation(q @ triple.v, phi.d_in, phi.d_out,
+                             triple.multiplicity)
+
+
 def decompose_along(phi: CpMap, r,
                     tol: Tolerance = DEFAULT_TOL) -> DecompositionResult:
     """Decompose a CP map along an operator.
@@ -182,20 +196,13 @@ def decompose_along(phi: CpMap, r,
     ``phi`` itself completes its own data, so ``alpha`` compresses phi's own
     minimal dilation to the subspace generated by ``V P_R``, with no partial
     map built; the remainder is CP because ``alpha`` is dominated by ``phi``.
-    Raises NotCP, from :func:`minimal_stinespring`, on a non-CP ``phi``.
+    The zero map splits into two zero maps.  Raises DimensionMismatch for an
+    ``R`` of the wrong shape and NotCP, from :func:`minimal_stinespring`, on
+    a non-CP ``phi``.
     """
-    r = linalg.as_matrix(r)
-    if r.shape != (phi.d_out, phi.d_out):
-        raise DimensionMismatch(
-            f"R has shape {r.shape}, expected {(phi.d_out, phi.d_out)}")
-    if phi.is_zero():
-        zero = CpMap.zero(phi.d_in, phi.d_out)
-        return DecompositionResult(alpha=zero, phi1=zero)
-    triple = minimal_stinespring(phi, tol)
-    q = reducing_projection(triple, linalg.range_projection(r, tol), tol)
-    alpha = map_from_dilation(q @ triple.v, phi.d_in, phi.d_out,
-                              triple.multiplicity)
-    return DecompositionResult(alpha=alpha, phi1=phi - alpha)
+    alpha = _completion_along(phi, r, tol)
+    return DecompositionResult(
+        alpha=alpha, phi1=alpha if phi.is_zero() else phi - alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,14 +309,14 @@ def _distinct_completion(phi: CpMap, r,
                          tol: Tolerance) -> Optional[CpMap]:
     """A CP ``psi != phi``, R-equivalent and unit-matched, or None.
 
-    ``psi = alpha + rho_i`` with ``alpha`` from :func:`decompose_along` and
+    ``psi = alpha + rho_i`` with ``alpha`` of :func:`decompose_along` and
     ``rho_i(X) = <e_i, X e_i> D``, ``D = phi(I) - alpha(I)``, built from
     ``alpha``'s factors and ``e_i f_a*`` for the kept columns ``f_a`` of
     ``D^{1/2}``; ``i = 1`` is tried when ``psi_0`` equals ``phi``.  None
     when ``D`` keeps no eigenvalue at the scale of ``phi(I)``, or when no
     ``psi_i`` differs from ``phi`` (always so on ``M_1``).
     """
-    alpha = decompose_along(phi, r, tol).alpha
+    alpha = _completion_along(phi, r, tol)
     unit = phi.unit()
     w, u = linalg.eigh(unit - alpha.unit())
     pos = linalg.kept(w, tol, linalg.max_abs(unit))

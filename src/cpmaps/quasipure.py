@@ -49,6 +49,9 @@ the steps below.  Then:
    ``sigma_min(T)`` is positive.  For ``m == 1``, ``T = F(h)`` for the
    only direction, so this step decides.  Taken before the reduction, it
    gives the answer the reduction would reach: see :func:`is_quasipure`.
+   A reduced flattening ``T' = [K_1 B | ... | K_k B]`` with fewer than
+   ``k m`` rows has rank below ``k m`` and is not ranked at all; ``m ==
+   1`` always leaves it ``d_in >= k`` rows.
 2. This step only supplies candidates, and proves nothing.  The first
    is read from the kernel of the reduced flattening ``T' = [K_1 B | ...
    | K_k B]`` when it has ``d_in >= k m`` rows.  A witness ``h`` with
@@ -77,7 +80,8 @@ the steps below.  Then:
    the point ``z = 0``.
    For ``n > 2`` the one candidate is the chart centre ``e_i`` of
    ``CP^{n-1}`` with the lowest ``sigma_p(M_i)`` (``p`` columns): ``n``
-   cells, against the ``N`` of ``S``.
+   cells, against the ``N`` of ``S``.  On the ``K`` side with ``d_in >=
+   m`` these are the short-factor test's singular values, read again.
 3. The bidegree-``(1, k)`` Sylvester-type matrix ``S`` of ``T (a (x) h)
    = 0`` (Sturmfels & Zelevinsky, J. Algebra 163, 1994) decides every map
    that no candidate of step 2 settles.  It has a row per row ``r`` of
@@ -86,7 +90,9 @@ the steps below.  Then:
    ``(r, g)``, column ``(j, g + e_l)``.  A witness's zero ``(a, h)`` gives
    the kernel vector ``(a_j h^b) != 0``, so full column rank proves
    ``QuasiPure`` by step 1's Weyl margin: ``S`` copies the entries of
-   ``T``.  Otherwise each kernel vector, in SVD order, is read (``h_l``
+   ``T``.  The rank comes from a sigma-only SVD, so a proof computes no
+   vectors.  Otherwise ``S`` is factorized again, with vectors, and each
+   kernel vector, in SVD order, is read (``h_l``
    from ``a_j h_l0^(k-1) h_l`` at its largest ``a_j h_l0^k``) as a
    candidate; none passing, or a budget below the cells of steps 2 and 3
    (``N``, plus ``n`` for ``n > 2``), gives ``Inconclusive``.
@@ -178,7 +184,7 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
 
 def _is_witness(factors, h0, tol: Tolerance) -> bool:
     """Whether ``0 < rank F(h0) < k``."""
-    r = linalg.numerical_rank(np.column_stack([k @ h0 for k in factors]), tol)
+    r = linalg.numerical_rank((np.asarray(factors) @ h0).T, tol)
     return 0 < r < len(factors)
 
 
@@ -234,28 +240,27 @@ def _reduction_is_trivial(s, k: int, m: int, tol: Tolerance) -> bool:
                 and linalg.kept([s[-k]], tol, math.sqrt(2 * k) * top)[0])
 
 
-def _short_factor_verdict(factors, stack, basis,
+def _short_factor_verdict(factors, stack, basis, s,
                           tol: Tolerance) -> Optional[QuasiPurityVerdict]:
     """NotQuasiPure on a witness ``B x`` with ``K_j B x = 0``, or None.
 
     ``stack`` holds the reduced factors ``K_j B`` (``k x d x m``).  A factor
     is short when its rank is below ``m``, always so when ``d < m``.
-    Otherwise one batched sigma-only SVD gives every factor's rank by the
-    rank rule :func:`linalg.kept`, row by row, and the test ends there
-    when every factor keeps all ``m``: singular vectors are computed only
-    for the short factors.  They are tried shortest first, by the ratio of
-    their smallest singular value to their largest, and ``B x`` for the
-    last right singular vector ``x`` is kept only when it passes the rank
-    window: a factor short by its own scale can still leave ``F(B x)`` of
-    rank ``k`` (its image is small, not zero, next to the others), and then
-    the steps after this test decide.  That check is the verdict's own, so
-    the witness is ranked once.
+    Otherwise ``s``, the batched sigma-only SVD of ``stack``, gives every
+    factor's rank by the rank rule :func:`linalg.kept`, row by row, and the
+    test ends there when every factor keeps all ``m``: singular vectors are
+    computed only for the short factors.  They are tried shortest first, by
+    the ratio of their smallest singular value to their largest, and ``B x``
+    for the last right singular vector ``x`` is kept only when it passes the
+    rank window: a factor short by its own scale can still leave ``F(B x)``
+    of rank ``k`` (its image is small, not zero, next to the others), and
+    then the steps after this test decide.  That check is the verdict's
+    own, so the witness is ranked once.
     """
     _, d, m = stack.shape
     if d < m:
         short = np.arange(len(stack))
     else:
-        s = np.linalg.svd(stack, compute_uv=False)
         short = np.flatnonzero(linalg.kept(s, tol).sum(axis=1) < m)
         if short.size == 0:
             return None
@@ -308,26 +313,35 @@ def _refine_candidate(stack, h):
     otherwise ``h`` becomes the best kernel direction of ``P(a)``, an
     alternating step that converges only linearly.  The loop exits once
     ``sigma_k`` reaches rounding level, or after 400 rounds.
+
+    One round forms ``P(a)`` as one product with the flattened stack and
+    ``P(a) h`` once, fills the ``d x (k + m)`` Jacobian ``[F(h) (I - a a*)
+    | P(a) (I - h h*)]`` in one buffer, solves one least-squares problem,
+    and takes the SVD of the trial ``F(h)``; a rejected step adds the SVD
+    of ``P(a)``.  Neither SVD computes the ``U`` it would not read.
     """
-    k = len(stack)  # stack: (k, d1, m)
+    k, d, m = stack.shape
+    flat = stack.reshape(k, -1)
     floor = 1e-14 * float(np.abs(stack).max())
+    jacobian = np.empty((d, k + m), dtype=complex)
 
     def state(vec):  # sigma_k of F(vec), F(vec), its worst a, and vec
         f = np.einsum("jdm,m->dj", stack, vec)
-        _, s, vh = np.linalg.svd(f)
+        s, vh = np.linalg.svd(f, full_matrices=d < k)[1:]
         return s[min(k, s.size) - 1], f, vh[-1, :].conj(), vec
 
     s, f, a, h = state(h)
     for _ in range(400):
         if s < floor:
             break
-        pencil = np.tensordot(a, stack, axes=(0, 0))
-        jacobian = np.hstack([f - np.outer(f @ a, a.conj()),
-                              pencil - np.outer(pencil @ h, h.conj())])
-        step = np.linalg.lstsq(jacobian, -(pencil @ h), rcond=None)[0][k:]
-        trial = state((h + step) / np.linalg.norm(h + step))
+        pencil = (a @ flat).reshape(d, m)
+        image = pencil @ h
+        np.subtract(f, (f @ a)[:, None] * a.conj(), out=jacobian[:, :k])
+        np.subtract(pencil, image[:, None] * h.conj(), out=jacobian[:, k:])
+        moved = h + np.linalg.lstsq(jacobian, -image, rcond=None)[0][k:]
+        trial = state(moved / np.linalg.norm(moved))
         if trial[0] >= s:
-            h_new = np.linalg.svd(pencil)[2][-1, :].conj()
+            h_new = np.linalg.svd(pencil, full_matrices=d < m)[2][-1, :].conj()
             if np.linalg.norm(h_new - h * np.vdot(h, h_new)) < 1e-15:
                 return h_new
             trial = state(h_new)
@@ -345,7 +359,9 @@ def _candidate_verdict(factors, stack, basis, vec, dependency: bool,
     ``h``, or ``ker P(a)``, and ``B h`` must pass the rank window.
     """
     if dependency:
-        vec = np.linalg.svd((vec[:, None, None] * stack).sum(0))[2][-1].conj()
+        _, d, m = stack.shape
+        pencil = (vec[:, None, None] * stack).sum(0)  # P(a)
+        vec = np.linalg.svd(pencil, full_matrices=d < m)[2][-1].conj()
     h = _refine_candidate(stack, vec / np.linalg.norm(vec))
     return _witness_verdict(factors, basis @ h, method, tol, samples)
 
@@ -367,11 +383,13 @@ def _sylvester_step(factors, stack, basis, spent: int, budget: int,
     s = np.zeros((d, len(rows), k, width), dtype=complex)
     s[:, np.arange(len(rows))[:, None], :, columns] = stack.transpose(2, 1, 0)
     s = s.reshape(-1, k * width)
-    _, sigma, vh = np.linalg.svd(s, full_matrices=len(s) < k * width)
-    rank = int(np.count_nonzero(linalg.kept(sigma, tol)))
+    # singular values first: a proof needs no vectors
+    rank = int(np.count_nonzero(
+        linalg.kept(np.linalg.svd(s, compute_uv=False), tol)))
     if rank == k * width:
         return QuasiPurityVerdict(status=QUASI_PURE, method=METHOD_SYLVESTER,
                                   samples_used=cells)
+    vh = np.linalg.svd(s, full_matrices=len(s) < k * width)[2]
     pure = np.flatnonzero(rows.max(axis=1) == k - 1)  # the rows h_l0^(k-1)
     for v in vh[rank:].conj().reshape(-1, k, width):
         j, l0 = np.unravel_index(
@@ -449,7 +467,11 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     while the basis is ``I``.  Step 1 takes singular values only, at
     either place: the kernel read factorizes ``T'`` again, with vectors,
     only once ``T'`` is known to be deficient, so a map that
-    step 1 proves pays for no vectors.
+    step 1 proves pays for no vectors.  A wide ``T'`` (``d_in < k m``)
+    has rank below ``k m``, so it is neither ranked nor read.  One
+    sigma-only SVD of the ``(k, d_in, m)`` stack of the ``K_j B``, taken
+    when ``d_in >= m``, is both the short-factor test and, when ``k <=
+    m``, the ``sigma_p(M_i)`` of step 2's chart centre.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget!r}")
@@ -488,24 +510,31 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     stack = np.stack(factors) @ basis  # (k, d, m)
     m = basis.shape[1]
 
-    # necessary condition: all factor kernels coincide
-    verdict = _short_factor_verdict(factors, stack, basis, tol)
+    # necessary condition: all factor kernels coincide; the sigma batch
+    # of the K_j B serves step 2's chart centre too
+    sigma = (np.linalg.svd(stack, compute_uv=False) if phi.d_in >= m
+             else None)
+    verdict = _short_factor_verdict(factors, stack, basis, sigma, tol)
     if verdict is not None:
         return verdict
 
-    # step 1 on the reduced factors; m == d_out iff the basis is I, and
-    # then f @ I equals f entry for entry: the rank taken above is this one
-    if flat_rank is None or m < phi.d_out:
-        flat_rank = linalg.numerical_rank(np.hstack(stack), tol)
-    if flat_rank == k * m:
-        return QuasiPurityVerdict(status=QUASI_PURE,
-                                  method=METHOD_EXACT_PENCIL)
+    # step 1 on the reduced factors, when T' has k m rows or more (always
+    # so for m == 1, as k <= d_in): a wider T' has rank below k m.  m ==
+    # d_out iff the basis is I, and then f @ I equals f entry for entry:
+    # the rank taken above is this one
+    tall = phi.d_in >= k * m
+    if tall:
+        if flat_rank is None or m < phi.d_out:
+            flat_rank = linalg.numerical_rank(np.hstack(stack), tol)
+        if flat_rank == k * m:
+            return QuasiPurityVerdict(status=QUASI_PURE,
+                                      method=METHOD_EXACT_PENCIL)
     if m == 1:  # the flattening is F(h) for the only direction h
         return _not_quasipure(factors, basis[:, 0], METHOD_EXACT_PENCIL, tol)
 
-    # step 2, first candidate when T' has k m rows or more: its last right
-    # singular vector, read as the k x m matrix a h^T, at its largest row
-    if phi.d_in >= k * m:
+    # step 2, first candidate when T' is tall: its last right singular
+    # vector, read as the k x m matrix a h^T, at its largest row
+    if tall:
         x = np.linalg.svd(np.hstack(stack), full_matrices=False)[2][-1]
         x = x.conj().reshape(k, m)
         verdict = _witness_verdict(
@@ -538,9 +567,11 @@ def is_quasipure(phi: CpMap, tol: Tolerance = DEFAULT_TOL, *,
     elif n > budget:
         return QuasiPurityVerdict(status=INCONCLUSIVE, method=METHOD_SYLVESTER)
     else:
-        # the chart centre e_i of CP^{n-1} with the lowest sigma_p(M_i)
-        sigma = np.linalg.svd(side, compute_uv=False)[:, -1]
-        lowest = np.eye(n, dtype=complex)[np.argmin(sigma)]
+        # the chart centre e_i of CP^{n-1} with the lowest sigma_p(M_i);
+        # on the K side these are the short-factor test's sigmas
+        if not over_a or sigma is None:
+            sigma = np.linalg.svd(side, compute_uv=False)
+        lowest = np.eye(n, dtype=complex)[np.argmin(sigma[:, -1])]
         verdict = _candidate_verdict(factors, stack, basis, lowest, over_a,
                                      METHOD_SYLVESTER, tol, samples=n)
         if verdict is not None:

@@ -130,11 +130,14 @@ def counterexample_population():
     return pairs
 
 
-def count_linalg_calls(monkeypatch, names, compute_uv=False):
+def count_linalg_calls(monkeypatch, names, compute_uv=False,
+                       full_matrices=False):
     """Record the input shape of every call to the named numpy.linalg routines.
 
     With ``compute_uv`` each record also holds whether an ``svd`` call asked
-    for singular vectors (its own ``compute_uv``, True by default).
+    for singular vectors (its own ``compute_uv``, True by default), and with
+    ``full_matrices`` then whether it asked for full ``U`` and ``V*`` (its
+    own ``full_matrices``, True by default).
     """
     calls = []
     for name in names:
@@ -145,6 +148,9 @@ def count_linalg_calls(monkeypatch, names, compute_uv=False):
             if compute_uv:
                 record += (args[1] if len(args) > 1
                            else kwargs.get("compute_uv", True),)
+            if full_matrices:
+                record += (args[0] if args
+                           else kwargs.get("full_matrices", True),)
             calls.append(record)
             return _original(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)

@@ -411,6 +411,25 @@ def test_counterexample_factorizes_the_map_once(monkeypatch):
             check_counterexample(phi, *out)
 
 
+def test_counterexample_and_scan_form_no_remainder(monkeypatch):
+    # both read alpha alone; decompose_along's remainder phi - alpha, a
+    # Choi-sized subtraction, is never formed on their way
+    def refuse(*args, **kwargs):
+        raise AssertionError("a remainder phi - alpha was formed")
+
+    pairs = counterexample_population()[:6]
+    monkeypatch.setattr(CpMap, "__sub__", refuse)
+    for phi, witness in pairs:
+        out = counterexample_construct(phi, witness)
+        assert out is not None
+        assert not forced_equality_scan(phi, out[1])
+    assert forced_equality_scan(flip_twirl_map(), E11)
+    assert forced_equality_scan(random_cp_map(1, 3, 2, seed=0),
+                                np.diag([1.0, 0.0, 0.0]))
+    with pytest.raises(AssertionError, match="remainder"):
+        decompose_along(diagonal_pair_map(), np.diag([1.0, 0.0, 0.0]))
+
+
 def test_counterexample_draws_no_random_numbers(monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("counterexample_construct drew random numbers")

@@ -49,7 +49,11 @@ from conftest import (
     random_kraus,
     random_unit,
 )
-from oracles import domination_preserves_quasipurity_check, grid_oracle
+from oracles import (
+    domination_preserves_quasipurity_check,
+    grid_oracle,
+    refine_candidate_reference,
+)
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -307,8 +311,9 @@ def test_batched_kernel_test_agrees_with_the_pairwise_oracle():
             continue
         basis = quasipure._common_kernel_complement(factors, linalg.DEFAULT_TOL)
         stack = np.stack(factors) @ basis
-        verdict = quasipure._short_factor_verdict(factors, stack, basis,
-                                                  linalg.DEFAULT_TOL)
+        verdict = quasipure._short_factor_verdict(
+            factors, stack, basis, np.linalg.svd(stack, compute_uv=False),
+            linalg.DEFAULT_TOL)
         h = None if verdict is None else verdict.witness
         oracle = pairwise_kernel_witness(factors)
         assert (h is None) == (oracle is None)
@@ -330,8 +335,9 @@ def test_short_factor_without_a_witness_is_left_to_the_later_steps():
         factors = near_singular_factors(c)
         basis = np.eye(2, dtype=complex)
         stack = np.stack(factors)
-        assert quasipure._short_factor_verdict(factors, stack, basis,
-                                               linalg.DEFAULT_TOL) is None
+        assert quasipure._short_factor_verdict(
+            factors, stack, basis, np.linalg.svd(stack, compute_uv=False),
+            linalg.DEFAULT_TOL) is None
         v = is_quasipure(CpMap.from_kraus(factors))
         assert v.method != "NecessaryConditionViolated"
         assert v.witness is None or witness_is_sound(
@@ -469,6 +475,24 @@ def test_witness_is_read_from_the_sylvester_kernel():
     assert witness_is_sound(phi, v.witness)
 
 
+@pytest.mark.parametrize("phi, shape, proved", [
+    (load_map("polynomial_744_map.json"), (140, 140), True),
+    (load_map("inconclusive_map.json"), (12, 12), True),
+    (planted_witness_map(5, 3, 3, seed=17)[0], (30, 30), False),
+], ids=["polynomial-744", "inconclusive-fixture", "planted-533-seed17"])
+def test_sylvester_matrix_is_ranked_from_its_singular_values(
+        monkeypatch, phi, shape, proved):
+    # S's rank is decided by one sigma-only SVD, so a proof pays for no
+    # vectors; only a deficient S is factorized again, with vectors, for
+    # its kernel
+    calls = count_linalg_calls(monkeypatch, ["svd"], compute_uv=True)
+    v = is_quasipure(phi)
+    assert (v.status == "QuasiPure") == proved
+    assert v.method == "SylvesterMatrix"
+    want = [("svd", shape, False)] + ([] if proved else [("svd", shape, True)])
+    assert [c for c in calls if c[1] == shape] == want
+
+
 @pytest.mark.parametrize("d_in, m, k", [(6, 2, 3), (9, 3, 3)])
 def test_unitary_mixing_is_proved_by_the_flattening_rank(d_in, m, k):
     # K_j = A pad(C_j (x) I) B: sigma_k [K_j h] is constant on the sphere,
@@ -519,13 +543,42 @@ def test_flattening_rank_is_taken_once(monkeypatch, phi, verdict):
     # not injective, and with no common kernel the reduced flattening is
     # the stored one: a square T is factorized up front, sigma only, and
     # its rank reused, then once more with vectors for the kernel read; a
-    # wide one (4 < 3 * 2 rows) only after the reduction, and never read
+    # wide one (4 < 3 * 2 rows) has rank below k m, and is neither ranked
+    # nor read
     calls = count_linalg_calls(monkeypatch, ["svd"], compute_uv=True)
     v = is_quasipure(phi)
     assert (v.status, v.method) == verdict
     shape = (phi.d_in, 3 * phi.d_out)
-    assert calls.count(("svd", shape, False)) == 1
-    assert calls.count(("svd", shape, True)) == (phi.d_in >= shape[1])
+    tall = phi.d_in >= shape[1]
+    assert calls.count(("svd", shape, False)) == tall
+    assert calls.count(("svd", shape, True)) == tall
+
+
+def test_wide_chart_centre_reads_the_short_factor_sigmas(monkeypatch):
+    # planted (5, 3, 3): T = [K_1 | K_2 | K_3] has 5 < 9 rows, so it is
+    # neither ranked nor read; k <= m, so the chart centre reads the sigma
+    # batch of the short-factor test, and no SVD of the polish computes a
+    # U it does not read
+    phi = planted_witness_map(5, 3, 3, seed=3)[0]
+    calls = count_linalg_calls(monkeypatch, ["svd"], compute_uv=True,
+                               full_matrices=True)
+    polish = []
+    original = quasipure._refine_candidate
+
+    def spied(stack, h):
+        start = len(calls)
+        out = original(stack, h)
+        polish.extend(calls[start:])
+        return out
+
+    monkeypatch.setattr(quasipure, "_refine_candidate", spied)
+    v = is_quasipure(phi)
+    assert (v.status, v.method, v.samples_used) == (
+        "NotQuasiPure", "SylvesterMatrix", 3)
+    assert [c[:3] for c in calls if c[1] == (3, 5, 3)] == [
+        ("svd", (3, 5, 3), False)]
+    assert not [c for c in calls if c[1] == (5, 9)]
+    assert polish and all(c[2] and not c[3] for c in polish)
 
 
 def test_common_kernel_complement_takes_one_svd(monkeypatch):
@@ -884,6 +937,82 @@ def test_spurious_pencil_points_are_not_polished(monkeypatch, seed):
     v = is_quasipure(phi)
     assert (v.status, v.method) == ("QuasiPure", "SylvesterMatrix")
     assert len(polished) == 0
+
+
+def pipeline_polishes(monkeypatch, maps):
+    """``(route, stack, h)`` of every polish ``is_quasipure`` runs on ``maps``.
+
+    The route is the candidate's: ``pencil``, ``chart centre`` (``n``
+    cells spent) or ``S kernel``.
+    """
+    polishes, route = [], []
+    candidate = quasipure._candidate_verdict
+    refine = quasipure._refine_candidate
+
+    def spied_candidate(factors, stack, basis, vec, dependency, method, tol,
+                        samples=0):
+        route[:] = ["pencil" if method == "ExactPencil"
+                    else "chart centre" if samples == min(stack.shape[::2])
+                    else "S kernel"]
+        return candidate(factors, stack, basis, vec, dependency, method, tol,
+                         samples)
+
+    def spied_refine(stack, h):
+        polishes.append((route[0], stack, h))
+        return refine(stack, h)
+
+    monkeypatch.setattr(quasipure, "_candidate_verdict", spied_candidate)
+    monkeypatch.setattr(quasipure, "_refine_candidate", spied_refine)
+    for phi in maps:
+        is_quasipure(phi)
+    monkeypatch.undo()
+    return polishes
+
+
+def test_polish_matches_the_reference_byte_for_byte(monkeypatch):
+    # the leaner rounds compute the iterates of the reference polish, bit
+    # for bit: from the starts the pipeline hands it (pencil points, chart
+    # centres, kernel vectors of S) on wide planted and random maps, and
+    # from random unit starts on their stacks
+    def planted_and_random(shapes, seeds):
+        return [phi for shape in shapes for seed in seeds
+                for phi in (planted_witness_map(*shape, seed=seed)[0],
+                            random_cp_map(*shape, seed=seed))]
+
+    wide = planted_and_random([(4, 3, 3), (5, 3, 3), (5, 4, 4), (6, 4, 4)],
+                              range(20))
+    pencils = planted_and_random([(5, 3, 2), (4, 3, 2), (5, 2, 3), (4, 2, 3)],
+                                 range(5))
+    polishes = pipeline_polishes(monkeypatch, wide + pencils)
+    assert {route for route, _, _ in polishes} == {
+        "pencil", "chart centre", "S kernel"}
+    rng = np.random.default_rng(29)
+    starts = [(stack, h) for _, stack, h in polishes]
+    starts += [(np.stack(phi.kraus), random_unit(rng, phi.d_out))
+               for phi in wide]
+    for stack, h in starts:
+        assert (quasipure._refine_candidate(stack, h).tobytes()
+                == refine_candidate_reference(stack, h).tobytes())
+
+
+def test_failed_polish_matches_the_reference_byte_for_byte(monkeypatch):
+    # on quasi-pure polynomial stacks the polish finds no witness: it stops
+    # at a stationary alternating step, or runs into the 400-round cap, and
+    # either exit returns the reference's bytes
+    rounds = count_linalg_calls(monkeypatch, ["lstsq"])
+    rng = np.random.default_rng(0)
+    exits = set()
+    for shape in [(5, 3, 3), (6, 4, 3), (6, 3, 4), (4, 3, 2), (6, 3, 2)]:
+        for seed in range(4):
+            stack = np.stack(polynomial_factors(np.random.default_rng(seed),
+                                                *shape))
+            h = random_unit(rng, shape[1])
+            rounds.clear()
+            got = quasipure._refine_candidate(stack, h)
+            exits.add(len(rounds) == 400)
+            want = refine_candidate_reference(stack, h)
+            assert got.tobytes() == want.tobytes()
+    assert exits == {False, True}
 
 
 def test_inconclusive_fixture_polishes_one_chart_centre(monkeypatch):
