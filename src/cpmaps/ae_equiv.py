@@ -175,14 +175,17 @@ class DecompositionResult:
     phi1: CpMap
 
 
-def _completion_along(phi: CpMap, r, tol: Tolerance) -> CpMap:
-    """The ``alpha`` of :func:`decompose_along`, without the remainder."""
+def _operator_on_codomain(phi: CpMap, r) -> np.ndarray:
+    """``r`` as a ``d_out x d_out`` matrix; DimensionMismatch otherwise."""
     r = linalg.as_matrix(r)
     if r.shape != (phi.d_out, phi.d_out):
         raise DimensionMismatch(
             f"R has shape {r.shape}, expected {(phi.d_out, phi.d_out)}")
-    if phi.is_zero():
-        return CpMap.zero(phi.d_in, phi.d_out)
+    return r
+
+
+def _completion_along(phi: CpMap, r: np.ndarray, tol: Tolerance) -> CpMap:
+    """The ``alpha`` of :func:`decompose_along` for a nonzero ``phi``."""
     triple = minimal_stinespring(phi, tol)
     q = reducing_projection(triple, linalg.range_projection(r, tol), tol)
     return map_from_dilation(q @ triple.v, phi.d_in, phi.d_out,
@@ -200,9 +203,12 @@ def decompose_along(phi: CpMap, r,
     ``R`` of the wrong shape and NotCP, from :func:`minimal_stinespring`, on
     a non-CP ``phi``.
     """
+    r = _operator_on_codomain(phi, r)
+    if phi.is_zero():
+        zero = CpMap.zero(phi.d_in, phi.d_out)
+        return DecompositionResult(alpha=zero, phi1=zero)
     alpha = _completion_along(phi, r, tol)
-    return DecompositionResult(
-        alpha=alpha, phi1=alpha if phi.is_zero() else phi - alpha)
+    return DecompositionResult(alpha=alpha, phi1=phi - alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,8 +320,12 @@ def _distinct_completion(phi: CpMap, r,
     ``alpha``'s factors and ``e_i f_a*`` for the kept columns ``f_a`` of
     ``D^{1/2}``; ``i = 1`` is tried when ``psi_0`` equals ``phi``.  None
     when ``D`` keeps no eigenvalue at the scale of ``phi(I)``, or when no
-    ``psi_i`` differs from ``phi`` (always so on ``M_1``).
+    ``psi_i`` differs from ``phi`` (always so on ``M_1``), and for the zero
+    map, which a zero unit pins down.
     """
+    r = _operator_on_codomain(phi, r)
+    if phi.is_zero():
+        return None
     alpha = _completion_along(phi, r, tol)
     unit = phi.unit()
     w, u = linalg.eigh(unit - alpha.unit())

@@ -90,9 +90,7 @@ the steps below.  Then:
    ``(r, g)``, column ``(j, g + e_l)``.  A witness's zero ``(a, h)`` gives
    the kernel vector ``(a_j h^b) != 0``, so full column rank proves
    ``QuasiPure`` by step 1's Weyl margin: ``S`` copies the entries of
-   ``T``.  The rank comes from a sigma-only SVD, so a proof computes no
-   vectors.  Otherwise ``S`` is factorized again, with vectors, and each
-   kernel vector, in SVD order, is read (``h_l``
+   ``T``.  Otherwise each kernel vector, in SVD order, is read (``h_l``
    from ``a_j h_l0^(k-1) h_l`` at its largest ``a_j h_l0^k``) as a
    candidate; none passing, or a budget below the cells of steps 2 and 3
    (``N``, plus ``n`` for ``n > 2``), gives ``Inconclusive``.
@@ -383,13 +381,11 @@ def _sylvester_step(factors, stack, basis, spent: int, budget: int,
     s = np.zeros((d, len(rows), k, width), dtype=complex)
     s[:, np.arange(len(rows))[:, None], :, columns] = stack.transpose(2, 1, 0)
     s = s.reshape(-1, k * width)
-    # singular values first: a proof needs no vectors
-    rank = int(np.count_nonzero(
-        linalg.kept(np.linalg.svd(s, compute_uv=False), tol)))
+    _, sigma, vh = np.linalg.svd(s, full_matrices=len(s) < k * width)
+    rank = int(np.count_nonzero(linalg.kept(sigma, tol)))
     if rank == k * width:
         return QuasiPurityVerdict(status=QUASI_PURE, method=METHOD_SYLVESTER,
                                   samples_used=cells)
-    vh = np.linalg.svd(s, full_matrices=len(s) < k * width)[2]
     pure = np.flatnonzero(rows.max(axis=1) == k - 1)  # the rows h_l0^(k-1)
     for v in vh[rank:].conj().reshape(-1, k, width):
         j, l0 = np.unravel_index(

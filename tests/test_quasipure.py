@@ -475,24 +475,6 @@ def test_witness_is_read_from_the_sylvester_kernel():
     assert witness_is_sound(phi, v.witness)
 
 
-@pytest.mark.parametrize("phi, shape, proved", [
-    (load_map("polynomial_744_map.json"), (140, 140), True),
-    (load_map("inconclusive_map.json"), (12, 12), True),
-    (planted_witness_map(5, 3, 3, seed=17)[0], (30, 30), False),
-], ids=["polynomial-744", "inconclusive-fixture", "planted-533-seed17"])
-def test_sylvester_matrix_is_ranked_from_its_singular_values(
-        monkeypatch, phi, shape, proved):
-    # S's rank is decided by one sigma-only SVD, so a proof pays for no
-    # vectors; only a deficient S is factorized again, with vectors, for
-    # its kernel
-    calls = count_linalg_calls(monkeypatch, ["svd"], compute_uv=True)
-    v = is_quasipure(phi)
-    assert (v.status == "QuasiPure") == proved
-    assert v.method == "SylvesterMatrix"
-    want = [("svd", shape, False)] + ([] if proved else [("svd", shape, True)])
-    assert [c for c in calls if c[1] == shape] == want
-
-
 @pytest.mark.parametrize("d_in, m, k", [(6, 2, 3), (9, 3, 3)])
 def test_unitary_mixing_is_proved_by_the_flattening_rank(d_in, m, k):
     # K_j = A pad(C_j (x) I) B: sigma_k [K_j h] is constant on the sphere,
