@@ -53,8 +53,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .quasipure import QUASI_PURE, QuasiPurityVerdict, is_quasipure
-from .stinespring import (map_from_dilation, minimal_stinespring,
-                          reducing_projection)
+from .stinespring import _compression, minimal_stinespring
 
 __all__ = [
     "EquivalenceContext",
@@ -186,10 +185,8 @@ def _operator_on_codomain(phi: CpMap, r) -> np.ndarray:
 
 def _completion_along(phi: CpMap, r: np.ndarray, tol: Tolerance) -> CpMap:
     """The ``alpha`` of :func:`decompose_along` for a nonzero ``phi``."""
-    triple = minimal_stinespring(phi, tol)
-    q = reducing_projection(triple, linalg.range_projection(r, tol), tol)
-    return map_from_dilation(q @ triple.v, phi.d_in, phi.d_out,
-                             triple.multiplicity)
+    return _compression(minimal_stinespring(phi, tol),
+                        linalg.range_projection(r, tol), tol)
 
 
 def decompose_along(phi: CpMap, r,
@@ -197,8 +194,10 @@ def decompose_along(phi: CpMap, r,
     """Decompose a CP map along an operator.
 
     ``phi`` itself completes its own data, so ``alpha`` compresses phi's own
-    minimal dilation to the subspace generated by ``V P_R``, with no partial
-    map built; the remainder is CP because ``alpha`` is dominated by ``phi``.
+    minimal dilation to the subspace ``C^{d_in} (x) S`` generated by ``V
+    P_R``, with no partial map built; ``alpha`` is given by its ``dim S``
+    Kraus factors, ``Q* [K_1; ..; K_k]`` for an orthonormal basis ``Q`` of
+    ``S``.  The remainder is CP because ``alpha`` is dominated by ``phi``.
     The zero map splits into two zero maps.  Raises DimensionMismatch for an
     ``R`` of the wrong shape and NotCP, from :func:`minimal_stinespring`, on
     a non-CP ``phi``.
@@ -311,8 +310,9 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap,
 # forced equality and counterexamples
 
 
-def _distinct_completion(phi: CpMap, r,
-                         tol: Tolerance) -> Optional[CpMap]:
+def _distinct_completion(phi: CpMap, r, tol: Tolerance,
+                         unit: Optional[np.ndarray] = None
+                         ) -> Optional[CpMap]:
     """A CP ``psi != phi``, R-equivalent and unit-matched, or None.
 
     ``psi = alpha + rho_i`` with ``alpha`` of :func:`decompose_along` and
@@ -321,13 +321,15 @@ def _distinct_completion(phi: CpMap, r,
     ``D^{1/2}``; ``i = 1`` is tried when ``psi_0`` equals ``phi``.  None
     when ``D`` keeps no eigenvalue at the scale of ``phi(I)``, or when no
     ``psi_i`` differs from ``phi`` (always so on ``M_1``), and for the zero
-    map, which a zero unit pins down.
+    map, which a zero unit pins down.  ``unit`` is ``phi(I)`` when the
+    caller has it already.
     """
     r = _operator_on_codomain(phi, r)
     if phi.is_zero():
         return None
     alpha = _completion_along(phi, r, tol)
-    unit = phi.unit()
+    if unit is None:
+        unit = phi.unit()
     w, u = linalg.eigh(unit - alpha.unit())
     pos = linalg.kept(w, tol, linalg.max_abs(unit))
     if not pos.any():
@@ -372,7 +374,7 @@ def counterexample_construct(phi: CpMap, witness,
         raise WitnessInvalid("phi(I) annihilates the witness")
 
     r = np.outer(h0, h0.conj())
-    psi = _distinct_completion(phi, r, tol)
+    psi = _distinct_completion(phi, r, tol, unit)
     if psi is None:
         verdict = is_quasipure(phi, tol)
         if verdict.status == QUASI_PURE and verdict.is_proof:

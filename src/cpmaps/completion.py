@@ -29,13 +29,21 @@ computed two independent ways, which must agree:
 * Stinespring route: compress a seed completion's dilation to the
   reducing subspace generated by ``V P_R``.
 
+Both results are Gram matrices of few factors, and both routes stay in
+that factor form (Anderson & Trapp, *Shorted operators II*, 1975, for
+the block side): the least completion is ``Y Y*`` for the ``n x rank A``
+factor ``Y = [V sqrt(w); C V / sqrt(w)]``, ``A V = V w`` over the
+eigenvalues the rank rule keeps, and the compression has one Kraus factor
+per dimension of the reducing subspace.  No ``n x n`` completion is
+assembled and lifted, and no dilation-sized projector is formed.
+
 Decisions run in an orthonormal basis adapted to the splitting, ``ran P``
 first: there ``A`` is ``m x m`` (``m = rank P``) and ``C`` is
 ``(n-m) x m``.  One eigendecomposition of that ``A`` gives its smallest
-eigenvalue, its kernel and ``A^+``; the least completion is assembled in
-the same basis and rotated back.  A partial map needs no ``n x n``
-projection for this: its basis is ``I (x) [U | U_perp]``, with ``U`` from
-the SVD of ``R``, applied one ``d_out``-block at a time.  A
+eigenvalue, its kernel and ``A^+``; the factor ``Y`` is formed in the
+same basis and only its rows are rotated back.  A partial map needs no
+``n x n`` projection for this: its basis is ``I (x) [U | U_perp]``, with
+``U`` from the SVD of ``R``, applied one ``d_out``-block at a time.  A
 ``BlockCompletionProblem`` stores its blocks in operator form (``n x n``
 matrices with ``A = P A P`` and ``C = (I-P) C P``) and is compressed by
 the eigenvectors of ``P``; ``from_blocks`` accepts the familiar compact
@@ -70,8 +78,7 @@ from .errors import (
     SeedNotACompletion,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .stinespring import (map_from_dilation, minimal_stinespring,
-                          reducing_projection)
+from .stinespring import _compression, minimal_stinespring
 
 __all__ = [
     "BlockCompletionProblem",
@@ -152,8 +159,9 @@ class _Split:
     """Known blocks in an orthonormal basis ``ran P (+) ran P^perp``.
 
     ``a`` (``m x m``, Hermitian) and ``c`` (``(n-m) x m``) are ``A`` and
-    ``C`` in that basis; ``lift`` carries an ``n x n`` matrix written in it
-    back to the original coordinates.
+    ``C`` in that basis; ``lift`` carries the rows of an ``n``-row factor
+    written in it back to the original coordinates (the basis change
+    ``B``, so that ``Y Y*`` lifts to ``B Y Y* B*``).
     """
 
     a: np.ndarray
@@ -171,7 +179,7 @@ def _compress(problem: BlockCompletionProblem) -> _Split:
     a = q_in.conj().T @ problem.a @ q_in
     return _Split(a=(a + a.conj().T) / 2.0,
                   c=q_out.conj().T @ problem.c @ q_in,
-                  lift=lambda full: basis @ full @ basis.conj().T)
+                  lift=lambda y: basis @ y)
 
 
 def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
@@ -182,7 +190,9 @@ def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
     ``s = max(max |lambda(A)|, max |C|)``, with no floor: the eigenvalue
     is at least ``-eps_psd * s`` (:func:`linalg._psd_slack` with ``s``
     named), ``ker A`` is spanned by the eigenvectors whose ``|lambda|``
-    the rank rule :func:`linalg.kept` drops at ``s``, and the leak
+    the rank rule :func:`linalg.kept` drops at ``s`` and, once ``A``
+    passes, by those below zero (kept only when ``eps_psd`` exceeds
+    ``eps_rank``), so every eigenvalue kept is positive, and the leak
     ``||C|_{ker A}||_2`` must be dropped by that rule at ``s`` too.  The
     eigenpairs it keeps are returned for ``A^+``.  Since ``||X||_2 <=
     ||X||_F``, a Frobenius norm the rule drops passes the leak test; then,
@@ -202,6 +212,8 @@ def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
     if verdict and not psd:
         return False
     keep = linalg.kept(np.abs(w), tol, scale)
+    if psd:
+        keep &= w > 0.0
     null_leak = c @ v[:, ~keep]
     leak = float(np.linalg.norm(null_leak))
     if null_leak.size and (exact or not psd
@@ -216,24 +228,21 @@ def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
 
 
 def _least_completion(split: _Split, tol: Tolerance) -> np.ndarray:
-    """``A + C + C* + C A^+ C*`` in the original coordinates.
+    """A factor ``Y`` (``n x rank A``) of the least completion, ``Y Y* =
+    A + C + C* + C A^+ C*``, in the original coordinates.
 
-    Raises NotCompletable, with the two deciding numbers, when no
+    With the eigenpairs ``A V = V w`` the decision keeps, ``Y = [V
+    sqrt(w); C V / sqrt(w)]``: its Gram matrix carries ``V w V*`` and ``V
+    V* C*``, which are ``A`` and ``C*`` less what the rank rule dropped
+    (at most ``eps_rank`` times the data's scale), and the corner ``C A^+
+    C*``.  Raises NotCompletable, with the two deciding numbers, when no
     completion exists.
     """
     completable, min_eig, leak, (w, v) = _decide(split.a, split.c, tol)
     if not completable:
         raise NotCompletable(min_eig, leak)
-    # A^+ inverts the eigenvalues the decision kept
-    cv = split.c @ v
-    m = split.a.shape[0]
-    full = np.empty((m + split.c.shape[0],) * 2, dtype=complex)
-    full[:m, :m] = split.a
-    full[m:, :m] = split.c
-    full[:m, m:] = split.c.conj().T
-    full[m:, m:] = (cv / w) @ cv.conj().T
-    full = split.lift(full)
-    return (full + full.conj().T) / 2.0
+    root = np.sqrt(w)
+    return split.lift(np.vstack([v * root, (split.c @ v) / root]))
 
 
 def block_completable(problem: BlockCompletionProblem,
@@ -255,8 +264,15 @@ def minimal_block_completion(problem: BlockCompletionProblem,
     Every completion differs from this one only in the free corner, and by
     a larger-or-equal PSD corner; NotCompletable is raised when no
     completion exists at all, carrying the two numbers that decided it.
+    The result is the Gram matrix ``Y Y*`` of the factor of
+    :func:`_least_completion`, symmetrized: exactly Hermitian and PSD, it
+    reproduces the known blocks up to what the rank rule dropped.
     """
-    return _least_completion(_compress(problem), tol)
+    y = _least_completion(_compress(problem), tol)
+    gram = y @ y.conj().T
+    gram += gram.conj().T
+    gram *= 0.5
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +401,10 @@ def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> _Split:
     # positions of the ran P and ran P^perp coordinates among I (x) U's
     perm = np.concatenate([order[:, :r].ravel(), order[:, r:].ravel()])
 
-    def lift(full: np.ndarray) -> np.ndarray:
-        blocked = np.empty_like(full)
-        blocked[np.ix_(perm, perm)] = full
-        blocked = (u @ blocked.reshape(d1, d2, n)).reshape(n, n)
-        return _times_blocks(blocked, u.conj().T, d1)
+    def lift(y: np.ndarray) -> np.ndarray:
+        blocked = np.empty_like(y)
+        blocked[perm] = y
+        return (u @ blocked.reshape(d1, d2, -1)).reshape(n, -1)
 
     hermitian = linalg.negligible(a - a.conj().T, tol, a)
     a = (a + a.conj().T) / 2.0
@@ -420,10 +435,18 @@ def minimal_cp_completion_choi(beta: PartialCpMap,
 
     The PSD order on Choi matrices is the CP domination order, and all
     completions share everything but the free corner, so the least block
-    completion is the Choi matrix of the least CP completion.
+    completion is the Choi matrix of the least CP completion.  It is given
+    by factors: each column ``y`` of the factor ``Y`` of
+    :func:`_least_completion` is a Choi vector, the Kraus factor
+    ``conj(y)`` reshaped to ``d_in x d_out``, so the result is CP by
+    construction and its Choi matrix is the Gram matrix ``Y Y*``.  In
+    exchange for being exactly PSD, that Choi matrix reproduces the known
+    blocks up to what the rank rule dropped (at most ``eps_rank`` times the
+    data's scale) rather than exactly.
     """
-    choi = _least_completion(_split_blocks(beta, tol), tol)
-    return CpMap.from_choi(choi, beta.d_in, beta.d_out)
+    y = _least_completion(_split_blocks(beta, tol), tol)
+    factors = y.conj().T.reshape(-1, beta.d_in, beta.d_out)
+    return CpMap.from_kraus(list(factors), beta.d_in, beta.d_out)
 
 
 def _seed_completes(beta: PartialCpMap, seed: CpMap, tol: Tolerance) -> bool:
@@ -446,7 +469,9 @@ def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,
     Given any CP completion ``seed``, the subspace generated by
     ``pi(X) V P_R h`` inside the seed's minimal dilation is reducing; the
     compression of the dilation to it is the unique minimal completion,
-    independent of which seed was supplied.  SeedNotACompletion is raised
+    independent of which seed was supplied.  It is returned by its
+    ``dim S`` Kraus factors, ``Q* [K_1; ..; K_k]`` for an orthonormal basis
+    ``Q`` of the subspace's factor ``S``.  SeedNotACompletion is raised
     when the seed does not actually complete ``beta``.
     """
     message = "the seed map is not a CP completion of the partial data"
@@ -458,7 +483,4 @@ def minimal_cp_completion_stinespring(beta: PartialCpMap, seed: CpMap,
         triple = minimal_stinespring(seed, tol)
     except NotCP:
         raise SeedNotACompletion(message) from None
-    p_r = beta.range_projection(tol)
-    q = reducing_projection(triple, p_r, tol)
-    w = q @ triple.v
-    return map_from_dilation(w, beta.d_in, beta.d_out, triple.multiplicity)
+    return _compression(triple, beta.range_projection(tol), tol)

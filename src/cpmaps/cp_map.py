@@ -260,7 +260,10 @@ def _gram_choi(ks: Sequence[np.ndarray], d_in: int, d_out: int) -> np.ndarray:
         return np.zeros((n, n), dtype=complex)
     rows = np.stack(ks).reshape(len(ks), n)
     gram = rows.conj().T @ rows
-    return (gram + gram.conj().T) / 2.0
+    # symmetrized in place: bit for bit (gram + gram*) / 2
+    gram += gram.conj().T
+    gram *= 0.5
+    return gram
 
 
 def choi_to_kraus(choi, d_in: int, d_out: int,

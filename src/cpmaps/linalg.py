@@ -165,7 +165,10 @@ def require_hermitian(m) -> np.ndarray:
         raise NonHermitianInput(
             f"matrix is not Hermitian: ||M - M*||_max = {gap:.3e}"
         )
-    return (m + adjoint) / 2.0
+    # one fresh buffer, halved in place: bit for bit (m + m*) / 2
+    h = m + adjoint
+    h *= 0.5
+    return h
 
 
 def eigh(m):

@@ -83,7 +83,7 @@ def _require_dim(doc: Mapping, key: str) -> int:
 
 def encode_map(phi: CpMap) -> dict:
     doc: dict = {"d_in": phi.d_in, "d_out": phi.d_out}
-    if phi.kraus is not None:
+    if phi.kraus:  # an empty family (the zero map) is left to the Choi
         doc["kraus"] = [encode_matrix(k) for k in phi.kraus]
     doc["choi"] = encode_matrix(phi.choi)
     return doc

@@ -14,6 +14,12 @@ The commutant of ``pi(M_{d1})`` is ``I_{d1} (x) M_k``, so a map dominated by
 ``psi(X) = V* (X (x) D) V`` -- the Radon-Nikodym derivative of ``psi`` with
 respect to ``phi``.  :func:`radon_nikodym` recovers ``D`` from the Choi
 form of this identity, ``Choi(psi) = W D W*``.
+
+The reducing subspaces generated by ``V m`` (:func:`reducing_projection`)
+have the form ``C^{d1} (x) S``, so a compression to one is again a map
+in Kraus form: for an orthonormal basis ``Q`` of ``S`` its factors are
+``Q* [K_1; ..; K_k]``, ``dim S`` of them.  The minimal completions and
+:func:`ae_equiv.decompose_along` are built that way.
 """
 
 from __future__ import annotations
@@ -148,16 +154,10 @@ def cyclic_subspace_dim(triple: StinespringTriple, h0,
     return triple.d_in * linalg.numerical_rank(g, tol)
 
 
-def reducing_projection(triple: StinespringTriple, m,
-                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Projection onto ``span{pi(X) V m h : X, h}`` for a d_out-row block ``m``.
-
-    The span is invariant under the *-algebra ``pi(M_{d_in})`` and therefore
-    reducing; concretely it equals ``C^{d_in} (x) S`` where ``S`` is spanned
-    by the rows of the matrices ``(V m e_c)`` reshaped to ``(d_in, k)``.  The
-    returned projection is ``kron(I_{d_in}, P_S)`` and commutes with every
-    ``pi(X)`` exactly by construction.
-    """
+def _reducing_basis(triple: StinespringTriple, m,
+                    tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis (``k x s`` columns) of the ``S`` of
+    :func:`reducing_projection`, from the SVD of its spanning rows."""
     m = np.asarray(m, dtype=complex)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
@@ -169,8 +169,38 @@ def reducing_projection(triple: StinespringTriple, m,
     w = triple.v @ m  # (d_in * k, s)
     rows = w.reshape(triple.d_in, k, -1)
     rows = np.moveaxis(rows, 1, 2).reshape(-1, k)  # all rows, as k-vectors
-    p_rows = linalg.range_projection(rows.T, tol)
-    return np.kron(np.eye(triple.d_in, dtype=complex), p_rows)
+    u, _, _, rank = linalg.ranked_svd(rows.T, tol)
+    return u[:, :rank]
+
+
+def reducing_projection(triple: StinespringTriple, m,
+                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Projection onto ``span{pi(X) V m h : X, h}`` for a d_out-row block ``m``.
+
+    The span is invariant under the *-algebra ``pi(M_{d_in})`` and therefore
+    reducing; concretely it equals ``C^{d_in} (x) S`` where ``S`` is spanned
+    by the rows of the matrices ``(V m e_c)`` reshaped to ``(d_in, k)``.  The
+    returned projection is ``kron(I_{d_in}, P_S)`` and commutes with every
+    ``pi(X)`` exactly by construction.
+    """
+    q = _reducing_basis(triple, m, tol)
+    return np.kron(np.eye(triple.d_in, dtype=complex), q @ q.conj().T)
+
+
+def _compression(triple: StinespringTriple, m,
+                 tol: Tolerance) -> CpMap:
+    """The compression ``X -> V* (X (x) P_S) V`` of the dilation to the
+    reducing subspace ``C^{d_in} (x) S`` of :func:`reducing_projection`.
+
+    With ``Q`` an orthonormal basis of ``S``, ``(I (x) P_S) V h =
+    sum_l (sum_j conj(Q_jl) K_j h) (x) q_l``, so the compression has the
+    ``s = dim S`` factors ``Q* [K_1; ..; K_k]``: no projector and no
+    ``d_in k``-sized product is formed.
+    """
+    q = _reducing_basis(triple, m, tol)
+    stack = np.stack(triple.kraus).reshape(triple.multiplicity, -1)
+    factors = (q.conj().T @ stack).reshape(-1, triple.d_in, triple.d_out)
+    return CpMap.from_kraus(list(factors), triple.d_in, triple.d_out)
 
 
 def cyclic_projection(triple: StinespringTriple, h0,

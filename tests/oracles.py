@@ -9,6 +9,11 @@ build their reference completions from.
 :func:`refine_candidate_reference` is the candidate polish as it was
 written before its rounds were made leaner, kept verbatim so the tests can
 hold the library's polish to it byte for byte.
+:func:`dense_least_completion`, :func:`dense_compression` and
+:func:`reducing_projection_reference` are the minimal completions as they
+were built before they were kept in factor form: an ``n x n`` Choi matrix
+lifted through a scatter and two products, and a dilation compressed by
+the ``kron(I, P_S)`` projector.
 """
 
 import numpy as np
@@ -19,11 +24,13 @@ from cpmaps import (
     is_quasipure,
     linalg,
     map_from_contraction,
+    map_from_dilation,
     minimal_kraus,
     minimal_stinespring,
     quasipure,
 )
-from cpmaps.errors import NotCP, ZeroMap
+from cpmaps.completion import _decide, _split_blocks, _times_blocks
+from cpmaps.errors import NotCompletable, NotCP, ZeroMap
 from cpmaps.linalg import DEFAULT_TOL, Tolerance
 from cpmaps.quasipure import (
     INCONCLUSIVE,
@@ -235,3 +242,53 @@ def refine_candidate_reference(stack, h):
             trial = state(h_new)
         s, f, a, h = trial
     return h
+
+
+def dense_least_completion(beta, tol: Tolerance = DEFAULT_TOL) -> CpMap:
+    """The minimal CP completion of ``beta`` by the Choi route, assembled as
+    the ``n x n`` matrix ``[A, C*; C, C A^+ C*]`` in the basis of ``R``'s
+    SVD, scattered into ``I (x) U``'s coordinate order and lifted by
+    ``(I (x) U) . (I (x) U)*``, then symmetrized."""
+    split = _split_blocks(beta, tol)
+    completable, min_eig, leak, (w, v) = _decide(split.a, split.c, tol)
+    if not completable:
+        raise NotCompletable(min_eig, leak)
+    d1, d2 = beta.d_in, beta.d_out
+    n = d1 * d2
+    u, _, _, r = beta._ranked_svd(tol)
+    cv = split.c @ v
+    m = split.a.shape[0]
+    full = np.empty((n, n), dtype=complex)
+    full[:m, :m] = split.a
+    full[m:, :m] = split.c
+    full[:m, m:] = split.c.conj().T
+    full[m:, m:] = (cv / w) @ cv.conj().T
+    order = np.arange(n).reshape(d1, d2)
+    perm = np.concatenate([order[:, :r].ravel(), order[:, r:].ravel()])
+    blocked = np.empty_like(full)
+    blocked[np.ix_(perm, perm)] = full
+    blocked = (u @ blocked.reshape(d1, d2, n)).reshape(n, n)
+    full = _times_blocks(blocked, u.conj().T, d1)
+    return CpMap.from_choi((full + full.conj().T) / 2.0, d1, d2)
+
+
+def reducing_projection_reference(triple, m,
+                                  tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """``kron(I_{d_in}, P_S)`` from the range projection of the rows that
+    span ``S``, as :func:`cpmaps.reducing_projection` was written."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim == 1:
+        m = m.reshape(-1, 1)
+    k = triple.multiplicity
+    rows = (triple.v @ m).reshape(triple.d_in, k, -1)
+    rows = np.moveaxis(rows, 1, 2).reshape(-1, k)
+    p_rows = linalg.range_projection(rows.T, tol)
+    return np.kron(np.eye(triple.d_in, dtype=complex), p_rows)
+
+
+def dense_compression(triple, m, tol: Tolerance = DEFAULT_TOL) -> CpMap:
+    """``X -> V* Q (X (x) I) Q V`` for ``Q`` the reducing projection of
+    ``m``, through the full ``d_in k``-dimensional dilation space."""
+    q = reducing_projection_reference(triple, m, tol)
+    return map_from_dilation(q @ triple.v, triple.d_in, triple.d_out,
+                             triple.multiplicity)

@@ -36,6 +36,13 @@ class SerializationTests(unittest.TestCase):
         back = serialize.decode_map(doc)
         self.assertTrue(maps_close(phi, back))
 
+    def test_zero_map_round_trips_by_its_choi_matrix(self):
+        doc = serialize.encode_map(CpMap.zero(2, 3))
+        self.assertNotIn("kraus", doc)
+        back = serialize.decode_map(doc)
+        self.assertTrue(back.is_zero())
+        self.assertEqual((back.d_in, back.d_out), (2, 3))
+
     def test_inconsistent_document_rejected(self):
         phi = flip_twirl_map()
         doc = serialize.encode_map(phi)
@@ -193,6 +200,8 @@ class ExitCodeTests(unittest.TestCase):
             self.assertTrue(report["completable"])
             self.assertNotIn("route_discrepancy", report)
             self.assertNotIn("violation", report)
+            # both routes give the completion by its factors
+            self.assertIn("kraus", report["completion"])
             alpha = serialize.decode_map(report["completion"])
             for i in range(2):
                 for j in range(2):

@@ -19,16 +19,22 @@ from cpmaps import (
     cp_completable,
     dominates,
     forced_equality_scan,
+    decompose_along,
     maps_close,
     minimal_block_completion,
     minimal_cp_completion_choi,
     minimal_cp_completion_stinespring,
+    minimal_kraus,
+    minimal_stinespring,
+    reducing_projection,
 )
 from cpmaps import linalg, serialize
-from cpmaps.completion import _decide, _split_blocks
+from cpmaps.completion import _decide, _split_blocks, _times_blocks
 from cpmaps.gallery import (
+    diagonal_pair_map,
     flip_twirl_map,
     identity_map,
+    planted_witness_map,
     random_cp_map,
     trace_state_map,
 )
@@ -40,9 +46,15 @@ from conftest import (
     random_non_normal,
     random_projection,
     random_psd,
+    random_unit,
     record_norm_orders,
 )
-from oracles import pseudo_inverse
+from oracles import (
+    dense_compression,
+    dense_least_completion,
+    pseudo_inverse,
+    reducing_projection_reference,
+)
 
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -745,7 +757,7 @@ def test_stinespring_route_checks_a_choi_seed_once(monkeypatch):
     phi = random_cp_map(3, 4, 3, rng=rng)
     r = random_projection(rng, 4, 2)
     beta = PartialCpMap.from_map(phi, r)
-    seed = minimal_cp_completion_choi(beta)  # given by its Choi matrix
+    seed = CpMap.from_choi(minimal_cp_completion_choi(beta).choi, 3, 4)
     calls = count_linalg_calls(monkeypatch, ["eigh", "eigvalsh"])
     alpha = minimal_cp_completion_stinespring(beta, seed)
     # the eigendecomposition that extracts the seed's factors also decides
@@ -759,6 +771,158 @@ def test_stinespring_route_checks_a_choi_seed_once(monkeypatch):
     bad = CpMap.from_choi(seed.choi - np.outer(w, w.conj()), 3, 4)
     with pytest.raises(SeedNotACompletion):
         minimal_cp_completion_stinespring(beta, bad)
+
+
+def test_stinespring_route_takes_no_eigh_for_a_kraus_seed(monkeypatch):
+    rng = np.random.default_rng(74)
+    phi = random_cp_map(3, 4, 3, rng=rng)
+    r = random_projection(rng, 4, 2)
+    beta = PartialCpMap.from_map(phi, r)
+    seed = minimal_cp_completion_choi(beta)  # given by its factors
+    assert seed.kraus is not None
+    calls = count_linalg_calls(monkeypatch, ["eigh", "eigvalsh"])
+    alpha = minimal_cp_completion_stinespring(beta, seed)
+    # the seed is CP by construction; its factors' SVD vouches that they
+    # are independent
+    assert calls == []
+    assert maps_close(alpha, seed)
+
+
+# ---------------------------------------------------------------------------
+# completions in factor form against the dense constructions
+
+
+def _sweep_maps(rng):
+    """Random, planted, gallery and zero maps with ``d_in`` from 1 to 4."""
+    maps = [random_cp_map(d1, d2, k, rng=rng)
+            for d1, d2, k in [(1, 2, 1), (1, 3, 2), (2, 2, 3), (2, 3, 2),
+                              (3, 2, 4), (3, 3, 2), (4, 2, 3), (4, 3, 5)]]
+    maps += [planted_witness_map(d1, d2, k, seed=d1 + k)[0]
+             for d1, d2, k in [(2, 3, 2), (3, 2, 3), (4, 3, 3)]]
+    maps += [identity_map(3), flip_twirl_map(), diagonal_pair_map(),
+             trace_state_map(random_psd(rng, 2), random_unit(rng, 3)),
+             CpMap.zero(2, 3), CpMap.zero(1, 2)]
+    return maps
+
+
+def _sweep_operators(rng, d):
+    """``R`` of every rank, as a projection and not normal."""
+    return [f(rng, d, rank) for rank in range(d + 1)
+            for f in (random_projection, random_non_normal)]
+
+
+def test_factor_form_completions_match_the_dense_constructions():
+    rng = np.random.default_rng(75)
+    tol = linalg.DEFAULT_TOL
+    checked = 0
+    for phi in _sweep_maps(rng):
+        triple = None if phi.is_zero() else minimal_stinespring(phi)
+        for r in _sweep_operators(rng, phi.d_out):
+            beta = PartialCpMap.from_map(phi, r)
+            # Choi route: one factor per kept eigenvalue of A, a family
+            # minimal_kraus keeps as it is
+            alpha = minimal_cp_completion_choi(beta)
+            assert maps_close(alpha, dense_least_completion(beta))
+            split = _split_blocks(beta, tol)
+            kept_eigs = _decide(split.a, split.c, tol)[3][0]
+            assert len(alpha.kraus) == kept_eigs.size
+            assert all(f is g for f, g in zip(minimal_kraus(alpha),
+                                              alpha.kraus, strict=True))
+            # Stinespring route and decompose_along: one factor per
+            # dimension of S
+            via_seed = minimal_cp_completion_stinespring(beta, phi)
+            along = decompose_along(phi, r).alpha
+            assert maps_close(via_seed, alpha)
+            assert maps_close(along, alpha)
+            if triple is None:
+                checked += 1
+                continue
+            p_r = linalg.range_projection(r)
+            want = dense_compression(triple, p_r)
+            projection = reducing_projection(triple, p_r)
+            # the public projection keeps its bytes
+            assert np.array_equal(projection,
+                                  reducing_projection_reference(triple, p_r))
+            dim_s = round(np.trace(projection).real) // phi.d_in
+            for got in (via_seed, along):
+                assert maps_close(got, want)
+                assert len(got.kraus) == dim_s
+                assert all(f is g for f, g in zip(minimal_kraus(got),
+                                                  got.kraus, strict=True))
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("kind", ["eigenvalue", "leak"])
+def test_completion_reproduces_data_just_under_the_rank_cutoff(kind):
+    """An eigenvalue of ``A`` or a leak of ``C`` into ``ker A`` half the
+    rank cutoff high is dropped from the factor, and the completion still
+    reproduces the data."""
+    rng = np.random.default_rng(76)
+    tol = linalg.DEFAULT_TOL
+    d1, d2 = 2, 3
+    n = d1 * d2
+    r = random_projection(rng, d2, 2)
+    p = np.kron(np.eye(d1), r)
+    u = p @ (rng.normal(size=n) + 1j * rng.normal(size=n))
+    u /= np.linalg.norm(u)
+    y = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    y -= np.outer(u, u.conj() @ y)  # u spans part of ker A
+    choi = y @ y.conj().T
+    scale = np.abs(p @ choi @ p).max()
+    small = 0.5 * tol.eps_rank * scale
+    if kind == "eigenvalue":
+        choi = choi + small * np.outer(u, u.conj())
+    else:
+        x = (np.eye(n) - p) @ (rng.normal(size=n) + 1j * rng.normal(size=n))
+        x *= small / np.linalg.norm(x)
+        choi = choi + np.outer(u, x.conj()) + np.outer(x, u.conj())
+    column = choi @ p
+    beta = PartialCpMap(d_in=d1, d_out=d2, r=r, blocks=column.reshape(
+        d1, d2, d1, d2).swapaxes(1, 2))
+    assert cp_completable(beta, tol)
+    alpha = minimal_cp_completion_choi(beta, tol)
+    split = _split_blocks(beta, tol)
+    assert len(alpha.kraus) == split.a.shape[0] - 1
+    # alpha(X) R = beta(X) by the package's equality rule
+    got = _times_blocks(alpha.choi, beta.r, beta.d_in)
+    assert linalg.negligible(got - beta._column, tol, got, beta._column)
+    assert maps_close(alpha, dense_least_completion(beta, tol), tol)
+    # the Stinespring route accepts it as a seed
+    assert maps_close(minimal_cp_completion_stinespring(beta, alpha, tol),
+                      alpha, tol)
+
+
+@pytest.mark.parametrize("leaks", [True, False])
+def test_a_negative_eigenvalue_within_the_psd_slack_is_part_of_ker_a(leaks):
+    """With ``eps_psd`` above ``eps_rank`` an eigenvalue of ``A`` may pass
+    the PSD test yet be kept by the rank rule; it counts as zero, so ``C``
+    must vanish on it, and the completion is CP and reproduces the rest."""
+    rng = np.random.default_rng(77)
+    tol = linalg.Tolerance(eps_psd=1e-6)
+    n = 4
+    p = np.kron(np.eye(2), E11)
+    y = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    if not leaks:
+        y[1] = y[3] = 0.0  # C = 0
+    choi = y @ y.conj().T
+    w, v = np.linalg.eigh((p @ choi @ p)[np.ix_([0, 2], [0, 2])])
+    u = np.zeros(n, dtype=complex)
+    u[[0, 2]] = v[:, 0]
+    # A's smallest eigenvalue moves to -1e-7 of its largest
+    choi = choi - (w[0] + 1e-7 * w[-1]) * np.outer(u, u.conj())
+    column = choi @ p
+    beta = PartialCpMap(d_in=2, d_out=2, r=E11, blocks=column.reshape(
+        2, 2, 2, 2).swapaxes(1, 2))
+    assert cp_completable(beta, tol) is not leaks
+    if leaks:
+        with pytest.raises(NotCompletable):
+            minimal_cp_completion_choi(beta, tol)
+        return
+    alpha = minimal_cp_completion_choi(beta, tol)
+    assert len(alpha.kraus) == 1
+    assert linalg.max_abs(alpha.choi @ p - column) <= 1e-6 * linalg.max_abs(
+        column)
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (3, 4), (8, 12)])

@@ -130,6 +130,8 @@ def private_imports(tree):
 #: ``(module, "home module._name")`` of each private name a library
 #: module imports from another
 PRIVATE_IMPORTS = {("ae_equiv.py", "completion._times_blocks"),
+                   ("ae_equiv.py", "stinespring._compression"),
+                   ("completion.py", "stinespring._compression"),
                    ("quasipure.py", "cp_map._canonical_phase")}
 
 

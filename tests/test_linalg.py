@@ -44,6 +44,30 @@ def test_require_hermitian_symmetrizes_and_rejects():
     assert np.allclose(h, h.conj().T)
 
 
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 3), (8, 12)])
+def test_symmetrizations_are_bit_for_bit_the_average(d_in, d_out):
+    """``require_hermitian`` and the Gram Choi matrix of Kraus factors
+    halve ``g + g*`` in a fresh buffer: the bytes are those of ``(g + g*) /
+    2``, and the input is left as it was."""
+    from cpmaps.cp_map import _gram_choi
+    rng = np.random.default_rng(d_in * d_out)
+    n = d_in * d_out
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    near = g + g.conj().T + 1e-14 * g  # within the residual budget
+    before = near.copy()
+    got = linalg.require_hermitian(near)
+    assert got.tobytes() == ((near + near.conj().T) / 2.0).tobytes()
+    assert got is not near and near.tobytes() == before.tobytes()
+    factors = [rng.normal(size=(d_in, d_out)) + 1j * rng.normal(
+        size=(d_in, d_out)) for _ in range(3)]
+    copies = [f.copy() for f in factors]
+    rows = np.stack(factors).reshape(3, n)
+    gram = rows.conj().T @ rows
+    got = _gram_choi(factors, d_in, d_out)
+    assert got.tobytes() == ((gram + gram.conj().T) / 2.0).tobytes()
+    assert all(f.tobytes() == c.tobytes() for f, c in zip(factors, copies))
+
+
 def test_eigh_frozen_example():
     # [[2, 1-i], [1+i, 3]] has eigenvalues 1 and 4 (trace 5, det 4)
     vals, vecs = linalg.eigh([[2.0, 1 - 1j], [1 + 1j, 3.0]])
