@@ -310,8 +310,7 @@ def ae_equal_rigidity(phi: CpMap, psi: CpMap,
 # forced equality and counterexamples
 
 
-def _distinct_completion(phi: CpMap, r, tol: Tolerance,
-                         unit: Optional[np.ndarray] = None
+def _distinct_completion(phi: CpMap, r, unit: np.ndarray, tol: Tolerance
                          ) -> Optional[CpMap]:
     """A CP ``psi != phi``, R-equivalent and unit-matched, or None.
 
@@ -321,15 +320,12 @@ def _distinct_completion(phi: CpMap, r, tol: Tolerance,
     ``D^{1/2}``; ``i = 1`` is tried when ``psi_0`` equals ``phi``.  None
     when ``D`` keeps no eigenvalue at the scale of ``phi(I)``, or when no
     ``psi_i`` differs from ``phi`` (always so on ``M_1``), and for the zero
-    map, which a zero unit pins down.  ``unit`` is ``phi(I)`` when the
-    caller has it already.
+    map, which a zero unit pins down.  ``unit`` is ``phi(I)``.
     """
     r = _operator_on_codomain(phi, r)
     if phi.is_zero():
         return None
     alpha = _completion_along(phi, r, tol)
-    if unit is None:
-        unit = phi.unit()
     w, u = linalg.eigh(unit - alpha.unit())
     pos = linalg.kept(w, tol, linalg.max_abs(unit))
     if not pos.any():
@@ -374,7 +370,7 @@ def counterexample_construct(phi: CpMap, witness,
         raise WitnessInvalid("phi(I) annihilates the witness")
 
     r = np.outer(h0, h0.conj())
-    psi = _distinct_completion(phi, r, tol, unit)
+    psi = _distinct_completion(phi, r, unit, tol)
     if psi is None:
         verdict = is_quasipure(phi, tol)
         if verdict.status == QUASI_PURE and verdict.is_proof:
@@ -400,4 +396,4 @@ def forced_equality_scan(phi: CpMap, r, *,
     Raises DimensionMismatch for an ``R`` of the wrong shape and NotCP for
     a non-CP ``phi``.
     """
-    return _distinct_completion(phi, r, tol) is None
+    return _distinct_completion(phi, r, phi.unit(), tol) is None

@@ -34,8 +34,10 @@ that factor form (Anderson & Trapp, *Shorted operators II*, 1975, for
 the block side): the least completion is ``Y Y*`` for the ``n x rank A``
 factor ``Y = [V sqrt(w); C V / sqrt(w)]``, ``A V = V w`` over the
 eigenvalues the rank rule keeps, and the compression has one Kraus factor
-per dimension of the reducing subspace.  No ``n x n`` completion is
-assembled and lifted, and no dilation-sized projector is formed.
+per dimension of the reducing subspace.  No dilation-sized projector is
+formed, and an ``n x n`` completion is assembled and lifted only when what
+the rank rule dropped from the factor could exceed what the equality rule
+forgives on the data; it then copies the known blocks.
 
 Decisions run in an orthonormal basis adapted to the splitting, ``ran P``
 first: there ``A`` is ``m x m`` (``m = rank P``) and ``C`` is
@@ -161,12 +163,17 @@ class _Split:
     ``a`` (``m x m``, Hermitian) and ``c`` (``(n-m) x m``) are ``A`` and
     ``C`` in that basis; ``lift`` carries the rows of an ``n``-row factor
     written in it back to the original coordinates (the basis change
-    ``B``, so that ``Y Y*`` lifts to ``B Y Y* B*``).
+    ``B``, so that ``Y Y*`` lifts to ``B Y Y* B*``).  ``data`` are the
+    arrays the blocks were read from, and a change of 2-norm ``e`` to
+    ``[A; C]`` moves no entry of their reproduction by more than ``reach *
+    e``.
     """
 
     a: np.ndarray
     c: np.ndarray
     lift: Callable[[np.ndarray], np.ndarray]
+    reach: float
+    data: tuple
 
 
 def _compress(problem: BlockCompletionProblem) -> _Split:
@@ -179,12 +186,14 @@ def _compress(problem: BlockCompletionProblem) -> _Split:
     a = q_in.conj().T @ problem.a @ q_in
     return _Split(a=(a + a.conj().T) / 2.0,
                   c=q_out.conj().T @ problem.c @ q_in,
-                  lift=lambda y: basis @ y)
+                  lift=lambda y: basis @ y,
+                  reach=1.0, data=(problem.a, problem.c))
 
 
 def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
             exact: bool = False, verdict: bool = False):
-    """``(completable, min eigenvalue of A, leak, kept eigenpairs of A)``.
+    """``(completable, min eigenvalue of A, leak, kept eigenpairs of A,
+    largest |eigenvalue| dropped)``.
 
     ``A >= 0`` and ``ker A <= ker C`` are read at the data's own scale
     ``s = max(max |lambda(A)|, max |C|)``, with no floor: the eigenvalue
@@ -200,6 +209,8 @@ def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
     Otherwise it is the 2-norm.  With ``verdict`` set only ``completable``
     is returned, once known: after a failed PSD test, or when the rule keeps
     half of ``||X||_F / sqrt(min(rows, cols)) <= ||X||_2``, no 2-norm.
+    The last number is ``max |lambda|`` over the eigenvalues of ``ker A``
+    (zero when there are none).
     """
     w, v = np.linalg.eigh(a)
     min_eig = float(w[0]) if w.size else 0.0
@@ -223,26 +234,45 @@ def _decide(a: np.ndarray, c: np.ndarray, tol: Tolerance, *,
             return False
         leak = float(np.linalg.norm(null_leak, ord=2))
     completable = psd and not linalg.kept([leak], tol, scale)[0]
-    return completable if verdict else (completable, min_eig, leak,
-                                        (w[keep], v[:, keep]))
+    if verdict:
+        return completable
+    return (completable, min_eig, leak, (w[keep], v[:, keep]),
+            linalg.max_abs(w[~keep]))
 
 
-def _least_completion(split: _Split, tol: Tolerance) -> np.ndarray:
-    """A factor ``Y`` (``n x rank A``) of the least completion, ``Y Y* =
-    A + C + C* + C A^+ C*``, in the original coordinates.
+def _least_completion(split: _Split, tol: Tolerance):
+    """The least completion ``A + C + C* + C A^+ C*`` in the original
+    coordinates: ``(Y, None)`` for a factor ``Y`` (``n x rank A``) with
+    that Gram matrix, or ``(None, M)`` for the matrix itself.
 
     With the eigenpairs ``A V = V w`` the decision keeps, ``Y = [V
-    sqrt(w); C V / sqrt(w)]``: its Gram matrix carries ``V w V*`` and ``V
-    V* C*``, which are ``A`` and ``C*`` less what the rank rule dropped
-    (at most ``eps_rank`` times the data's scale), and the corner ``C A^+
-    C*``.  Raises NotCompletable, with the two deciding numbers, when no
-    completion exists.
+    sqrt(w); C V / sqrt(w)]``: its Gram matrix has the corner ``C A^+ C*``
+    and, where the data has ``A`` and ``C``, ``V w V*`` and ``C V V*``.
+    They differ by what the rank rule dropped, ``[V_0 w_0; C V_0] V_0*``
+    over the other eigenpairs, whose 2-norm is at most ``hypot(max |w_0|,
+    leak)``: up to ``eps_rank`` times the decision's scale, which may be
+    ``m`` times the data's largest entry and so more than the equality rule
+    forgives.  When that bound, times ``split.reach``, is not negligible
+    against ``split.data``, the known blocks are put back as they are and
+    ``M = [A, C*; C, C A^+ C*]`` is returned, lifted on both sides and
+    symmetrized.  Raises NotCompletable, with the two deciding numbers,
+    when no completion exists.
     """
-    completable, min_eig, leak, (w, v) = _decide(split.a, split.c, tol)
+    completable, min_eig, leak, (w, v), dropped = _decide(split.a, split.c,
+                                                          tol)
     if not completable:
         raise NotCompletable(min_eig, leak)
     root = np.sqrt(w)
-    return split.lift(np.vstack([v * root, (split.c @ v) / root]))
+    y = np.vstack([v * root, (split.c @ v) / root])
+    if linalg.negligible(np.hypot(dropped, leak) * split.reach, tol,
+                         *split.data):
+        return split.lift(y), None
+    z = y[split.a.shape[0]:]
+    full = np.block([[split.a, split.c.conj().T],
+                     [split.c, z @ z.conj().T]])
+    # B M B*, from the lift of rows alone
+    full = split.lift(split.lift(full).conj().T).conj().T
+    return None, linalg._hermitian_part(full)
 
 
 def block_completable(problem: BlockCompletionProblem,
@@ -266,13 +296,12 @@ def minimal_block_completion(problem: BlockCompletionProblem,
     completion exists at all, carrying the two numbers that decided it.
     The result is the Gram matrix ``Y Y*`` of the factor of
     :func:`_least_completion`, symmetrized: exactly Hermitian and PSD, it
-    reproduces the known blocks up to what the rank rule dropped.
+    reproduces the known blocks up to what the rank rule dropped.  When
+    that could exceed what the equality rule forgives, the known blocks
+    are copied instead.
     """
-    y = _least_completion(_compress(problem), tol)
-    gram = y @ y.conj().T
-    gram += gram.conj().T
-    gram *= 0.5
-    return gram
+    y, full = _least_completion(_compress(problem), tol)
+    return full if y is None else linalg._hermitian_part(y @ y.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +438,13 @@ def _split_blocks(beta: PartialCpMap, tol: Tolerance) -> _Split:
     hermitian = linalg.negligible(a - a.conj().T, tol, a)
     a = (a + a.conj().T) / 2.0
     if not hermitian:
-        _, min_eig, leak, _ = _decide(a, c, tol, exact=True)
+        _, min_eig, leak, *_ = _decide(a, c, tol, exact=True)
         raise NotCompletable(min_eig, leak,
                              "the known compression is not Hermitian")
-    return _Split(a=a, c=c, lift=lift)
+    # the column is N (I (x) U_r S_r V_r*): a change to N's known blocks
+    # grows by at most the largest singular value of R
+    return _Split(a=a, c=c, lift=lift, reach=float(s[0]),
+                  data=(beta._column,))
 
 
 def cp_completable(beta: PartialCpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -442,9 +474,20 @@ def minimal_cp_completion_choi(beta: PartialCpMap,
     construction and its Choi matrix is the Gram matrix ``Y Y*``.  In
     exchange for being exactly PSD, that Choi matrix reproduces the known
     blocks up to what the rank rule dropped (at most ``eps_rank`` times the
-    data's scale) rather than exactly.
+    decision's scale) rather than exactly.
+
+    That scale is ``A``'s largest eigenvalue, which may be ``m`` times the
+    data's largest entry: an eigenvalue of ``A``, or a leak of ``C`` into
+    ``ker A``, just under the rank cutoff may then exceed what the equality
+    rule forgives, and the factor would not reproduce ``beta``.  When the
+    drop is that large (``d_out = 1``, ``R = 1`` and ``A = J_3 + 2.7e-9 u
+    u*``, ``u = (e_1 - e_2) / sqrt 2``), the completion is given by its
+    Choi matrix with the known blocks copied, PSD within the slack the
+    decision allowed.
     """
-    y = _least_completion(_split_blocks(beta, tol), tol)
+    y, full = _least_completion(_split_blocks(beta, tol), tol)
+    if y is None:
+        return CpMap.from_choi(full, beta.d_in, beta.d_out)
     factors = y.conj().T.reshape(-1, beta.d_in, beta.d_out)
     return CpMap.from_kraus(list(factors), beta.d_in, beta.d_out)
 

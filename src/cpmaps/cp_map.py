@@ -259,11 +259,7 @@ def _gram_choi(ks: Sequence[np.ndarray], d_in: int, d_out: int) -> np.ndarray:
     if not ks:
         return np.zeros((n, n), dtype=complex)
     rows = np.stack(ks).reshape(len(ks), n)
-    gram = rows.conj().T @ rows
-    # symmetrized in place: bit for bit (gram + gram*) / 2
-    gram += gram.conj().T
-    gram *= 0.5
-    return gram
+    return linalg._hermitian_part(rows.conj().T @ rows)
 
 
 def choi_to_kraus(choi, d_in: int, d_out: int,

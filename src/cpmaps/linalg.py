@@ -159,14 +159,18 @@ def require_hermitian(m) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix is not square: shape {m.shape}")
-    adjoint = m.conj().T
-    gap = max_abs(m - adjoint)
+    gap = max_abs(m - m.conj().T)
     if gap > HERMITIAN_RESIDUAL and gap > HERMITIAN_RESIDUAL * max_abs(m):
         raise NonHermitianInput(
             f"matrix is not Hermitian: ||M - M*||_max = {gap:.3e}"
         )
-    # one fresh buffer, halved in place: bit for bit (m + m*) / 2
-    h = m + adjoint
+    return _hermitian_part(m)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m*) / 2`` of a square array, bit for bit: ``m + m*`` in one
+    fresh buffer, halved in place (``x / 2 == x * 0.5`` exactly)."""
+    h = m + m.conj().T
     h *= 0.5
     return h
 

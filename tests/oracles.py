@@ -250,7 +250,7 @@ def dense_least_completion(beta, tol: Tolerance = DEFAULT_TOL) -> CpMap:
     SVD, scattered into ``I (x) U``'s coordinate order and lifted by
     ``(I (x) U) . (I (x) U)*``, then symmetrized."""
     split = _split_blocks(beta, tol)
-    completable, min_eig, leak, (w, v) = _decide(split.a, split.c, tol)
+    completable, min_eig, leak, (w, v), _ = _decide(split.a, split.c, tol)
     if not completable:
         raise NotCompletable(min_eig, leak)
     d1, d2 = beta.d_in, beta.d_out

@@ -855,9 +855,10 @@ def test_factor_form_completions_match_the_dense_constructions():
 
 @pytest.mark.parametrize("kind", ["eigenvalue", "leak"])
 def test_completion_reproduces_data_just_under_the_rank_cutoff(kind):
-    """An eigenvalue of ``A`` or a leak of ``C`` into ``ker A`` half the
-    rank cutoff high is dropped from the factor, and the completion still
-    reproduces the data."""
+    """An eigenvalue of ``A`` or a leak of ``C`` into ``ker A``, spread
+    out and half the rank cutoff at the data's largest entry high, is
+    dropped from the factor: the equality rule forgives it, so the
+    completion stays in factor form and still reproduces the data."""
     rng = np.random.default_rng(76)
     tol = linalg.DEFAULT_TOL
     d1, d2 = 2, 3
@@ -893,11 +894,78 @@ def test_completion_reproduces_data_just_under_the_rank_cutoff(kind):
                       alpha, tol)
 
 
+def _drop_at_the_cutoff(kind, r_kind):
+    """Known blocks ``A = J_3`` (its top eigenvector spread out) and ``C``
+    with one localized direction ``u = (e_1 - e_2) / sqrt 2`` of ``ker A``
+    raised to 0.9 of the rank cutoff ``eps_rank * s``, ``s = 3`` the
+    decision's scale: as an eigenvalue of ``A`` or as a leak of ``C``.
+    Returns ``(beta, A, C)``."""
+    tol = linalg.DEFAULT_TOL
+    a = np.ones((3, 3), dtype=complex)
+    u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    small = 0.9 * tol.eps_rank * 3.0
+    c = np.zeros((1, 3), dtype=complex)
+    if kind == "eigenvalue":
+        a = a + small * np.outer(u, u)
+    else:
+        c[0] = small * u
+    if r_kind == "identity":  # d_in = 3, d_out = 1: no C at all
+        choi, r = a, np.eye(1)
+    else:  # d_in = 1, d_out = 4, R of rank 3
+        choi = np.block([[a, c.conj().T], [c, c @ c.conj().T]])
+        r = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
+        if r_kind == "non-normal":  # ran R* is not ran R
+            r = r[:, [3, 0, 1, 2]]
+    d_in, d_out = (3, 1) if r_kind == "identity" else (1, 4)
+    column = _times_blocks(choi, r, d_in)
+    beta = PartialCpMap(d_in=d_in, d_out=d_out, r=r, blocks=column.reshape(
+        d_in, d_out, d_in, d_out).swapaxes(1, 2))
+    return beta, a, c
+
+
+@pytest.mark.parametrize("kind, r_kind", [("eigenvalue", "identity"),
+                                          ("eigenvalue", "projection"),
+                                          ("eigenvalue", "non-normal"),
+                                          ("leak", "projection"),
+                                          ("leak", "non-normal")])
+def test_completion_reproduces_data_dropped_at_the_decisions_scale(kind,
+                                                                   r_kind):
+    """A drop just under the rank cutoff, which is read at ``A``'s largest
+    eigenvalue, can exceed what the equality rule forgives at the data's
+    largest entry; the completion then copies the known blocks, so every
+    route still reproduces ``beta``."""
+    tol = linalg.DEFAULT_TOL
+    beta, a, c = _drop_at_the_cutoff(kind, r_kind)
+    assert cp_completable(beta, tol)
+    # the factor of the kept eigenpairs alone would miss the data
+    split = _split_blocks(beta, tol)
+    w, v = _decide(split.a, split.c, tol)[3]
+    assert w.size == 1
+    y = split.lift(np.vstack([v * np.sqrt(w), split.c @ v / np.sqrt(w)]))
+    short = _times_blocks(y @ y.conj().T, beta.r, beta.d_in)
+    assert not linalg.negligible(short - beta._column, tol, short,
+                                 beta._column)
+    alpha = minimal_cp_completion_choi(beta, tol)
+    got = _times_blocks(alpha.choi, beta.r, beta.d_in)
+    assert linalg.negligible(got - beta._column, tol, got, beta._column)
+    assert maps_close(alpha, dense_least_completion(beta, tol), tol)
+    if kind == "eigenvalue":
+        # a seed of the Stinespring route, as `cpmaps complete` uses it; a
+        # copied leak is no PSD matrix within the slack, so no seed
+        minimal_cp_completion_stinespring(beta, alpha, tol)
+    # the block route copies the blocks too
+    full = minimal_block_completion(BlockCompletionProblem.from_blocks(a, c),
+                                    tol)
+    known = np.vstack([a, c])
+    assert linalg.negligible(full[:, :3] - known, tol, full, known)
+
+
 @pytest.mark.parametrize("leaks", [True, False])
 def test_a_negative_eigenvalue_within_the_psd_slack_is_part_of_ker_a(leaks):
     """With ``eps_psd`` above ``eps_rank`` an eigenvalue of ``A`` may pass
     the PSD test yet be kept by the rank rule; it counts as zero, so ``C``
-    must vanish on it, and the completion is CP and reproduces the rest."""
+    must vanish on it.  Dropped, it is more than the equality rule forgives,
+    so the completion copies the known blocks and reproduces the data."""
     rng = np.random.default_rng(77)
     tol = linalg.Tolerance(eps_psd=1e-6)
     n = 4
@@ -920,9 +988,12 @@ def test_a_negative_eigenvalue_within_the_psd_slack_is_part_of_ker_a(leaks):
             minimal_cp_completion_choi(beta, tol)
         return
     alpha = minimal_cp_completion_choi(beta, tol)
-    assert len(alpha.kraus) == 1
-    assert linalg.max_abs(alpha.choi @ p - column) <= 1e-6 * linalg.max_abs(
-        column)
+    assert alpha.kraus is None
+    got = alpha.choi @ p
+    assert linalg.negligible(got - column, tol, got, column)
+    assert maps_close(alpha, dense_least_completion(beta, tol), tol)
+    # and the Stinespring route takes it as a seed
+    minimal_cp_completion_stinespring(beta, alpha, tol)
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (3, 4), (8, 12)])

@@ -46,14 +46,20 @@ def test_require_hermitian_symmetrizes_and_rejects():
 
 @pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 3), (8, 12)])
 def test_symmetrizations_are_bit_for_bit_the_average(d_in, d_out):
-    """``require_hermitian`` and the Gram Choi matrix of Kraus factors
-    halve ``g + g*`` in a fresh buffer: the bytes are those of ``(g + g*) /
-    2``, and the input is left as it was."""
+    """``_hermitian_part`` halves ``g + g*`` in a fresh buffer: the bytes
+    are those of ``(g + g*) / 2``, and the input is left as it was; so do
+    ``require_hermitian`` and the Gram Choi matrix of Kraus factors, which
+    call it."""
     from cpmaps.cp_map import _gram_choi
     rng = np.random.default_rng(d_in * d_out)
     n = d_in * d_out
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     near = g + g.conj().T + 1e-14 * g  # within the residual budget
+    for m in (g, near):
+        before = m.copy()
+        got = linalg._hermitian_part(m)
+        assert got.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+        assert got is not m and m.tobytes() == before.tobytes()
     before = near.copy()
     got = linalg.require_hermitian(near)
     assert got.tobytes() == ((near + near.conj().T) / 2.0).tobytes()
