@@ -349,10 +349,10 @@ def counterexample_construct(phi: CpMap, witness,
     The construction of the module docstring at ``R = |h0><h0|``: at a
     quasi-purity witness ``h0`` the vector ``V h0`` is not cyclic, so the
     minimal completion of ``phi(.) R`` falls short of ``phi`` and, for
-    ``d_in >= 2``, a counterexample exists.  Returns ``(psi, R)``, checked
-    once more against the promised postconditions (CP by construction, the
-    same unit, R-equivalent, distinct), and None when ``phi`` is rigid at
-    ``R`` (so ``h0`` is no witness) or a postcondition fails.  Raises
+    ``d_in >= 2``, a counterexample exists.  Returns ``(psi, R)``, CP by
+    construction and distinct from ``phi`` by :func:`maps_close`, checked
+    once more for the same unit and R-equivalence, and None when ``phi`` is
+    rigid at ``R`` (so ``h0`` is no witness) or a postcondition fails.  Raises
     WitnessInvalid for the zero vector, when ``phi(I) h0 = 0``, and when
     ``phi`` is rigid at ``R`` and provably quasi-pure (no witness exists at
     all); the witness is checked before the map, whose complete positivity
@@ -376,12 +376,10 @@ def counterexample_construct(phi: CpMap, witness,
         if verdict.status == QUASI_PURE and verdict.is_proof:
             raise WitnessInvalid("the map is quasi-pure; no witness exists")
         return None
+    # final check of the unit and R-equivalence (psi != phi is decided)
     psi_unit = psi.unit()
-    diff = phi.choi - psi.choi
-    # final validation of the promised postconditions
     if (not linalg.negligible(psi_unit - unit, tol, psi_unit, unit)
-            or not _equivalent(r, diff, phi, psi, tol)
-            or linalg.negligible(diff, tol, phi.choi, psi.choi)):
+            or not _equivalent(r, phi.choi - psi.choi, phi, psi, tol)):
         return None
     return psi, r
 

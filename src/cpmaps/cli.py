@@ -29,6 +29,7 @@ from .errors import (
     HypothesisFailed,
     MalformedDocument,
     NotCompletable,
+    NotCP,
     ToolkitError,
 )
 from .linalg import Tolerance
@@ -127,19 +128,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    from .cp_map import choi_rank, classify, is_cp
+    from .cp_map import classify
 
     tol = _tolerance(args)
     phi = decode_map(load_document(args.map_file))
-    spectrum = [float(x) for x in np.linalg.eigvalsh(phi.choi)]
-    info = classify(phi, tol) if is_cp(phi, tol) else None
+    spectrum = [float(x) for x in np.linalg.eigh(phi.choi)[0]]
+    try:  # classify decides; a Choi matrix by these eigh eigenvalues
+        info = classify(phi, tol)
+    except NotCP:
+        info = None
     report = {
         "command": "analyze",
         "tolerances": _tolerance_fields(tol),
         "d_in": phi.d_in,
         "d_out": phi.d_out,
         "is_cp": info is not None,
-        "choi_rank": choi_rank(phi, tol) if info is None else info.choi_rank,
+        "choi_rank": (linalg.numerical_rank(phi.choi, tol) if info is None
+                      else info.choi_rank),
         "choi_spectrum": spectrum,
     }
     if info is not None:
@@ -156,7 +161,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_quasipure(args) -> int:
-    from .cp_map import is_cp
     from .quasipure import NOT_QUASI_PURE, QUASI_PURE, is_quasipure
 
     tol = _tolerance(args)
@@ -166,13 +170,14 @@ def _cmd_quasipure(args) -> int:
         "tolerances": _tolerance_fields(tol),
         "budget": args.budget,
     }
-    if not is_cp(phi, tol):
+    try:  # its factorization decides complete positivity
+        verdict = is_quasipure(phi, tol, budget=args.budget)
+    except NotCP:
         report["error"] = "NotCP"
         _emit(report)
         print("quasipure: NotCP: the map must be completely positive",
               file=sys.stderr)
         return EXIT_NEGATIVE
-    verdict = is_quasipure(phi, tol, budget=args.budget)
     report["status"] = verdict.status
     report["method"] = verdict.method
     report["is_proof"] = verdict.is_proof
@@ -237,7 +242,7 @@ def _cmd_aeq(args) -> int:
         r_equivalent,
         rigidity_check,
     )
-    from .cp_map import is_cp, maps_close
+    from .cp_map import maps_close
 
     tol = _tolerance(args)
     phi = decode_map(load_document(args.phi_file))
@@ -259,20 +264,19 @@ def _cmd_aeq(args) -> int:
     report["equivalent"] = bool(equivalent)
     report["maps_equal"] = bool(maps_close(phi, psi, tol))
 
-    rigidity: dict = {"applicable": False}
-    if is_cp(phi, tol) and is_cp(psi, tol):
-        try:
-            check = ae_equal_rigidity if args.r_file is None else rigidity_check
-            verdict = check(phi, psi, ctx, tol, budget=args.budget)
-            rigidity = {
-                "applicable": True,
-                "status": verdict.status,
-                "max_deviation": verdict.max_deviation,
-                "quasipurity_method": verdict.quasipurity.method,
-            }
-        except HypothesisFailed as exc:
-            rigidity = {"applicable": False,
-                        "failed_hypothesis": exc.hypothesis}
+    check = ae_equal_rigidity if args.r_file is None else rigidity_check
+    try:  # the check's factorizations decide complete positivity
+        verdict = check(phi, psi, ctx, tol, budget=args.budget)
+        rigidity = {
+            "applicable": True,
+            "status": verdict.status,
+            "max_deviation": verdict.max_deviation,
+            "quasipurity_method": verdict.quasipurity.method,
+        }
+    except HypothesisFailed as exc:
+        rigidity = {"applicable": False, "failed_hypothesis": exc.hypothesis}
+    except NotCP:
+        rigidity = {"applicable": False}
     report["rigidity"] = rigidity
     _emit(report)
     return EXIT_OK if equivalent else EXIT_NEGATIVE

@@ -78,9 +78,8 @@ class CpMap:
     so the map is CP by construction.  Given a Choi matrix, ``kraus`` stays
     None.  Despite the name, construction does not require complete
     positivity -- differences of CP maps and other Hermiticity-preserving
-    maps are legal values: :func:`is_cp` decides positivity, and
-    :func:`minimal_kraus` raises NotCP when asked for the factors of a
-    non-CP map.
+    maps are legal values: :func:`minimal_kraus` raises NotCP on a non-CP
+    map, and :func:`is_cp` says whether it would.
     """
 
     d_in: int
@@ -266,13 +265,11 @@ def choi_to_kraus(choi, d_in: int, d_out: int,
                   tol: Tolerance = DEFAULT_TOL) -> list:
     """Minimal Kraus factors of a PSD Choi matrix.
 
-    Eigenvectors whose eigenvalue the rank rule :func:`linalg.kept` keeps
-    are scaled
-    by the square root of their eigenvalue and reshaped; the resulting
-    factors are linearly independent, mutually orthogonal in the trace
-    inner product, and their number equals the Choi rank.  Raises NotCP,
-    a NotPSD, when the Choi matrix fails :func:`linalg.psd_check`'s rule,
-    read from the same eigendecomposition.
+    One ``np.linalg.eigh`` decides and factorizes: NotCP, a NotPSD, is
+    raised below ``-eps_psd * max(1, max |lambda|)``, and the eigenvectors
+    whose eigenvalue :func:`linalg.kept` keeps, scaled by its square root
+    and reshaped, are the factors: independent, trace-orthogonal, and as
+    many as the Choi rank.  :func:`is_cp` reads this eigensolve.
     """
     choi = linalg.require_hermitian(choi)
     n = d_in * d_out
@@ -295,24 +292,20 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
     """A minimal (linearly independent) Kraus family for a CP map.
 
     This is where a caller that needs factors learns whether the map is
-    CP: stored factors make it CP, and a map given by its Choi matrix is
-    factorized by :func:`choi_to_kraus`, whose one eigendecomposition
-    raises NotCP (a NotPSD) on a non-CP map.
+    CP: stored factors make it CP, and a Choi matrix is factorized by
+    :func:`choi_to_kraus`, which raises NotCP (a NotPSD) on a non-CP map.
 
-    If the map already stores a linearly independent Kraus family it is
-    returned unchanged -- any independent family is a legitimate minimal
-    choice, and preserving the caller's basis keeps derived objects (e.g.
-    commutant factors) expressed in their coordinates.  Independence is
-    read from the SVD of the stacked factors: the Choi matrix is ``W W*``
-    for the matrix ``W`` of their Choi vectors, so its eigenpairs are the
-    squared singular values ``s^2`` and the left singular vectors of ``W``,
-    and the family counts as independent when the rank rule
-    :func:`linalg.kept` keeps every ``s^2``, as :func:`choi_to_kraus`
+    A stored linearly independent family is returned unchanged -- any
+    independent family is a legitimate minimal choice, and preserving the
+    caller's basis keeps derived objects (e.g. commutant factors) in their
+    coordinates.  Independence is read from the SVD of the stacked factors:
+    the Choi matrix is ``W W*`` for the matrix ``W`` of their Choi vectors,
+    so its eigenpairs are the squared singular values ``s^2`` and the left
+    singular vectors of ``W``, and the family is independent when the rank
+    rule :func:`linalg.kept` keeps every ``s^2``, as :func:`choi_to_kraus`
     keeps Choi eigenvalues.  A dependent family is reduced to the kept
     singular pairs, without ever forming a Choi eigenvalue below zero.
-    Either way ``len(minimal_kraus(phi)) == choi_rank(phi)``, whether the
-    map was given by factors or by its Choi matrix.  Without stored
-    factors they are extracted from the Choi matrix.
+    Either way the length is :func:`choi_rank`, from factors or from Choi.
     """
     if phi.kraus:
         stack = np.stack(phi.kraus).reshape(len(phi.kraus), -1)  # rows: conj(v_j)
@@ -327,25 +320,26 @@ def minimal_kraus(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> list:
 
 
 def is_cp(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the Choi matrix of ``phi`` is PSD within the tolerance.
+    """True iff :func:`minimal_kraus` factorizes ``phi`` without raising.
 
-    A map given by Kraus factors is CP by construction, so it is accepted
-    without an eigensolve.  A map given by its Choi matrix is tested on
-    its smallest eigenvalue against ``-eps_psd * max(1, max |lambda|)``
-    (:func:`linalg.psd_check`), the rule :func:`choi_to_kraus` applies
-    too: rounding scales with the matrix, so the verdict holds at every
-    scale.  A caller that goes on to need the factors calls
-    :func:`minimal_kraus` alone, which decides the same question.
+    Stored Kraus factors make a map CP, with no eigensolve.  A Choi matrix
+    is decided by the one ``np.linalg.eigh`` of :func:`choi_to_kraus`; a
+    second eigensolver could round an eigenvalue at the cutoff otherwise.
     """
-    return phi.kraus is not None or linalg.psd_check(phi.choi, tol)
+    if phi.kraus is not None:
+        return True
+    try:
+        choi_to_kraus(phi.choi, phi.d_in, phi.d_out, tol)
+    except NotCP:
+        return False
+    return True
 
 
 def choi_rank(phi: CpMap, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank of the Choi matrix.
 
-    For a CP map this is the minimal Kraus count, ``len(minimal_kraus(phi))``,
-    whose rank rule reads signed eigenvalues; a map that is not CP has no
-    Kraus family, and its rank counts the singular values the rule keeps.
+    For a CP map this is ``len(minimal_kraus(phi))``, read from signed
+    eigenvalues; for any other map, the singular values the rule keeps.
     """
     try:
         return len(minimal_kraus(phi, tol))

@@ -21,16 +21,17 @@ each named by its operands:
   Hermitian matrix may reach ``eps_psd * max(1, max |lambda|)`` below
   zero.  A matrix whose operands are named reads it at their scale
   alone, ``eps_psd * max(max |lambda|, *scales)``, with no floor
-  (:func:`stinespring.dominates`, the completion decision).
+  (:func:`stinespring.dominates`, the completion decision, and the
+  ``k x k`` tests ``G >= 0``, ``T T* - G >= 0`` of ``radon_nikodym``).
 
 The floor ``max(1, .)`` stands in for the operands a lone matrix does not
 name, such as a Choi matrix handed in.  A map that was given is never
 judged zero by it: :meth:`CpMap.is_zero` asks for an exactly zero Choi
 matrix, and only a map formed from others reads zero by
 ``negligible(x, tol, *operands)``.  The PSD order drops the floor once both
-operands are named, so ``dominates(c phi, c psi)`` is the same for every
-``c > 0``; with the floor, a map below ``eps_psd`` would dominate one twice
-its size.  The rank rule has no floor.
+operands are named, so ``dominates`` and ``radon_nikodym`` judge ``(c phi,
+c psi)`` alike for every ``c > 0``; with the floor, a map below ``eps_psd``
+would dominate one twice its size.  The rank rule has no floor.
 
 Three constants stay outside :class:`Tolerance`: ``HERMITIAN_RESIDUAL``
 (how far from Hermitian an input may be before it is rejected), the

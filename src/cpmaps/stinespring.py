@@ -249,30 +249,33 @@ def radon_nikodym(phi: CpMap, psi: CpMap,
     of ``W`` are the flattened conjugate Kraus factors of ``phi``; since a
     minimal family is linearly independent, ``W`` has full column rank and
     ``D = W^+ Choi(psi) W^+*``.  With the thin QR ``W = Q T`` that is
-    ``D = T^-1 G T^-*`` for ``G = Q* Choi(psi) Q``.  The residual
-    ``Q G Q* - Choi(psi)`` must be :func:`linalg.negligible`, and ``D`` is
-    a positive contraction iff ``G`` and ``T T* - G = Q* (Choi(phi) -
-    Choi(psi)) Q`` are PSD: both are judged at the scale of the Choi
-    matrices, where the rounding lives, not at ``D``'s, which the
-    conditioning of ``W`` inflates.
+    ``D = T^-1 G T^-*`` for ``G = Q* Choi(psi) Q``.  By Arveson's
+    Radon-Nikodym theorem ``psi <= phi`` iff the residual ``Q G Q* -
+    Choi(psi)`` vanishes, ``G >= 0`` and ``T T* - G = Q* (Choi(phi) -
+    Choi(psi)) Q >= 0``: these ``k x k`` tests decide it, with no ``n x n``
+    eigensolve (:func:`dominates`).  They read the Choi matrices' scale,
+    ``||T T*|| = ||Choi(phi)||`` and ``||G||``, with no floor, not ``D``'s:
+    the residual's Frobenius norm, which bounds its singular values, by the
+    rank rule :func:`linalg.kept`, the others by :func:`linalg._psd_slack`.
 
-    Raises NotDominated when ``psi`` is not dominated by ``phi``.
+    Raises NotDominated when ``psi`` is not dominated by ``phi``, and
+    ZeroMap or NotCP, from :func:`minimal_stinespring`, for such a ``phi``.
     """
-    if not dominates(phi, psi, tol):
-        raise NotDominated("psi is not dominated by phi")
+    if (phi.d_in, phi.d_out) != (psi.d_in, psi.d_out):
+        raise DimensionMismatch("maps act on different algebras")
     triple = minimal_stinespring(phi, tol)
     w = np.stack([f.conj().reshape(-1) for f in triple.kraus], axis=1)
     q, t = np.linalg.qr(w)
     g = q.conj().T @ psi.choi @ q
-    residual = q @ g @ q.conj().T - psi.choi
-    if not linalg.negligible(residual, tol, phi.choi, psi.choi):
-        raise NotDominated(f"no commutant factor reproduces psi: residual "
-                           f"{linalg.max_abs(residual):.3e}")
     low = np.linalg.eigvalsh(g)
+    scales = np.linalg.norm(t, 2) ** 2, float(np.abs(low).max())
+    residual = np.linalg.norm(q @ g @ q.conj().T - psi.choi)
+    if linalg.kept([residual], tol, *scales)[0]:
+        raise NotDominated("no commutant factor reproduces psi: residual "
+                           f"{residual:.3e}")
     high = np.linalg.eigvalsh(t @ t.conj().T - g)
-    if (low[0] < -linalg._psd_slack(low, tol)
-            or high[0] < -linalg._psd_slack(high, tol, np.linalg.norm(
-                phi.choi, 2), np.linalg.norm(psi.choi, 2))):
+    if (low[0] < -linalg._psd_slack(low, tol, *scales)
+            or high[0] < -linalg._psd_slack(high, tol, *scales)):
         raise NotDominated("recovered factor is not a positive contraction: "
                            f"Q* Choi(psi) Q has eigenvalue {low[0]:.3e}, "
                            f"Q* Choi(phi - psi) Q {high[0]:.3e}")

@@ -73,6 +73,17 @@ def haar_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def boundary_choi_maps(rng, count):
+    """``count`` maps M_2 -> M_2 by their Choi matrices ``U diag(-1e-10 + u,
+    0.3, 0.6, 1) U*``, Haar ``U``, ``u ~ U(-3e-16, 3e-16)``: the smallest
+    eigenvalue lies within rounding of the default PSD cutoff, ``-eps_psd *
+    max(1, max |lambda|) = -1e-10``."""
+    for _ in range(count):
+        u = haar_unitary(rng, 4)
+        w = np.array([-1e-10 + rng.uniform(-3e-16, 3e-16), 0.3, 0.6, 1.0])
+        yield CpMap.from_choi((u * w) @ u.conj().T, 2, 2)
+
+
 def matrix_unit(n, i, j):
     e = np.zeros((n, n), dtype=complex)
     e[i, j] = 1.0

@@ -10,7 +10,7 @@ import pytest
 from cpmaps import CpMap, MalformedDocument, apply, maps_close, serialize
 from cpmaps.gallery import flip_twirl_map, random_cp_map
 
-from conftest import DATA, random_non_normal, run_cli
+from conftest import DATA, boundary_choi_maps, random_non_normal, run_cli
 
 
 class SerializationTests(unittest.TestCase):
@@ -426,6 +426,74 @@ def test_aeq_computes_its_projection_once(monkeypatch, capsys, context):
     expected = {"--xi": ["support_projection", "range_projection"],
                 "--r": ["range_projection"]}[context[0]]
     assert calls == expected
+
+
+def _boundary_document(tmp_path):
+    """A map at the PSD cutoff that eigvalsh and eigh judge apart."""
+    from cpmaps import is_cp, linalg
+    for phi in boundary_choi_maps(np.random.default_rng(0), 100):
+        if linalg.psd_check(phi.choi) != is_cp(phi):
+            path = tmp_path / "boundary_map.json"
+            path.write_text(json.dumps(serialize.encode_map(phi)))
+            return str(path)
+    raise AssertionError("no boundary draw")
+
+
+def _run(capsys, *argv):
+    from cpmaps import cli
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code in (0, 1), err
+    return json.loads(out)
+
+
+def test_one_cp_decision_per_command_at_the_psd_cutoff(tmp_path, capsys):
+    # analyze, quasipure and aeq read complete positivity from the
+    # factorization each runs, so none exits 2 with NotCP on a valid map
+    path = _boundary_document(tmp_path)
+    report = _run(capsys, "analyze", path)
+    spectrum = report["choi_spectrum"]
+    eps_psd = report["tolerances"]["eps_psd"]
+    slack = eps_psd * max(1.0, max(abs(x) for x in spectrum))
+    assert report["is_cp"] == (spectrum[0] >= -slack)
+    quasi = _run(capsys, "quasipure", path)
+    assert ("error" in quasi) != report["is_cp"]
+    aeq = _run(capsys, "aeq", path, path, "--r",
+               str(DATA / "e11_operator.json"))
+    assert aeq["equivalent"]
+    if not report["is_cp"]:
+        assert aeq["rigidity"] == {"applicable": False}
+
+
+def test_no_command_asks_is_cp_before_its_factorization(tmp_path, capsys,
+                                                         monkeypatch):
+    from cpmaps import cp_map
+    paths = (_boundary_document(tmp_path), str(DATA / "transpose_map.json"),
+             str(DATA / "eb_map.json"))
+    calls = []
+    original = cp_map.is_cp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cp_map, "is_cp", counted)
+    e11 = str(DATA / "e11_operator.json")
+    for path in paths:
+        _run(capsys, "analyze", path)
+        _run(capsys, "quasipure", path)
+        _run(capsys, "aeq", path, path, "--r", e11)
+    assert calls == []
+
+
+@pytest.mark.parametrize("phi_file, psi_file", [
+    ("transpose_map.json", "identity_map.json"),
+    ("identity_map.json", "transpose_map.json"),
+])
+def test_aeq_with_a_non_cp_map_has_no_rigidity(capsys, phi_file, psi_file):
+    report = _run(capsys, "aeq", str(DATA / phi_file), str(DATA / psi_file),
+                  "--r", str(DATA / "e11_operator.json"))
+    assert report["rigidity"] == {"applicable": False}
 
 
 if __name__ == "__main__":

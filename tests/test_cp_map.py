@@ -34,6 +34,7 @@ from cpmaps.gallery import (
 )
 
 from conftest import (
+    boundary_choi_maps,
     count_linalg_calls,
     matrix_unit,
     random_kraus,
@@ -303,6 +304,21 @@ def test_choi_given_maps_are_cp_at_every_scale():
     assert counts == {2}
     assert not is_cp(transpose_map(2))
     assert not is_cp(CpMap.from_choi(1e8 * transpose_map(2).choi, 2, 2))
+
+
+def test_is_cp_is_the_factorization_verdict_at_the_psd_cutoff():
+    # one eigensolver decides: with is_cp reading eigvalsh and the
+    # factorization eigh, 530 of these 4000 draws got different answers
+    verdicts = []
+    for phi in boundary_choi_maps(np.random.default_rng(0), 4000):
+        try:
+            minimal_kraus(phi)
+            factored = True
+        except NotCP:
+            factored = False
+        assert is_cp(phi) == factored
+        verdicts.append(factored)
+    assert 0 < sum(verdicts) < len(verdicts)  # the draws straddle the cut
 
 
 def test_trace_state_map_accepts_a_state_at_every_scale():

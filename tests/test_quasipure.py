@@ -1273,3 +1273,29 @@ def test_internal_consistency_checks_raise_input_not_reduced():
         quasipure._not_quasipure([np.eye(2, dtype=complex), sigma_x],
                                  np.array([1, 0], dtype=complex),
                                  quasipure.METHOD_NECESSARY, linalg.DEFAULT_TOL)
+
+
+def test_the_shape_decides_the_generic_verdict():
+    # k independent d_in x m factors with a trivial common kernel: the a in
+    # CP^{k-1} with rank P(a) < m form a variety of codimension d_in - m + 1,
+    # so every map with d_in < k + m - 1 has a witness, and a proof-grade
+    # QuasiPure there is unsound.  A generic map with d_in >= k + m - 1 has
+    # none; that half tests the pipeline's power at these seeds, not a
+    # theorem per draw.  Random factors leave no common kernel, so m = d_out.
+    tol = linalg.DEFAULT_TOL
+    forced = proved = 0
+    for d_in, m, k, seed in itertools.product(range(2, 7), range(2, 5),
+                                              range(2, 5), range(2)):
+        phi = random_cp_map(d_in, m, k, seed=seed)
+        verdict = is_quasipure(phi)
+        shape = (d_in, m, k, seed)
+        if d_in < k + m - 1:
+            forced += 1
+            assert verdict.status == quasipure.NOT_QUASI_PURE, shape
+            assert quasipure._is_witness(minimal_kraus(phi), verdict.witness,
+                                         tol), shape
+        else:
+            proved += 1
+            assert verdict.status == quasipure.QUASI_PURE, shape
+            assert verdict.is_proof, shape
+    assert (forced, proved) == (54, 36)

@@ -272,6 +272,59 @@ def test_radon_nikodym_rejects_non_dominated():
         radon_nikodym(identity_map(2), conjugation_map(SIGMA_X))
 
 
+def _domination_cases():
+    """``phi`` and three maps: ``V* (X (x) D) V`` with ``0 <= D <= I`` is
+    dominated, the same with ``1.5 D`` is not (its top eigenvalue is 1.5),
+    and neither is a ``1e-3``-scaled rank-one map outside ``ran W``."""
+    phi = random_cp_map(3, 4, 3, seed=7)
+    t = minimal_stinespring(phi)
+    d = random_positive_contraction(3, seed=8)
+    rng = np.random.default_rng(9)
+    off = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    return phi, [map_from_contraction(t, d), map_from_contraction(t, 1.5 * d),
+                 1e-3 * CpMap.from_kraus([off])]
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_radon_nikodym_decides_domination_as_dominates_does(c):
+    # the k x k tests read the Choi matrices' scale, with no floor
+    phi, cases = _domination_cases()
+    verdicts = []
+    for psi in cases:
+        dominated = dominates(c * phi, c * psi)
+        verdicts.append(dominated)
+        if dominated:
+            rn = radon_nikodym(c * phi, c * psi)
+            assert maps_close(rn.reconstruct(), c * psi)
+        else:
+            with pytest.raises(NotDominated):
+                radon_nikodym(c * phi, c * psi)
+    assert verdicts == [True, False, False]
+
+
+def test_radon_nikodym_never_calls_dominates(monkeypatch):
+    from cpmaps import stinespring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dominates was called")
+
+    monkeypatch.setattr(stinespring, "dominates", refuse)
+    phi, cases = _domination_cases()
+    radon_nikodym(phi, cases[0])
+    for psi in cases[1:]:
+        with pytest.raises(NotDominated):
+            radon_nikodym(phi, psi)
+
+
+def test_radon_nikodym_errors_on_phi_come_from_the_dilation():
+    with pytest.raises(ZeroMap):
+        radon_nikodym(CpMap.zero(2, 2), identity_map(2))
+    with pytest.raises(NotCP):
+        radon_nikodym(transpose_map(2), CpMap.zero(2, 2))
+    with pytest.raises(DimensionMismatch):
+        radon_nikodym(identity_map(2), identity_map(3))
+
+
 def test_map_from_contraction_validates_shape():
     t = minimal_stinespring(flip_twirl_map())
     with pytest.raises(DimensionMismatch):
